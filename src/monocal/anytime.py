@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import Block, Problem, Staircase, blocks_to_staircase
+from .core import Block, Problem, Staircase, blocks_loss, blocks_to_staircase
 from .errors import EmptyProblem, InvalidConfig, NoWidth, OracleFailure, Unbounded
 from .losses import DerivativeOracle
 
@@ -96,12 +96,15 @@ class AnytimeResult:
 
     Fitted values are bracket midpoints, so each is within ``width_bound / 2``
     of the exact minimizer. ``groups`` exposes the per-block brackets.
+    ``total_loss`` is the loss of the midpoint fit by the rule
+    ``FitReport.total_loss`` uses (``blocks_loss``, tie-merge offset included).
     """
 
     staircase: Staircase
     width_bound: float
     iters: int
     groups: tuple[AnytimeGroup, ...]
+    total_loss: float
 
 
 def probe_point(upper: float, lower: float) -> float:
@@ -220,4 +223,5 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
         width_bound=max(g.width for g in groups),
         iters=iters,
         groups=tuple(groups),
+        total_loss=blocks_loss(problem, blocks),
     )

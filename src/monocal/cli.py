@@ -18,7 +18,7 @@ import sys
 from typing import Any, Iterator, Sequence
 
 from . import anytime, losses
-from .core import Sample, Staircase, blocks_to_staircase, normalize
+from .core import Sample, Staircase, _check_sample, blocks_to_staircase, normalize
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 from .online import OnlineState
 from .pav_offline import fit_direct, fit_stack
@@ -57,7 +57,7 @@ def _parse_float(text: str, column: str, row: int) -> float:
         raise _CliError(f"row {row}: column {column!r} is not a number: {text!r}")
 
 
-def _training_rows(path: str) -> Iterator[tuple[int, Sample]]:
+def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
     cap = _max_rows()
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -70,6 +70,7 @@ def _training_rows(path: str) -> Iterator[tuple[int, Sample]]:
         if "target" not in reader.fieldnames:
             raise _CliError(f"{path}: header with a 'target' column is required")
         has_weight = "weight" in reader.fieldnames
+        logloss = loss_tag == "logloss"
         count = 0
         for record in reader:
             row = reader.line_num
@@ -81,25 +82,14 @@ def _training_rows(path: str) -> Iterator[tuple[int, Sample]]:
             weight = 1.0
             if has_weight and record["weight"]:
                 weight = _parse_float(record["weight"], "weight", row)
-            if math.isnan(score):
-                raise _CliError(f"row {row}: score is NaN")
-            if math.isnan(target) or math.isinf(target):
-                raise _CliError(f"row {row}: target must be finite, got {target!r}")
-            if not weight > 0 or math.isinf(weight):
-                raise _CliError(f"row {row}: weight must be positive and finite, got {weight!r}")
-            yield row, Sample(score=score, target=target, weight=weight)
-
-
-def _read_training(path: str, loss_tag: str) -> list[Sample]:
-    samples = []
-    for row, sample in _training_rows(path):
-        if loss_tag == "logloss":
+            sample = Sample(score=score, target=target, weight=weight)
             try:
-                sample = losses.logloss_reduce([sample])[0]
+                _check_sample(sample)
+                if logloss:
+                    sample = losses.logloss_reduce([sample])[0]
             except CalibrationError as exc:
                 raise _CliError(f"row {row}: {exc}")
-        samples.append(sample)
-    return samples
+            yield row, sample
 
 
 def _parse_bounds(text: str) -> tuple[float, float]:
@@ -166,9 +156,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 raise _CliError(
                     f"--{flag.replace('_', '-')} only applies to --solver anytime"
                 )
-    samples = _read_training(args.input, args.loss)
     family = _FAMILIES[args.loss]
-    problem = normalize(samples, family)
+    problem = normalize((s for _, s in _training_rows(args.input, args.loss)), family)
     scores = [s.score for s in problem.samples]
     n = len(problem.samples)
 
@@ -188,7 +177,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "solver": "anytime",
             "n_samples": n,
             "merge_count": n - len(result.groups),
-            "total_loss": _staircase_loss(problem, staircase),
+            "total_loss": result.total_loss,
             "delta": config.delta,
             "width_bound": result.width_bound,
             "rounds": result.iters,
@@ -219,13 +208,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _staircase_loss(problem, staircase: Staircase) -> float:
-    family = problem.family
-    return problem.loss_offset + math.fsum(
-        family.loss(s, staircase.value_at(s.score)) for s in problem.samples
-    )
-
-
 def _cmd_apply(args: argparse.Namespace) -> int:
     staircase, _, _ = load_model(args.model)
     try:
@@ -238,9 +220,12 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         if reader.fieldnames is None or "score" not in reader.fieldnames:
             raise _CliError(f"{args.scores}: header with a 'score' column is required")
         out.write("score,calibrated\n")
-        for record in reader:
-            score = _parse_float(record["score"] or "", "score", reader.line_num)
-            out.write(f"{score!r},{staircase.value_at(score)!r}\n")
+        try:
+            for record in reader:
+                score = _parse_float(record["score"] or "", "score", reader.line_num)
+                out.write(f"{score!r},{staircase(score)!r}\n")
+        except CalibrationError as exc:
+            raise _CliError(f"row {reader.line_num}: {exc}")
     return EXIT_OK
 
 
@@ -248,12 +233,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     state = OnlineState(_FAMILIES[args.loss])
     out = sys.stdout
     out.write("n,steps,merges,values\n")
-    for row, sample in _training_rows(args.input):
-        if args.loss == "logloss":
-            try:
-                sample = losses.logloss_reduce([sample])[0]
-            except CalibrationError as exc:
-                raise _CliError(f"row {row}: {exc}")
+    for row, sample in _training_rows(args.input, args.loss):
         try:
             state.push(sample)
         except OutOfOrder as exc:

@@ -111,9 +111,6 @@ class Staircase:
     def step_count(self) -> int:
         return len(self.values)
 
-    def value_at(self, x: float) -> float:
-        return evaluate(self, x)
-
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
 

@@ -3,9 +3,11 @@
 Each arrival becomes a new top block, which is then merged leftward while it
 violates monotonicity, so the stack is the optimal partition of everything
 seen so far after every push (it matches the offline stack solver on each
-prefix). Out-of-order arrivals are rejected: general unordered updates can
-force a full refit per sample, so the honest contract is an explicit error
-and the offline path.
+prefix). The pooling is the stack kernel of ``monocal.pav_offline``, the same
+loop ``fit_stack`` drives; this module adds the order check and the fold of a
+repeated score into the top block. Out-of-order arrivals are rejected:
+general unordered updates can force a full refit per sample, so the honest
+contract is an explicit error and the offline path.
 
 Single-writer state: ``push`` mutates; reading a quiescent state from other
 threads is safe.
@@ -19,6 +21,7 @@ from typing import Any
 from .core import Block, Sample, Staircase, _check_sample, blocks_to_staircase
 from .errors import EmptyProblem, InvalidConfig, OutOfOrder
 from .losses import supports_merge
+from .pav_offline import _pool, _stack_blocks
 
 __all__ = ["OnlineState"]
 
@@ -66,32 +69,16 @@ class OnlineState:
         if self._scores and sample.score == self._scores[-1]:
             # Same score, same mapping: fold into the top block before any
             # violation checks.
-            y, lam = family.merge(self._ys[-1], self._lams[-1], y, lam)
-            first = self._firsts[-1]
-            self._firsts.pop()
-            self._ys.pop()
-            self._lams.pop()
+            y, lam = family.merge(self._ys.pop(), self._lams.pop(), y, lam)
+            first = self._firsts.pop()
             self.cumulative_merges += 1
         self._scores.append(sample.score)
-        while self._ys and self._ys[-1] >= y:
-            y, lam = family.merge(self._ys[-1], self._lams[-1], y, lam)
-            first = self._firsts[-1]
-            self._firsts.pop()
-            self._ys.pop()
-            self._lams.pop()
-            self.cumulative_merges += 1
-        self._firsts.append(first)
-        self._ys.append(y)
-        self._lams.append(lam)
+        self.cumulative_merges += _pool(
+            self._firsts, self._ys, self._lams, ((first, y, lam),), family.merge
+        )
 
     def blocks(self) -> tuple[Block, ...]:
-        n = len(self._scores)
-        firsts = self._firsts
-        return tuple(
-            Block(firsts[i], (firsts[i + 1] - 1) if i + 1 < len(firsts) else n - 1,
-                  self._ys[i], self._lams[i])
-            for i in range(len(firsts))
-        )
+        return _stack_blocks(self._firsts, self._ys, self._lams, len(self._scores))
 
     def current(self) -> Staircase:
         """Materialize the optimal staircase for the samples seen so far."""

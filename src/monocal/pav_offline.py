@@ -7,12 +7,16 @@ the block minimizers strictly increase. ``fit_stack`` is the production
 solver (one left-to-right sweep, linear time for O(1) merge rules);
 ``fit_direct`` is the pass-structured reference kept for differential
 testing and pass-trace inspection.
+
+The stack kernel (``_pool``) is the one pooling loop of the merge solvers:
+``fit_stack`` drives it with every sample in one call, and the streaming
+solver (``monocal.online``) drives it with one group per arrival.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Block, Problem, blocks_loss
 
@@ -31,6 +35,41 @@ class FitReport:
     merge_count: int
     total_loss: float
     passes: int | None = None
+
+
+def _pool(
+    firsts: list[int],
+    ys: list[float],
+    auxs: list[float],
+    groups: Iterable[tuple[int, float, float]],
+    merge,
+) -> int:
+    """Push ``(first, y, aux)`` groups onto the stack, pooling each leftward.
+
+    The stack is three parallel lists, one entry per block: its first sample
+    index, minimizer and auxiliary value. A pushed group merges with the top
+    block while the top's minimizer is ``>=`` its own, so the stack
+    minimizers strictly increase after every push. Returns the merge count.
+    """
+    merges = 0
+    for first, y, aux in groups:
+        while ys and ys[-1] >= y:
+            y, aux = merge(ys.pop(), auxs.pop(), y, aux)
+            first = firsts.pop()
+            merges += 1
+        firsts.append(first)
+        ys.append(y)
+        auxs.append(aux)
+    return merges
+
+
+def _stack_blocks(
+    firsts: list[int], ys: list[float], auxs: list[float], n: int
+) -> tuple[Block, ...]:
+    """Blocks of a stack over ``n`` samples; each ends before the next begins."""
+    lasts = [first - 1 for first in firsts[1:]]
+    lasts.append(n - 1)
+    return tuple(map(Block, firsts, lasts, ys, auxs))
 
 
 def _single_sample_groups(problem: Problem) -> list[Block]:
@@ -75,19 +114,14 @@ def direct_passes(problem: Problem) -> Iterator[tuple[Block, ...]]:
 
 def fit_direct(problem: Problem) -> FitReport:
     """Pass-based solver: rebuild the violation set and join until none remain."""
-    groups = _single_sample_groups(problem)
+    blocks = tuple(_single_sample_groups(problem))
     passes = 0
-    total_merges = 0
-    while True:
-        groups, merges = _join_pass(groups, problem.family)
-        if merges == 0:
-            break
-        passes += 1
-        total_merges += merges
+    for passes, blocks in enumerate(direct_passes(problem), start=1):
+        pass  # keep the last pass's groups and its number
     return FitReport(
-        blocks=tuple(groups),
-        merge_count=total_merges,
-        total_loss=blocks_loss(problem, groups),
+        blocks=blocks,
+        merge_count=len(problem.samples) - len(blocks),
+        total_loss=blocks_loss(problem, blocks),
         passes=passes,
     )
 
@@ -95,34 +129,14 @@ def fit_direct(problem: Problem) -> FitReport:
 def fit_stack(problem: Problem) -> FitReport:
     """Single left-to-right sweep keeping a stack of merged blocks."""
     family = problem.family
-    minimizer_of = family.minimizer_of
-    init_aux = family.init_aux
-    merge = family.merge
-
+    samples = problem.samples
+    n = len(samples)
     firsts: list[int] = []
     ys: list[float] = []
-    lams: list[float] = []
-    merges = 0
-    for idx, sample in enumerate(problem.samples):
-        y = minimizer_of(sample)
-        lam = init_aux(sample)
-        first = idx
-        while ys and ys[-1] >= y:
-            y, lam = merge(ys[-1], lams[-1], y, lam)
-            first = firsts[-1]
-            firsts.pop()
-            ys.pop()
-            lams.pop()
-            merges += 1
-        firsts.append(first)
-        ys.append(y)
-        lams.append(lam)
-
-    n = len(problem.samples)
-    blocks = tuple(
-        Block(firsts[i], (firsts[i + 1] - 1) if i + 1 < len(firsts) else n - 1, ys[i], lams[i])
-        for i in range(len(firsts))
-    )
+    auxs: list[float] = []
+    groups = zip(range(n), map(family.minimizer_of, samples), map(family.init_aux, samples))
+    merges = _pool(firsts, ys, auxs, groups, family.merge)
+    blocks = _stack_blocks(firsts, ys, auxs, n)
     return FitReport(
         blocks=blocks,
         merge_count=merges,

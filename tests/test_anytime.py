@@ -5,6 +5,8 @@ import pytest
 
 from monocal import (
     AnytimeConfig,
+    Block,
+    blocks_loss,
     blocks_to_staircase,
     AnytimeGroup,
     Problem,
@@ -28,7 +30,7 @@ from monocal.errors import (
 )
 from monocal.losses import CustomLossFamily, DerivativeOracle
 
-from conftest import GOLDEN_SIZES, GOLDEN_VALUES, make_square_instance
+from conftest import GOLDEN_SIZES, GOLDEN_TARGETS, GOLDEN_VALUES, make_square_instance
 
 
 class TestProbePoint:
@@ -196,6 +198,19 @@ class TestAnytimeRun:
         assert result.width_bound <= 1e-6
         for got, want in zip(result.staircase.values, GOLDEN_VALUES):
             assert abs(got - want) <= 5e-7
+
+    def test_total_loss_is_blocks_loss_of_midpoints(self):
+        # Paired scores tie, so the loss includes a nonzero tie-merge offset.
+        samples = [Sample(float(i // 2), float(t)) for i, t in enumerate(GOLDEN_TARGETS)]
+        problem = normalize(samples, WEIGHTED_SQUARE)
+        assert problem.loss_offset > 0.0
+        result = anytime_run(problem, AnytimeConfig(delta=1e-9))
+        midpoints = [
+            Block(g.first, g.last, 0.5 * g.upper + 0.5 * g.lower, g.width)
+            for g in result.groups
+        ]
+        assert result.total_loss == blocks_loss(problem, midpoints)
+        assert result.total_loss == pytest.approx(fit_stack(problem).total_loss, rel=1e-12)
 
     def test_constant_targets_collapse_to_one_group(self):
         rng = random.Random(9)

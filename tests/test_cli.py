@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from monocal import AnytimeConfig, Sample, WEIGHTED_SQUARE, anytime_run, normalize
 from monocal.cli import main, model_from_dict
 
 from conftest import GOLDEN_TARGETS
@@ -25,6 +26,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["fit", "stream"])
+@pytest.mark.parametrize(
+    "bad_row, loss",
+    [
+        ("nan,1,1", "square"),
+        ("2,inf,1", "square"),
+        ("2,1,0", "square"),
+        ("2,0.5,1", "logloss"),
+    ],
+)
+def test_invalid_row_reports_row_number(tmp_path, capsys, command, bad_row, loss):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"score,target,weight\n1,0,1\n{bad_row}\n")
+    code, _, stderr = run(capsys, command, str(path), "--loss", loss, "--quiet")
+    assert code == 2
+    assert "row 3:" in stderr
 
 
 class TestFit:
@@ -88,6 +107,16 @@ class TestFit:
         doc = json.loads(stdout)
         for got, want in zip(doc["values"], (32.0, 47.0, 55.0, 69.0)):
             assert abs(got - want) <= 5e-7
+
+    def test_anytime_total_loss_is_library_total_loss(self, tmp_path, capsys):
+        # Paired scores tie, so the loss includes a nonzero tie-merge offset.
+        rows = [(i // 2, t) for i, t in enumerate(GOLDEN_TARGETS)]
+        path = write_training_csv(tmp_path / "ties.csv", rows)
+        code, stdout, _ = run(capsys, "fit", path, "--solver", "anytime", "--quiet")
+        assert code == 0
+        problem = normalize([Sample(float(x), float(t)) for x, t in rows], WEIGHTED_SQUARE)
+        expected = anytime_run(problem, AnytimeConfig()).total_loss
+        assert json.loads(stdout)["metadata"]["total_loss"] == expected
 
     def test_unsorted_input_is_sorted_internally(self, tmp_path, capsys):
         rows = [(3, 30), (1, 10), (2, 40)]
@@ -201,6 +230,13 @@ class TestApply:
         _, stdout, _ = run(capsys, "apply", model_path, str(scores))
         ys = [float(line.split(",")[1]) for line in stdout.strip().splitlines()[1:]]
         assert all(a <= b for a, b in zip(ys, ys[1:]))
+
+    def test_nan_score_reports_row_number(self, model_path, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score\n7\nnan\n")
+        code, _, stderr = run(capsys, "apply", model_path, str(scores))
+        assert code == 2
+        assert "row 3:" in stderr and "NaN" in stderr
 
     def test_missing_model(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
