@@ -15,10 +15,10 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import anytime, losses
-from .core import Sample, Staircase, _check_sample, blocks_to_staircase, normalize
+from .core import Sample, Staircase, blocks_to_staircase, normalize
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 from .online import OnlineState
 from .pav_offline import fit_direct, fit_stack
@@ -39,57 +39,65 @@ class _CliError(Exception):
         self.code = code
 
 
-def _max_rows() -> int | None:
-    raw = os.environ.get(MAX_N_ENV, "").strip()
-    if not raw:
-        return None
+def _csv_rows(
+    path: str, columns: dict[str, float | None], convert: Callable[..., Any]
+) -> Iterator[tuple[int, Any]]:
+    """Check the CSV header now; iterate ``(line number, convert(*numbers))`` later.
+
+    ``columns`` maps each column, in ``numbers`` order, to the number an empty
+    or missing field reads as, or to None if it is required. Blank lines are
+    skipped, ``convert`` errors get a ``row N:`` prefix, and a positive
+    ``MONOCAL_MAX_N`` caps the rows.
+    """
+    raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
-        cap = int(raw)
+        cap = int(raw_cap) if raw_cap else 0
     except ValueError:
-        raise _CliError(f"{MAX_N_ENV} must be an integer, got {raw!r}")
-    return cap if cap > 0 else None
-
-
-def _parse_float(text: str, column: str, row: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise _CliError(f"row {row}: column {column!r} is not a number: {text!r}")
-
-
-def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
-    cap = _max_rows()
+        raise _CliError(f"{MAX_N_ENV} must be an integer, got {raw_cap!r}")
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "score" not in reader.fieldnames:
-            raise _CliError(f"{path}: header with a 'score' column is required")
-        if "target" not in reader.fieldnames:
-            raise _CliError(f"{path}: header with a 'target' column is required")
-        has_weight = "weight" in reader.fieldnames
-        logloss = loss_tag == "logloss"
-        count = 0
-        for record in reader:
-            row = reader.line_num
-            count += 1
-            if cap is not None and count > cap:
-                raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
-            score = _parse_float(record["score"] or "", "score", row)
-            target = _parse_float(record["target"] or "", "target", row)
-            weight = 1.0
-            if has_weight and record["weight"]:
-                weight = _parse_float(record["weight"], "weight", row)
-            sample = Sample(score=score, target=target, weight=weight)
-            try:
-                _check_sample(sample)
-                if logloss:
-                    sample = losses.logloss_reduce([sample])[0]
-            except CalibrationError as exc:
-                raise _CliError(f"row {row}: {exc}")
-            yield row, sample
+    reader = csv.reader(handle)
+    header = next(reader, [])
+    for name, default in columns.items():
+        if default is None and name not in header:
+            handle.close()
+            raise _CliError(f"{path}: header with a {name!r} column is required")
+    # The last of repeated column names wins; a column the header lacks gets
+    # an index past the end of every row.
+    index = {name: i for i, name in enumerate(header)}
+    picks = [(name, index.get(name, sys.maxsize), default) for name, default in columns.items()]
+
+    def rows() -> Iterator[tuple[int, Any]]:
+        with handle:
+            for count, fields in enumerate(filter(None, reader), 1):
+                if 0 < cap < count:
+                    raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
+                row = reader.line_num
+                numbers = []
+                for name, i, default in picks:
+                    text = fields[i] if i < len(fields) else ""
+                    try:
+                        numbers.append(float(text) if text or default is None else default)
+                    except ValueError:
+                        raise _CliError(f"row {row}: column {name!r} is not a number: {text!r}")
+                try:
+                    value = convert(*numbers)
+                except CalibrationError as exc:
+                    raise _CliError(f"row {row}: {exc}")
+                yield row, value
+
+    return rows()
+
+
+def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
+    columns = {"score": None, "target": None, "weight": 1.0}
+    if loss_tag == "logloss":
+        return _csv_rows(
+            path, columns, lambda *numbers: losses.logloss_reduce([Sample(*numbers)])[0]
+        )
+    return _csv_rows(path, columns, Sample)
 
 
 def _parse_bounds(text: str) -> tuple[float, float]:
@@ -127,15 +135,23 @@ def model_from_dict(doc: Any) -> tuple[Staircase, str, dict[str, Any]]:
         raise InvalidValue(f"model file is missing fields: {sorted(missing)}")
     if doc["version"] != MODEL_VERSION:
         raise InvalidValue(f"unsupported model version {doc['version']!r}")
-    if doc["family"] not in _FAMILIES:
+    if not isinstance(doc["family"], str) or doc["family"] not in _FAMILIES:
         raise InvalidValue(f"unknown family tag {doc['family']!r}")
     if not isinstance(doc["metadata"], dict):
         raise InvalidValue("model metadata must be an object")
-    staircase = Staircase(
-        tuple(float(b) for b in doc["breakpoints"]),
-        tuple(float(v) for v in doc["values"]),
-    )
+    staircase = Staircase(_model_floats(doc, "breakpoints"), _model_floats(doc, "values"))
     return staircase, doc["family"], doc["metadata"]
+
+
+def _model_floats(doc: dict, field: str) -> tuple[float, ...]:
+    items = doc[field]
+    # JSON numbers load as int or float, never bool; NaN != NaN; huge ints overflow.
+    if not isinstance(items, list) or not all(
+        type(v) is float and v == v or type(v) is int and abs(v) <= sys.float_info.max
+        for v in items
+    ):
+        raise InvalidValue(f"model {field} must be a list of numbers in float range, not NaN")
+    return tuple(map(float, items))
 
 
 def load_model(path: str) -> tuple[Staircase, str, dict[str, Any]]:
@@ -150,12 +166,11 @@ def load_model(path: str) -> tuple[Staircase, str, dict[str, Any]]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if args.solver != "anytime":
-        for flag in ("delta", "bounds", "max_iters"):
-            if getattr(args, flag) is not None:
-                raise _CliError(
-                    f"--{flag.replace('_', '-')} only applies to --solver anytime"
-                )
+    flags = ("delta", "bounds", "max_iters")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    if given and args.solver != "anytime":
+        flag = next(iter(given)).replace("_", "-")
+        raise _CliError(f"--{flag} only applies to --solver anytime")
     family = _FAMILIES[args.loss]
     problem = normalize((s for _, s in _training_rows(args.input, args.loss)), family)
     scores = [s.score for s in problem.samples]
@@ -163,14 +178,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     if args.solver == "anytime":
         # Log loss lives on [0, 1]; doubling outward makes no sense there.
-        default_bounds = "0,1" if args.loss == "logloss" else "auto"
-        upper, lower = _parse_bounds(args.bounds if args.bounds is not None else default_bounds)
-        config = anytime.AnytimeConfig(
-            init_upper=upper,
-            init_lower=lower,
-            delta=args.delta if args.delta is not None else 1e-6,
-            max_iters=args.max_iters if args.max_iters is not None else 256,
-        )
+        bounds = given.pop("bounds", "0,1" if args.loss == "logloss" else "auto")
+        upper, lower = _parse_bounds(bounds)
+        config = anytime.AnytimeConfig(init_upper=upper, init_lower=lower, **given)
         result = anytime.anytime_run(problem, config)
         staircase = result.staircase
         metadata: dict[str, Any] = {
@@ -210,22 +220,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     staircase, _, _ = load_model(args.model)
-    try:
-        handle = open(args.scores, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.scores}: {exc}")
-    out = sys.stdout
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "score" not in reader.fieldnames:
-            raise _CliError(f"{args.scores}: header with a 'score' column is required")
-        out.write("score,calibrated\n")
-        try:
-            for record in reader:
-                score = _parse_float(record["score"] or "", "score", reader.line_num)
-                out.write(f"{score!r},{staircase(score)!r}\n")
-        except CalibrationError as exc:
-            raise _CliError(f"row {reader.line_num}: {exc}")
+    rows = _csv_rows(args.scores, {"score": None}, lambda x: f"{x!r},{staircase(x)!r}\n")
+    sys.stdout.write("score,calibrated\n")
+    sys.stdout.writelines(line for _, line in rows)
     return EXIT_OK
 
 
@@ -247,6 +244,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = anytime.AnytimeConfig()
     parser = argparse.ArgumentParser(
         prog="monocal",
         description="Fit and apply optimal monotone staircase calibrations.",
@@ -258,11 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--loss", choices=("square", "logloss"), default="square")
     fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack")
     fit.add_argument("--delta", type=float, default=None,
-                     help="anytime bracket width target (default 1e-6)")
+                     help=f"anytime bracket width target (default {defaults.delta})")
     fit.add_argument("--bounds", default=None,
                      help="anytime minimizer bounds 'lo,hi', or 'auto' (default)")
     fit.add_argument("--max-iters", type=int, default=None, dest="max_iters",
-                     help="anytime round cap (default 256)")
+                     help=f"anytime round cap (default {defaults.max_iters})")
     fit.add_argument("--out", default=None, help="write the model here instead of stdout")
     fit.add_argument("--quiet", action="store_true", help="suppress diagnostics")
     fit.set_defaults(func=_cmd_fit)

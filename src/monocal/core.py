@@ -5,6 +5,9 @@ family. Solvers partition the samples into contiguous blocks with one fitted
 value each; the resulting transform is a right-continuous nondecreasing step
 function (`Staircase`) with strictly increasing step values.
 
+`Sample` is the one validation point for input values: construction rejects
+bad values, so every sample that exists is valid and no code checks again.
+
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.
 """
@@ -33,18 +36,28 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Sample:
-    """One (score, loss) observation.
+    """One (score, loss) observation; construction rejects invalid values.
 
-    ``score`` may be +-inf. For the built-in families ``target`` is the
-    regression target (or the binary label for log loss, possibly fractional
-    after equal-score merging) and ``weight`` the positive sample weight.
-    Custom families may carry an opaque per-sample loss handle in ``payload``.
+    ``score`` may be +-inf but not NaN, ``target`` must be finite (else
+    ``InvalidValue``) and ``weight`` positive and finite (else
+    ``InvalidWeight``). For the built-in families ``target`` is the regression
+    target (or the binary label for log loss, possibly fractional after
+    equal-score merging). Custom families may carry an opaque per-sample loss
+    handle in ``payload``.
     """
 
     score: float
     target: float = 0.0
     weight: float = 1.0
     payload: Any = None
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.score):
+            raise InvalidValue("sample score is NaN")
+        if not math.isfinite(self.target):
+            raise InvalidValue(f"sample target must be finite, got {self.target!r}")
+        if not 0.0 < self.weight < math.inf:
+            raise InvalidWeight(f"sample weight must be positive and finite, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -115,15 +128,6 @@ class Staircase:
         return evaluate(self, x)
 
 
-def _check_sample(sample: Sample) -> None:
-    if math.isnan(sample.score):
-        raise InvalidValue("sample score is NaN")
-    if math.isnan(sample.target) or math.isinf(sample.target):
-        raise InvalidValue(f"sample target must be finite, got {sample.target!r}")
-    if not sample.weight > 0 or math.isinf(sample.weight):
-        raise InvalidWeight(f"sample weight must be positive and finite, got {sample.weight!r}")
-
-
 def normalize(raw_samples: Iterable[Sample], family: Any) -> Problem:
     """Sort samples by score and merge equal scores into composite samples.
 
@@ -135,8 +139,6 @@ def normalize(raw_samples: Iterable[Sample], family: Any) -> Problem:
     samples = sorted(raw_samples, key=lambda s: s.score)
     if not samples:
         raise EmptyProblem("cannot calibrate zero samples")
-    for s in samples:
-        _check_sample(s)
     combine = getattr(family, "combine_ties", None)
     merged: list[Sample] = [samples[0]]
     offset = 0.0

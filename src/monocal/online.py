@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import Block, Sample, Staircase, _check_sample, blocks_to_staircase
+from .core import Block, Sample, Staircase, blocks_to_staircase
 from .errors import EmptyProblem, InvalidConfig, OutOfOrder
 from .losses import supports_merge
 from .pav_offline import _pool, _stack_blocks
@@ -56,7 +56,6 @@ class OnlineState:
 
     def push(self, sample: Sample) -> None:
         """Absorb one arrival; merges leftward until monotone again."""
-        _check_sample(sample)
         family = self._family
         if self._scores and sample.score < self._scores[-1]:
             raise OutOfOrder(

@@ -46,6 +46,80 @@ def test_invalid_row_reports_row_number(tmp_path, capsys, command, bad_row, loss
     assert "row 3:" in stderr
 
 
+# Each layout holds the rows of CANONICAL_CSV; every reader must see the same data.
+CANONICAL_CSV = "score,target,weight\n1,10,1\n2,30,2\n3,20,1\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "stream"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "target,weight,score\n10,1,1\n30,2,2\n20,1,3\n",
+        "id,score,target,note,weight\na,1,10,x,1\nb,2,30,y,2\nc,3,20,z,1\n",
+        "score,target,weight\n1,10,1\n\n2,30,2\n\n3,20,1\n",
+        "score,target,weight\n1,10\n2,30,2\n3,20,\n",
+        '"score","target","weight"\n"1","10",1\n2,"30","2"\n"3",20,"1"\n',
+    ],
+    ids=["reordered", "extra-columns", "blank-lines", "short-rows", "quoted"],
+)
+def test_training_csv_layouts_read_alike(tmp_path, capsys, command, text):
+    canonical = tmp_path / "canonical.csv"
+    canonical.write_text(CANONICAL_CSV)
+    variant = tmp_path / "variant.csv"
+    variant.write_text(text)
+    want = run(capsys, command, str(canonical))
+    assert want[0] == 0
+    assert run(capsys, command, str(variant)) == want
+
+
+def test_apply_csv_layouts_read_alike(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"version": 1, "family": "square", "breakpoints": [1.5],
+                                 "values": [10.0, 25.0], "metadata": {}}))
+    canonical = tmp_path / "canonical.csv"
+    canonical.write_text("score\n1\n2\n")
+    want = run(capsys, "apply", str(model), str(canonical))
+    assert want == (0, "score,calibrated\n1.0,10.0\n2.0,25.0\n", "")
+    for text in ("id,score\na,1\nb,2\n", "score\n1\n\n2\n", '"score"\n"1"\n2\n'):
+        variant = tmp_path / "variant.csv"
+        variant.write_text(text)
+        assert run(capsys, "apply", str(model), str(variant)) == want
+
+
+def test_blank_lines_count_toward_row_numbers(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("score,target\n1,44\n\nnope,52\n")
+    code, _, stderr = run(capsys, "fit", str(path), "--quiet")
+    assert code == 2
+    assert "row 4:" in stderr
+
+
+@pytest.mark.parametrize(
+    "command, code, stdout",
+    [("fit", 2, ""), ("stream", 2, "n,steps,merges,values\n"), ("apply", 0, "score,calibrated\n")],
+)
+def test_header_only_csv(golden_csv, tmp_path, capsys, command, code, stdout):
+    path = tmp_path / "empty.csv"
+    path.write_text("score,target\n")
+    model = tmp_path / "model.json"
+    assert run(capsys, "fit", golden_csv, "--out", str(model), "--quiet")[0] == 0
+    argv = ["apply", str(model), str(path)] if command == "apply" else [command, str(path)]
+    assert run(capsys, *argv)[:2] == (code, stdout)
+
+
+@pytest.mark.parametrize("command", ["fit", "stream", "apply"])
+def test_max_n_cap(golden_csv, tmp_path, capsys, monkeypatch, command):
+    model = tmp_path / "model.json"
+    assert run(capsys, "fit", golden_csv, "--out", str(model), "--quiet")[0] == 0
+    argv = ["apply", str(model), golden_csv] if command == "apply" else [command, golden_csv]
+    monkeypatch.setenv("MONOCAL_MAX_N", "5")
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert "MONOCAL_MAX_N" in stderr
+    monkeypatch.setenv("MONOCAL_MAX_N", "100")
+    assert run(capsys, *argv)[0] == 0
+
+
 class TestFit:
     def test_stack_fit_writes_model(self, golden_csv, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -188,14 +262,6 @@ class TestFit:
         code, _, stderr = run(capsys, "fit", str(path), "--quiet")
         assert code == 2
 
-    def test_max_n_cap(self, golden_csv, capsys, monkeypatch):
-        monkeypatch.setenv("MONOCAL_MAX_N", "5")
-        code, _, stderr = run(capsys, "fit", golden_csv, "--quiet")
-        assert code == 2
-        assert "MONOCAL_MAX_N" in stderr
-        monkeypatch.setenv("MONOCAL_MAX_N", "100")
-        assert run(capsys, "fit", golden_csv, "--quiet")[0] == 0
-
 
 class TestApply:
     @pytest.fixture
@@ -287,6 +353,43 @@ class TestModelFile:
                 {"version": 2, "family": "square", "breakpoints": [], "values": [1.0],
                  "metadata": {}}
             )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("family", ["square"]),
+            ("family", None),
+            ("breakpoints", "ab"),
+            ("values", None),
+            ("values", {"0": 1.0}),
+            ("values", ["1.0"]),
+            ("values", [True]),
+            ("values", [None]),
+            ("values", [float("nan")]),
+            ("breakpoints", [float("nan")]),
+            ("values", [10**400]),
+        ],
+        ids=["family-list", "family-null", "breakpoints-string", "values-null",
+             "values-object", "values-string-entry", "values-bool-entry", "values-null-entry",
+             "values-nan", "breakpoints-nan", "values-huge-int"],
+    )
+    def test_malformed_model_exits_2(self, tmp_path, capsys, field, bad):
+        doc = {"version": 1, "family": "square", "breakpoints": [], "values": [1.0],
+               "metadata": {}}
+        if field == "breakpoints":
+            doc["values"] = [1.0, 2.0]
+        doc[field] = bad
+        from monocal.errors import InvalidValue
+
+        with pytest.raises(InvalidValue):
+            model_from_dict(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        scores = tmp_path / "s.csv"
+        scores.write_text("score\n1\n")
+        code, stdout, stderr = run(capsys, "apply", str(model), str(scores))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("monocal: ") and "Traceback" not in stderr
 
     def test_corrupt_model_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

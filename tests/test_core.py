@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -67,18 +68,26 @@ class TestNormalize:
         with pytest.raises(EmptyProblem):
             normalize([], WEIGHTED_SQUARE)
 
+    # Sample validates itself, so no invalid sample can reach normalize.
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_weight_raises(self, weight):
-        with pytest.raises(InvalidWeight):
-            normalize([Sample(1.0, 2.0, weight)], WEIGHTED_SQUARE)
+        with pytest.raises(InvalidWeight, match="weight"):
+            Sample(1.0, 2.0, weight)
+        with pytest.raises(InvalidWeight, match="weight"):
+            dataclasses.replace(Sample(1.0, 2.0), weight=weight)
 
     def test_nan_score_raises(self):
-        with pytest.raises(InvalidValue):
-            normalize([Sample(float("nan"), 2.0)], WEIGHTED_SQUARE)
+        with pytest.raises(InvalidValue, match="score is NaN"):
+            Sample(float("nan"), 2.0)
+        with pytest.raises(InvalidValue, match="score is NaN"):
+            dataclasses.replace(Sample(1.0, 2.0), score=float("nan"))
 
     def test_nan_target_raises(self):
-        with pytest.raises(InvalidValue):
-            normalize([Sample(1.0, float("nan"))], WEIGHTED_SQUARE)
+        for target in (float("nan"), math.inf, -math.inf):
+            with pytest.raises(InvalidValue, match="target must be finite"):
+                Sample(1.0, target)
+            with pytest.raises(InvalidValue, match="target must be finite"):
+                dataclasses.replace(Sample(1.0, 2.0), target=target)
 
     def test_infinite_scores_allowed(self):
         problem = normalize(
