@@ -1,12 +1,13 @@
 """Anytime solver: per-group bisection on minimizers via a derivative oracle.
 
 For losses whose group minimizers are costly to compute exactly, every group
-keeps a bracket [lower, upper] around its minimizer. Each round probes the
-bracket midpoint, evaluates the negative derivative of the group's summed
-loss there, joins adjacent groups whose derivative signs cross downward
-while their brackets coincide, and then halves every bracket on the probed
-side. Stopping is the caller's choice: after any round the bracket midpoints
-are a valid answer with error at most half the widest bracket.
+keeps a bracket [lower, upper] around its minimizer. Each round makes two
+passes over the groups. The first probes the bracket midpoint, evaluates the
+negative derivative of the group's summed loss there, and joins adjacent
+groups whose derivative signs cross downward while their brackets coincide.
+The second halves every bracket on the probed side and builds the round's
+groups. Stopping is the caller's choice: after any round the bracket
+midpoints are a valid answer with error at most half the widest bracket.
 
 Groups start bound-synchronized, so brackets only ever diverge between
 groups whose fitted values are already correctly ordered; a pair that must
@@ -22,7 +23,7 @@ sits at or above the probe while the right sits at or below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Block, Problem, Staircase, blocks_loss, blocks_to_staircase
@@ -143,57 +144,43 @@ def anytime_init(problem: Problem, config: AnytimeConfig) -> list[AnytimeGroup]:
     ]
 
 
-def _joinable(left: AnytimeGroup, right: AnytimeGroup) -> bool:
-    return (
-        left.upper == right.upper
-        and left.lower == right.lower
-        and left.neg_deriv >= 0.0 >= right.neg_deriv
-    )
-
-
 def iterate(groups: Sequence[AnytimeGroup], oracle: DerivativeOracle) -> list[AnytimeGroup]:
-    """One full round: probe every unsettled group, join sign crossings, halve.
+    """One full round: probe and join in one pass, then halve and build.
 
     Pure transformation; the input list is not modified. Probes within a
     round are independent of one another.
     """
-    probed: list[AnytimeGroup] = []
+    # Entries are [first, last, upper, lower, probe, neg_deriv]. A join keeps
+    # the left probe, sums the derivatives and re-tests leftward, so chains
+    # of three or more groups collapse within the round.
+    stack: list[list] = []
     for g in groups:
-        if g.settled:
-            probed.append(g)
-            continue
-        c = probe_point(g.upper, g.lower)
-        d = oracle.neg_derivative_at(g.first, g.last, c)
-        if math.isnan(d):
-            raise OracleFailure(
-                f"derivative oracle returned NaN at z={c!r} "
-                f"for samples [{g.first}, {g.last}]"
-            )
-        probed.append(replace(g, probe=c, neg_deriv=d))
-
-    # Join scan with re-testing, so chains of three or more groups collapse
-    # within the round.
-    joined: list[AnytimeGroup] = []
-    for g in probed:
-        joined.append(g)
-        while len(joined) >= 2 and _joinable(joined[-2], joined[-1]):
-            right = joined.pop()
-            left = joined.pop()
-            joined.append(
-                replace(left, last=right.last, neg_deriv=left.neg_deriv + right.neg_deriv)
-            )
+        first, last, upper, lower = g.first, g.last, g.upper, g.lower
+        probe, d = g.probe, g.neg_deriv
+        if upper != lower:
+            probe = probe_point(upper, lower)
+            d = oracle.neg_derivative_at(first, last, probe)
+            if math.isnan(d):
+                raise OracleFailure(
+                    f"derivative oracle returned NaN at z={probe!r} "
+                    f"for samples [{first}, {last}]"
+                )
+        stack.append([first, last, upper, lower, probe, d])
+        while len(stack) > 1:
+            left, right = stack[-2], stack[-1]
+            if left[2] != right[2] or left[3] != right[3] or not left[5] >= 0.0 >= right[5]:
+                break
+            stack.pop()
+            left[1], left[5] = right[1], left[5] + right[5]
 
     out: list[AnytimeGroup] = []
-    for g in joined:
-        if g.settled:
-            out.append(g)
-            continue
-        upper, lower = g.upper, g.lower
-        if g.neg_deriv >= 0.0:
-            lower = g.probe
-        if g.neg_deriv <= 0.0:
-            upper = g.probe
-        out.append(replace(g, upper=upper, lower=lower))
+    for first, last, upper, lower, probe, d in stack:
+        if upper != lower:
+            if d >= 0.0:
+                lower = probe
+            if d <= 0.0:
+                upper = probe
+        out.append(AnytimeGroup(first, last, upper, lower, probe, d))
     return out
 
 

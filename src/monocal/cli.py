@@ -47,7 +47,8 @@ def _csv_rows(
     ``columns`` maps each column, in ``numbers`` order, to the number an empty
     or missing field reads as, or to None if it is required. Blank lines are
     skipped, ``convert`` errors get a ``row N:`` prefix, and a positive
-    ``MONOCAL_MAX_N`` caps the rows.
+    ``MONOCAL_MAX_N`` caps the rows. Undecodable text and csv-module errors
+    (such as an oversized field) are usage errors.
     """
     raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
@@ -59,7 +60,16 @@ def _csv_rows(
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
     reader = csv.reader(handle)
-    header = next(reader, [])
+
+    def records() -> Iterator[list[str]]:
+        try:
+            yield from reader
+        except (UnicodeDecodeError, csv.Error) as exc:
+            handle.close()
+            raise _CliError(f"{path}: cannot parse CSV (read {reader.line_num} lines): {exc}")
+
+    lines = records()
+    header = next(lines, [])
     for name, default in columns.items():
         if default is None and name not in header:
             handle.close()
@@ -71,7 +81,7 @@ def _csv_rows(
 
     def rows() -> Iterator[tuple[int, Any]]:
         with handle:
-            for count, fields in enumerate(filter(None, reader), 1):
+            for count, fields in enumerate(filter(None, lines), 1):
                 if 0 < cap < count:
                     raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
                 row = reader.line_num
@@ -145,12 +155,12 @@ def model_from_dict(doc: Any) -> tuple[Staircase, str, dict[str, Any]]:
 
 def _model_floats(doc: dict, field: str) -> tuple[float, ...]:
     items = doc[field]
-    # JSON numbers load as int or float, never bool; NaN != NaN; huge ints overflow.
+    # JSON numbers load as int or float, never bool; huge ints overflow. The
+    # finite rule is the Staircase's own.
     if not isinstance(items, list) or not all(
-        type(v) is float and v == v or type(v) is int and abs(v) <= sys.float_info.max
-        for v in items
+        type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in items
     ):
-        raise InvalidValue(f"model {field} must be a list of numbers in float range, not NaN")
+        raise InvalidValue(f"model {field} must be a list of numbers in float range")
     return tuple(map(float, items))
 
 

@@ -97,9 +97,9 @@ class Block:
 class Staircase:
     """Right-continuous nondecreasing step function.
 
-    ``values`` are strictly increasing; ``breakpoints`` are strictly
-    increasing and one shorter than ``values``. At a breakpoint the step to
-    the right applies.
+    ``values`` are finite and strictly increasing; ``breakpoints`` are
+    finite, strictly increasing and one shorter than ``values``. At a
+    breakpoint the step to the right applies.
     """
 
     breakpoints: tuple[float, ...]
@@ -113,12 +113,13 @@ class Staircase:
                 f"{len(self.breakpoints)} breakpoints do not fit "
                 f"{len(self.values)} values"
             )
-        for a, b in pairwise(self.values):
-            if not a < b:
-                raise InvalidValue(f"step values must strictly increase ({a!r} !< {b!r})")
-        for a, b in pairwise(self.breakpoints):
-            if not a < b:
-                raise InvalidValue(f"breakpoints must strictly increase ({a!r} !< {b!r})")
+        for name, seq in (("step values", self.values), ("breakpoints", self.breakpoints)):
+            # Finite ends of a strictly increasing sequence bound every entry.
+            if seq and not (math.isfinite(seq[0]) and math.isfinite(seq[-1])):
+                raise InvalidValue(f"{name} must be finite ({seq[0]!r}, {seq[-1]!r})")
+            for a, b in pairwise(seq):
+                if not a < b:
+                    raise InvalidValue(f"{name} must strictly increase ({a!r} !< {b!r})")
 
     @property
     def step_count(self) -> int:
@@ -164,24 +165,25 @@ def evaluate(staircase: Staircase, x: float) -> float:
 
 
 def _boundary(left_score: float, right_score: float) -> float:
-    # Midpoint of the boundary scores; an infinite score falls back to its
-    # finite neighbor, and (-inf, +inf) has no neighbor to fall back to.
-    left_inf, right_inf = math.isinf(left_score), math.isinf(right_score)
-    if left_inf and right_inf:
-        return 0.0
-    if left_inf:
-        return right_score
-    if right_inf:
-        return left_score
-    return 0.5 * left_score + 0.5 * right_score
+    # left < bp <= right keeps each score on its own block's value.
+    if left_score == -math.inf:
+        return 0.0 if right_score == math.inf else right_score
+    if right_score == math.inf:
+        return math.nextafter(left_score, math.inf)
+    mid = 0.5 * left_score + 0.5 * right_score
+    return mid if mid > left_score else right_score
 
 
 def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Staircase:
     """Materialize solver blocks as a staircase over the given sample scores.
 
     Adjacent blocks with equal minimizers are collapsed first so the value
-    sequence ends strictly increasing; each breakpoint is the midpoint of the
-    scores astride the block boundary.
+    sequence ends strictly increasing. Each breakpoint ``bp`` lies between
+    the scores ``left < right`` astride the block boundary, with
+    ``left < bp <= right``: the midpoint, or ``right`` when the midpoint
+    rounds onto ``left``. A ``+inf`` right score gives the float just above
+    ``left``, a ``-inf`` left score gives ``right``, and ``(-inf, +inf)``
+    gives 0.
     """
     if not blocks:
         raise EmptyProblem("no blocks to materialize")
@@ -201,12 +203,6 @@ def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Sta
     breakpoints = []
     for (_, last, _), (nxt_first, _, _) in pairwise(spans):
         breakpoints.append(_boundary(scores[last], scores[nxt_first]))
-    for a, b in pairwise(breakpoints):
-        if not a < b:
-            raise InvalidValue(
-                "cannot place distinct breakpoints: a finite score is "
-                "surrounded by infinite scores on both sides"
-            )
     return Staircase(tuple(breakpoints), tuple(v for _, _, v in spans))
 
 

@@ -129,6 +129,22 @@ class TestIterate:
         settled = AnytimeGroup(0, 0, 5.0, 5.0, probe=5.0, neg_deriv=0.0)
         assert iterate([settled], oracle) == [settled]
 
+    def test_join_retests_leftward_within_the_round(self):
+        # At 64 the derivatives are 12, 72, -128: the first pair does not cross,
+        # the second joins to -56, and the re-test joins the chain into one.
+        samples = tuple(Sample(float(i + 1), t) for i, t in enumerate((70.0, 100.0, 0.0)))
+        oracle = DerivativeOracle(samples, WEIGHTED_SQUARE)
+        groups = [AnytimeGroup(i, i, 128.0, 0.0) for i in range(3)]
+        before = list(groups)
+        assert iterate(groups, oracle) == [AnytimeGroup(0, 2, 64.0, 0.0, 64.0, -44.0)]
+        assert groups == before  # the input list is left unchanged
+
+    def test_settled_neighbours_join(self):
+        samples = (Sample(1.0, 5.0), Sample(2.0, 5.0))
+        oracle = DerivativeOracle(samples, WEIGHTED_SQUARE)
+        groups = [AnytimeGroup(i, i, 5.0, 5.0, probe=5.0, neg_deriv=0.0) for i in range(2)]
+        assert iterate(groups, oracle) == [AnytimeGroup(0, 1, 5.0, 5.0, 5.0, 0.0)]
+
     def test_exact_zero_settles(self):
         samples = (Sample(1.0, 32.0),)
         oracle = DerivativeOracle(samples, WEIGHTED_SQUARE)

@@ -108,6 +108,27 @@ def test_header_only_csv(golden_csv, tmp_path, capsys, command, code, stdout):
 
 
 @pytest.mark.parametrize("command", ["fit", "stream", "apply"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        "score,target,caf\xe9\n1,2,3\n".encode("latin-1"),
+        "score,target\n1,2\n2,3,caf\xe9\n".encode("latin-1"),
+        ("score,target\n1,2\n2," + "3" * 131_073 + "\n").encode(),
+    ],
+    ids=["latin1-header", "latin1-row", "oversized-field"],
+)
+def test_unreadable_csv_exits_2(golden_csv, tmp_path, capsys, command, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    model = tmp_path / "model.json"
+    assert run(capsys, "fit", golden_csv, "--out", str(model), "--quiet")[0] == 0
+    argv = ["apply", str(model), str(path)] if command == "apply" else [command, str(path)]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("monocal: ") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "stream", "apply"])
 def test_max_n_cap(golden_csv, tmp_path, capsys, monkeypatch, command):
     model = tmp_path / "model.json"
     assert run(capsys, "fit", golden_csv, "--out", str(model), "--quiet")[0] == 0
@@ -239,6 +260,28 @@ class TestFit:
         assert code == 2
         assert "row 3" in stderr and "weight" in stderr
 
+    def test_fit_writes_no_model_that_apply_rejects(self, tmp_path, capsys):
+        # The pooled mean of these rows is finite, but the float merge
+        # overflows; fit must fail loudly or write a model apply accepts.
+        path = write_training_csv(
+            tmp_path / "train.csv", [(1, 1e300, 1e10), (2, -1e300, 1e10)],
+            header="score,target,weight",
+        )
+        model = tmp_path / "model.json"
+        code, _, stderr = run(capsys, "fit", path, "--out", str(model), "--quiet")
+        if code != 0:
+            assert code == 2 and stderr.startswith("monocal: ")
+            assert not model.exists()
+            return
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        json.loads(model.read_text(), parse_constant=reject)
+        scores = tmp_path / "s.csv"
+        scores.write_text("score\n1\n2\n")
+        assert run(capsys, "apply", str(model), str(scores))[0] == 0
+
     def test_anytime_flags_rejected_for_other_solvers(self, golden_csv, capsys):
         code, _, stderr = run(capsys, "fit", golden_csv, "--delta", "1e-6", "--quiet")
         assert code == 2
@@ -368,10 +411,13 @@ class TestModelFile:
             ("values", [float("nan")]),
             ("breakpoints", [float("nan")]),
             ("values", [10**400]),
+            ("values", [float("inf")]),
+            ("breakpoints", [float("-inf")]),
         ],
         ids=["family-list", "family-null", "breakpoints-string", "values-null",
              "values-object", "values-string-entry", "values-bool-entry", "values-null-entry",
-             "values-nan", "breakpoints-nan", "values-huge-int"],
+             "values-nan", "breakpoints-nan", "values-huge-int", "values-inf",
+             "breakpoints-inf"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, bad):
         doc = {"version": 1, "family": "square", "breakpoints": [], "values": [1.0],

@@ -206,12 +206,13 @@ class TestBlocksToStaircase:
         staircase = blocks_to_staircase(blocks, [-math.inf, 0.0, 10.0])
         assert staircase.breakpoints == (0.0, 5.0)
         staircase = blocks_to_staircase(blocks, [0.0, 10.0, math.inf])
-        assert staircase.breakpoints == (5.0, 10.0)
+        assert staircase.breakpoints == (5.0, math.nextafter(10.0, math.inf))
 
     def test_finite_score_between_infinities_is_degenerate(self):
         blocks = [Block(0, 0, 1.0, 1.0), Block(1, 1, 2.0, 1.0), Block(2, 2, 3.0, 1.0)]
-        with pytest.raises(InvalidValue):
-            blocks_to_staircase(blocks, [-math.inf, 0.0, math.inf])
+        scores = [-math.inf, 0.0, math.inf]
+        staircase = blocks_to_staircase(blocks, scores)
+        assert [evaluate(staircase, x) for x in scores] == [1.0, 2.0, 3.0]
 
     def test_two_infinite_scores_only(self):
         blocks = [Block(0, 0, 1.0, 1.0), Block(1, 1, 2.0, 1.0)]
@@ -227,6 +228,15 @@ class TestBlocksToStaircase:
         for _ in range(40):
             n = rng.randint(1, 15)
             scores = [i + rng.random() for i in range(n)]
+            # Adjacent-float chains put the midpoint on the left score, and
+            # infinite end scores have no finite neighbor outside.
+            if n > 1 and rng.random() < 0.5:
+                for i in range(1, n):
+                    scores[i] = math.nextafter(scores[i - 1], math.inf)
+            if rng.random() < 0.3:
+                scores[0] = -math.inf
+            if n > 1 and rng.random() < 0.3:
+                scores[-1] = math.inf
             # random contiguous partition with strictly increasing minimizers
             cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
             bounds = [0, *cuts, n]
