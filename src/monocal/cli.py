@@ -105,7 +105,7 @@ def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
     columns = {"score": None, "target": None, "weight": 1.0}
     if loss_tag == "logloss":
         return _csv_rows(
-            path, columns, lambda *numbers: losses.logloss_reduce([Sample(*numbers)])[0]
+            path, columns, lambda *numbers: losses.LOG_LOSS.check_label(Sample(*numbers))
         )
     return _csv_rows(path, columns, Sample)
 
@@ -240,14 +240,21 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     state = OnlineState(_FAMILIES[args.loss])
     out = sys.stdout
     out.write("n,steps,merges,values\n")
+    # The text of each step value, kept in step with the stack. A push changes
+    # only the top step (see OnlineState), so a row costs one repr plus the
+    # join of its output bytes instead of a rebuilt Staircase.
+    reprs: list[str] = []
     for row, sample in _training_rows(args.input, args.loss):
         try:
             state.push(sample)
         except OutOfOrder as exc:
             print(f"row {row}: {exc}", file=sys.stderr)
             return EXIT_OUT_OF_ORDER
-        values = " ".join(repr(v) for v in state.current().values)
-        out.write(f"{state.n_seen},{state.step_count},{state.cumulative_merges},{values}\n")
+        steps = state.step_count
+        del reprs[steps - 1:]
+        reprs.append(repr(state.values[-1]))
+        values = " ".join(reprs)
+        out.write(f"{state.n_seen},{steps},{state.cumulative_merges},{values}\n")
     if state.n_seen == 0:
         raise _CliError(f"{args.input}: no data rows")
     return EXIT_OK

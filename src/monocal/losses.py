@@ -126,6 +126,12 @@ class BinaryLogLoss:
         # The loss is linear in the label, so the composite drops nothing.
         return Sample(a.score, y, lam), 0.0
 
+    def check_label(self, sample: Sample) -> Sample:
+        """Return ``sample`` if its target is a 0/1 label, else raise ``InvalidLabel``."""
+        if sample.target not in (0.0, 1.0):
+            raise InvalidLabel(f"binary label must be 0 or 1, got {sample.target!r}")
+        return sample
+
 
 WEIGHTED_SQUARE = WeightedSquareLoss()
 LOG_LOSS = BinaryLogLoss()
@@ -136,14 +142,13 @@ def logloss_reduce(samples: Iterable[Sample]) -> list[Sample]:
 
     With initial minimizer = label and auxiliary = weight, the log-loss fit
     has the same merge dynamics as weighted square, so the reduced samples
-    fit identically under either family.
+    fit identically under either family. Each label goes through
+    ``BinaryLogLoss.check_label``.
     """
-    out = []
-    for s in samples:
-        if s.target not in (0.0, 1.0):
-            raise InvalidLabel(f"binary label must be 0 or 1, got {s.target!r}")
-        out.append(Sample(score=s.score, target=float(s.target), weight=s.weight))
-    return out
+    return [
+        Sample(score=s.score, target=float(s.target), weight=s.weight)
+        for s in map(LOG_LOSS.check_label, samples)
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ repeated score into the top block. Out-of-order arrivals are rejected:
 general unordered updates can force a full refit per sample, so the honest
 contract is an explicit error and the offline path.
 
+A push changes only the top step: it pops zero or more steps (the tie fold
+and the pooling both pop) and appends exactly one, and every step below the
+new top keeps the exact value the previous push left. A reader of ``values``
+after each push, such as ``monocal stream``, therefore needs only the new top
+value and the new step count.
+
 Single-writer state: ``push`` mutates; reading a quiescent state from other
 threads is safe.
 """
@@ -27,7 +33,11 @@ __all__ = ["OnlineState"]
 
 
 class OnlineState:
-    """Incrementally maintained optimal staircase for an ordered stream."""
+    """Incrementally maintained optimal staircase for an ordered stream.
+
+    Each ``push`` leaves ``values[:-1]`` equal to the first
+    ``step_count - 1`` values before it; only the top step is new.
+    """
 
     def __init__(self, family: Any) -> None:
         if not supports_merge(family):
@@ -49,6 +59,11 @@ class OnlineState:
     @property
     def step_count(self) -> int:
         return len(self._ys)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """Step values, strictly increasing; equal to ``current().values``."""
+        return tuple(self._ys)
 
     @property
     def last_score(self) -> float:

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from monocal import AnytimeConfig, Sample, WEIGHTED_SQUARE, anytime_run, normalize
+from monocal import (
+    AnytimeConfig,
+    OnlineState,
+    Sample,
+    WEIGHTED_SQUARE,
+    anytime_run,
+    blocks_to_staircase,
+    fit_stack,
+    normalize,
+)
 from monocal.cli import main, model_from_dict
 
 from conftest import GOLDEN_TARGETS
@@ -459,6 +468,38 @@ class TestStream:
         assert rows[15][3] == "32.0 47.0 55.0 69.0"
         assert rows[15][2] == "11"
         assert rows[1] == ["1", "1", "0", "44.0"]
+
+    def test_stream_stays_off_the_materialization_path(self, golden_csv, capsys, monkeypatch):
+        # A row must not rebuild the staircase: that made `stream` quadratic.
+        def refuse(self):
+            raise AssertionError("stream materialized the staircase")
+
+        monkeypatch.setattr(OnlineState, "current", refuse)
+        monkeypatch.setattr(OnlineState, "blocks", refuse)
+        self.test_golden_stream(golden_csv, capsys)
+
+    @pytest.mark.parametrize("shape", ["increasing", "decreasing", "random"])
+    def test_every_row_is_the_offline_fit_of_its_prefix(self, tmp_path, capsys, shape):
+        rng = random.Random(f"stream-{shape}")
+        n = 60
+        targets = sorted(rng.uniform(-50, 50) for _ in range(n))
+        if shape == "decreasing":
+            targets.reverse()
+        elif shape == "random":
+            rng.shuffle(targets)
+        rows = [(i + rng.random(), t, 3.0 * (1.0 - rng.random())) for i, t in enumerate(targets)]
+        path = write_training_csv(tmp_path / "s.csv", rows, header="score,target,weight")
+        code, stdout, _ = run(capsys, "stream", path)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert len(lines) == n + 1
+        for k, line in enumerate(lines[1:], start=1):
+            problem = normalize([Sample(*row) for row in rows[:k]], WEIGHTED_SQUARE)
+            blocks = fit_stack(problem).blocks
+            staircase = blocks_to_staircase(blocks, [s.score for s in problem.samples])
+            steps = len(blocks)
+            values = " ".join(map(repr, staircase.values))
+            assert line == f"{k},{steps},{k - steps},{values}"
 
     def test_out_of_order_exits_3(self, tmp_path, capsys):
         path = write_training_csv(tmp_path / "ooo.csv", [(1, 10), (3, 20), (2, 30)])

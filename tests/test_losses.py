@@ -93,6 +93,12 @@ class TestLoglossReduce:
         with pytest.raises(InvalidLabel):
             logloss_reduce([Sample(0.5, 0.25)])
 
+    def test_check_label_is_the_label_rule(self):
+        sample = Sample(0.3, 1.0, 2.0)
+        assert LOG_LOSS.check_label(sample) is sample
+        with pytest.raises(InvalidLabel, match="binary label must be 0 or 1, got 0.25"):
+            LOG_LOSS.check_label(Sample(0.5, 0.25))
+
     def test_all_positive_labels_fit_constant_one(self):
         raw = [Sample(0.1 * (i + 1), 1.0) for i in range(5)]
         problem = normalize(logloss_reduce(raw), LOG_LOSS)

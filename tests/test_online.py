@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -48,6 +49,47 @@ def test_every_prefix_matches_offline_fit():
             # Blocks compare by range, minimizer and aux.
             assert state.blocks() == offline.blocks
             assert state.cumulative_merges == offline.merge_count
+
+
+def _contract_stream(rng: random.Random) -> list[Sample]:
+    """Ordered stream built to break the top-only-change contract.
+
+    Scores repeat (tie folds), step to the adjacent float, or start at -inf;
+    targets mix rounding-prone decimals with wide uniform values.
+    """
+    score = -math.inf if rng.random() < 0.1 else rng.uniform(-10.0, 10.0)
+    samples = []
+    for i in range(rng.randint(1, 40)):
+        r = rng.random()
+        if i and r < 0.3:
+            pass  # repeated score
+        elif i and r < 0.5:
+            score = math.nextafter(score, math.inf)
+        elif i:
+            score = rng.uniform(-10.0, 10.0) if score == -math.inf else score + rng.random()
+        if rng.random() < 0.6:
+            target = rng.choice((0.1, 0.2, 0.3, 1 / 3, 0.7))
+        else:
+            target = rng.uniform(-1e12, 1e12)
+        samples.append(Sample(score, target, 3.0 * (1.0 - rng.random())))
+    return samples
+
+
+def test_push_changes_only_the_top_step():
+    # `monocal stream` re-renders only the top value after each push, so it
+    # relies on this contract. A fix of the online tie fold (ROADMAP item 6)
+    # can restore popped steps on a repeated score; that fix must keep the
+    # contract or give `stream` the index of the first changed step.
+    rng = random.Random(44)
+    for _ in range(3000):
+        state = OnlineState(WEIGHTED_SQUARE)
+        before: tuple[float, ...] = ()
+        for sample in _contract_stream(rng):
+            state.push(sample)
+            values = state.values
+            assert values == state.current().values
+            assert values[:-1] == before[: len(values) - 1]
+            before = values
 
 
 def test_out_of_order_rejected():
