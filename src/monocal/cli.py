@@ -251,8 +251,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             print(f"row {row}: {exc}", file=sys.stderr)
             return EXIT_OUT_OF_ORDER
         steps = state.step_count
+        top = state.top
         del reprs[steps - 1:]
-        reprs.append(repr(state.values[-1]))
+        reprs.append(repr(top))
+        if not math.isfinite(top):
+            # Staircase's finite rule: every lower step passed this check as
+            # the top of an earlier row, so the top is all that can fail.
+            raise InvalidValue(f"step values must be finite ({reprs[0]}, {reprs[-1]})")
         values = " ".join(reprs)
         out.write(f"{state.n_seen},{steps},{state.cumulative_merges},{values}\n")
     if state.n_seen == 0:

@@ -12,8 +12,8 @@ contract is an explicit error and the offline path.
 A push changes only the top step: it pops zero or more steps (the tie fold
 and the pooling both pop) and appends exactly one, and every step below the
 new top keeps the exact value the previous push left. A reader of ``values``
-after each push, such as ``monocal stream``, therefore needs only the new top
-value and the new step count.
+after each push, such as ``monocal stream``, therefore needs only ``top`` and
+the new step count.
 
 Single-writer state: ``push`` mutates; reading a quiescent state from other
 threads is safe.
@@ -62,8 +62,19 @@ class OnlineState:
 
     @property
     def values(self) -> tuple[float, ...]:
-        """Step values, strictly increasing; equal to ``current().values``."""
+        """Step values; equal to ``current().values`` whenever that succeeds.
+
+        They strictly increase unless a merge overflowed to a non-finite
+        value, which ``current()`` rejects.
+        """
         return tuple(self._ys)
+
+    @property
+    def top(self) -> float:
+        """Value of the top step, the one step the last push changed."""
+        if not self._ys:
+            raise EmptyProblem("no samples pushed yet")
+        return self._ys[-1]
 
     @property
     def last_score(self) -> float:

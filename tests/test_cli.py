@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -500,6 +501,36 @@ class TestStream:
             steps = len(blocks)
             values = " ".join(map(repr, staircase.values))
             assert line == f"{k},{steps},{k - steps},{values}"
+
+    @pytest.mark.parametrize(
+        "rows, written, message",
+        [
+            # Pooling two distinct scores overflows to inf + -inf = NaN.
+            ([(1, 1e300, 1e10), (2, -1e300, 1e10)], ["1,1,0,1e+300"], "(nan, nan)"),
+            # The tie fold overflows to inf.
+            ([(1, 1e300, 1e10), (1, 1e300, 1e10)], ["1,1,0,1e+300"], "(inf, inf)"),
+            # A NaN above a finite step; later rows must not bury it.
+            (
+                [(0, 5, 1), (1, 1e300, 1e10), (2, -1e300, 1e10), (3, 7, 1)],
+                ["1,1,0,5.0", "2,2,0,5.0 1e+300"],
+                "(5.0, nan)",
+            ),
+        ],
+    )
+    def test_non_finite_step_exits_2(self, tmp_path, capsys, rows, written, message):
+        path = write_training_csv(tmp_path / "o.csv", rows, header="score,target,weight")
+        code, stdout, stderr = run(capsys, "stream", path)
+        assert code == 2
+        assert stderr == f"monocal: step values must be finite {message}\n"
+        assert stdout.splitlines() == ["n,steps,merges,values", *written]
+
+    def test_step_next_to_infinite_score_is_written(self, tmp_path, capsys):
+        # `fit` cannot write this model (no finite breakpoint separates the
+        # largest float from +inf), but a stream row carries values only.
+        path = write_training_csv(tmp_path / "i.csv", [(1.7976931348623157e308, 1), (math.inf, 2)])
+        code, stdout, _ = run(capsys, "stream", path)
+        assert code == 0
+        assert stdout.splitlines()[-1] == "2,2,0,1.0 2.0"
 
     def test_out_of_order_exits_3(self, tmp_path, capsys):
         path = write_training_csv(tmp_path / "ooo.csv", [(1, 10), (3, 20), (2, 30)])

@@ -88,6 +88,7 @@ def test_push_changes_only_the_top_step():
             state.push(sample)
             values = state.values
             assert values == state.current().values
+            assert state.top == values[-1]
             assert values[:-1] == before[: len(values) - 1]
             before = values
 
@@ -157,6 +158,8 @@ def test_merge_accounting_includes_ties():
 def test_current_before_any_push_raises():
     with pytest.raises(EmptyProblem):
         OnlineState(WEIGHTED_SQUARE).current()
+    with pytest.raises(EmptyProblem):
+        OnlineState(WEIGHTED_SQUARE).top
 
 
 def test_family_without_merge_rule_rejected():
