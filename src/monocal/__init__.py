@@ -1,10 +1,11 @@
 """monocal: optimal monotone staircase calibration of estimator scores.
 
 Fits the unique nondecreasing step function minimizing a cumulative strictly
-convex loss over (score, target) observations, via three interchangeable
-solvers: offline pass-based merging, a single-sweep stack variant, an online
-streaming updater for ordered arrivals, and an anytime bisection solver for
-losses that only expose a derivative.
+convex loss over (score, target) observations, via four solvers: offline
+pass-based merging, a single-sweep stack variant, an online streaming updater
+for ordered arrivals, and an anytime bisection solver for losses that only
+expose a derivative. Each loss is one ``LossFamily`` value; the built-ins are
+``WEIGHTED_SQUARE`` and ``LOG_LOSS``.
 """
 
 from . import errors
@@ -29,13 +30,10 @@ from .core import (
 from .losses import (
     LOG_LOSS,
     WEIGHTED_SQUARE,
-    BinaryLogLoss,
-    CustomLossFamily,
     DerivativeOracle,
-    WeightedSquareLoss,
-    logloss_reduce,
+    LossFamily,
+    check_label,
     weighted_square_merge,
-    weighted_square_neg_derivative,
 )
 from .online import OnlineState
 from .oracle import OracleResult, brute_force_fit, grid_minimize
@@ -53,15 +51,12 @@ __all__ = [
     "evaluate",
     "blocks_to_staircase",
     "blocks_loss",
-    "WeightedSquareLoss",
-    "BinaryLogLoss",
-    "CustomLossFamily",
+    "LossFamily",
     "DerivativeOracle",
     "WEIGHTED_SQUARE",
     "LOG_LOSS",
     "weighted_square_merge",
-    "weighted_square_neg_derivative",
-    "logloss_reduce",
+    "check_label",
     "FitReport",
     "fit_direct",
     "fit_stack",

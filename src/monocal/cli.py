@@ -105,7 +105,7 @@ def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
     columns = {"score": None, "target": None, "weight": 1.0}
     if loss_tag == "logloss":
         return _csv_rows(
-            path, columns, lambda *numbers: losses.LOG_LOSS.check_label(Sample(*numbers))
+            path, columns, lambda *numbers: losses.check_label(Sample(*numbers))
         )
     return _csv_rows(path, columns, Sample)
 
@@ -143,7 +143,8 @@ def model_from_dict(doc: Any) -> tuple[Staircase, str, dict[str, Any]]:
     missing = known - set(doc)
     if missing:
         raise InvalidValue(f"model file is missing fields: {sorted(missing)}")
-    if doc["version"] != MODEL_VERSION:
+    # bool is an int subclass and True == 1, so test the type exactly.
+    if type(doc["version"]) is not int or doc["version"] != MODEL_VERSION:
         raise InvalidValue(f"unsupported model version {doc['version']!r}")
     if not isinstance(doc["family"], str) or doc["family"] not in _FAMILIES:
         raise InvalidValue(f"unknown family tag {doc['family']!r}")

@@ -18,9 +18,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
+
+if TYPE_CHECKING:
+    from .losses import LossFamily
 
 __all__ = [
     "Sample",
@@ -70,7 +73,7 @@ class Problem:
     """
 
     samples: tuple[Sample, ...]
-    family: Any
+    family: LossFamily
     loss_offset: float = 0.0
 
 
@@ -129,27 +132,27 @@ class Staircase:
         return evaluate(self, x)
 
 
-def normalize(raw_samples: Iterable[Sample], family: Any) -> Problem:
+def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     """Sort samples by score and merge equal scores into composite samples.
 
     Equal scores must map to the same calibrated value, so ties are folded
     into one composite per score via the family's tie rule; the additive
     constant this drops from the objective is kept in ``Problem.loss_offset``.
-    Idempotent: normalizing a normalized problem's samples changes nothing.
+    A family without ``combine_ties`` raises ``InvalidConfig`` at the first
+    repeated score. Idempotent: normalizing a normalized problem's samples
+    changes nothing.
     """
     samples = sorted(raw_samples, key=lambda s: s.score)
     if not samples:
         raise EmptyProblem("cannot calibrate zero samples")
-    combine = getattr(family, "combine_ties", None)
+    combine = None
     merged: list[Sample] = [samples[0]]
     offset = 0.0
     for s in samples[1:]:
         if s.score == merged[-1].score:
             if combine is None:
-                raise InvalidValue(
-                    f"family {getattr(family, 'name', family)!r} cannot merge "
-                    f"equal scores (score {s.score!r} repeats)"
-                )
+                family.require("combine_ties")
+                combine = family.combine_ties
             merged[-1], dropped = combine(merged[-1], s)
             offset += dropped
         else:

@@ -1,36 +1,63 @@
 """Loss families: per-sample minimizers, pairwise merge rules, derivative oracles.
 
-A family object is duck-typed. The merge solvers need ``minimizer_of``,
-``init_aux`` and ``merge`` (the pairwise update producing a joined group's
-minimizer and auxiliary value in O(1)); the anytime solver needs
-``neg_derivative`` (per-sample -l'(z), strictly decreasing in z). ``loss``
-is always required for reporting. A family that implements both sides can be
-cross-validated: the z where the summed negative derivative crosses zero is
-the merge-rule minimizer.
+A ``LossFamily`` is one value holding the parts a strictly convex loss can
+supply. ``loss`` is always required, for reporting. The merge solvers
+(``fit_stack``, ``fit_direct``, ``OnlineState``) need ``MERGE_RULES``:
+``minimizer_of``, ``init_aux`` and ``merge`` (the pairwise update producing a
+joined group's minimizer and auxiliary value in O(1)). The anytime solver
+needs ``neg_derivative`` (per-sample -l'(z), strictly decreasing in z).
+``normalize`` needs ``combine_ties`` only when a score repeats. Each of these
+entry points calls ``LossFamily.require`` before it uses a part. A family that
+supplies both sides can be cross-validated: the z where the summed negative
+derivative crosses zero is the merge-rule minimizer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from .core import Sample
 from .errors import InvalidConfig, InvalidLabel, InvalidWeight
 
 __all__ = [
+    "LossFamily",
+    "MERGE_RULES",
     "weighted_square_merge",
-    "logloss_reduce",
-    "weighted_square_neg_derivative",
-    "WeightedSquareLoss",
-    "BinaryLogLoss",
-    "CustomLossFamily",
+    "check_label",
     "DerivativeOracle",
     "WEIGHTED_SQUARE",
     "LOG_LOSS",
-    "supports_merge",
-    "supports_derivative",
 ]
+
+MERGE_RULES = ("minimizer_of", "init_aux", "merge")
+
+
+@dataclass(frozen=True)
+class LossFamily:
+    """A strictly convex loss: ``loss`` plus the parts its solvers need.
+
+    The module docstring says which entry point needs which part.
+    ``combine_ties`` returns the composite sample and the loss constant the
+    composite drops. All callables receive the Sample (use ``payload`` for
+    per-sample loss handles); ``merge`` takes (y_i, aux_i, y_j, aux_j).
+    """
+
+    name: str
+    loss: Callable[[Sample, float], float]
+    minimizer_of: Callable[[Sample], float] | None = None
+    init_aux: Callable[[Sample], float] | None = None
+    merge: Callable[[float, float, float, float], tuple[float, float]] | None = None
+    neg_derivative: Callable[[Sample, float], float] | None = None
+    combine_ties: Callable[[Sample, Sample], tuple[Sample, float]] | None = None
+
+    def require(self, *rules: str) -> None:
+        """Raise ``InvalidConfig`` naming each of ``rules`` this family lacks."""
+        missing = [rule for rule in rules if getattr(self, rule) is None]
+        if missing:
+            raise InvalidConfig(f"family {self.name!r} has no {', '.join(missing)}")
 
 
 def weighted_square_merge(
@@ -45,36 +72,26 @@ def weighted_square_merge(
     return (lam_i * y_i + lam_j * y_j) / lam, lam
 
 
-def weighted_square_neg_derivative(samples: Iterable[Sample], z: float) -> float:
-    """-d/dz of the summed weighted square loss: -sum 2*w*(z - y)."""
-    return math.fsum(-2.0 * s.weight * (z - s.target) for s in samples)
+def _tie_mean(a: Sample, b: Sample) -> Sample:
+    """One composite at ``a``'s score: weighted target mean, summed weight."""
+    y, lam = weighted_square_merge(a.target, a.weight, b.target, b.weight)
+    return Sample(a.score, y, lam)
 
 
-class WeightedSquareLoss:
-    """w * (z - y)^2 per sample; group minimizer is the weighted mean."""
+def _square_loss(sample: Sample, z: float) -> float:
+    d = z - sample.target
+    return sample.weight * d * d
 
-    name = "square"
 
-    def loss(self, sample: Sample, z: float) -> float:
-        d = z - sample.target
-        return sample.weight * d * d
+def _square_neg_derivative(sample: Sample, z: float) -> float:
+    return -2.0 * sample.weight * (z - sample.target)
 
-    def minimizer_of(self, sample: Sample) -> float:
-        return sample.target
 
-    def init_aux(self, sample: Sample) -> float:
-        return sample.weight
-
-    merge = staticmethod(weighted_square_merge)
-
-    def neg_derivative(self, sample: Sample, z: float) -> float:
-        return -2.0 * sample.weight * (z - sample.target)
-
-    def combine_ties(self, a: Sample, b: Sample) -> tuple[Sample, float]:
-        y, lam = weighted_square_merge(a.target, a.weight, b.target, b.weight)
-        # Constant dropped by replacing two squares with one around their mean.
-        dropped = a.weight * (a.target - y) ** 2 + b.weight * (b.target - y) ** 2
-        return Sample(a.score, y, lam), dropped
+def _square_combine_ties(a: Sample, b: Sample) -> tuple[Sample, float]:
+    mean = _tie_mean(a, b)
+    y = mean.target
+    # Constant dropped by replacing two squares with one around their mean.
+    return mean, a.weight * (a.target - y) ** 2 + b.weight * (b.target - y) ** 2
 
 
 # Fitted log-loss values legitimately reach 0 and 1; the clamp applies only
@@ -82,104 +99,69 @@ class WeightedSquareLoss:
 _REPORT_CLAMP = 1e-12
 
 
-class BinaryLogLoss:
-    """-w * (b*log z + (1-b)*log(1-z)) per sample.
-
-    ``target`` holds the label (fractional after tie merging). Group
-    minimizers are weighted label means, so the merge rule is shared with the
-    weighted square family and fitted values land in [0, 1] automatically.
-    """
-
-    name = "logloss"
-
-    def loss(self, sample: Sample, z: float) -> float:
-        z = min(max(z, _REPORT_CLAMP), 1.0 - _REPORT_CLAMP)
-        t, w = sample.target, sample.weight
-        out = 0.0
-        if t != 0.0:
-            out -= w * t * math.log(z)
-        if t != 1.0:
-            out -= w * (1.0 - t) * math.log1p(-z)
-        return out
-
-    def minimizer_of(self, sample: Sample) -> float:
-        return sample.target
-
-    def init_aux(self, sample: Sample) -> float:
-        return sample.weight
-
-    merge = staticmethod(weighted_square_merge)
-
-    def neg_derivative(self, sample: Sample, z: float) -> float:
-        # Domain is [0, 1]; the endpoints return the one-sided limits so a
-        # bracket pinned at 0 or 1 still reads the right sign.
-        t, w = sample.target, sample.weight
-        d = 0.0
-        if t != 0.0:
-            d += w * t / z if z != 0.0 else math.inf
-        if t != 1.0:
-            d -= w * (1.0 - t) / (1.0 - z) if z != 1.0 else math.inf
-        return d
-
-    def combine_ties(self, a: Sample, b: Sample) -> tuple[Sample, float]:
-        y, lam = weighted_square_merge(a.target, a.weight, b.target, b.weight)
-        # The loss is linear in the label, so the composite drops nothing.
-        return Sample(a.score, y, lam), 0.0
-
-    def check_label(self, sample: Sample) -> Sample:
-        """Return ``sample`` if its target is a 0/1 label, else raise ``InvalidLabel``."""
-        if sample.target not in (0.0, 1.0):
-            raise InvalidLabel(f"binary label must be 0 or 1, got {sample.target!r}")
-        return sample
+def _log_loss(sample: Sample, z: float) -> float:
+    z = min(max(z, _REPORT_CLAMP), 1.0 - _REPORT_CLAMP)
+    t, w = sample.target, sample.weight
+    out = 0.0
+    if t != 0.0:
+        out -= w * t * math.log(z)
+    if t != 1.0:
+        out -= w * (1.0 - t) * math.log1p(-z)
+    return out
 
 
-WEIGHTED_SQUARE = WeightedSquareLoss()
-LOG_LOSS = BinaryLogLoss()
+def _log_neg_derivative(sample: Sample, z: float) -> float:
+    # Domain is [0, 1]; the endpoints return the one-sided limits so a
+    # bracket pinned at 0 or 1 still reads the right sign.
+    t, w = sample.target, sample.weight
+    d = 0.0
+    if t != 0.0:
+        d += w * t / z if z != 0.0 else math.inf
+    if t != 1.0:
+        d -= w * (1.0 - t) / (1.0 - z) if z != 1.0 else math.inf
+    return d
 
 
-def logloss_reduce(samples: Iterable[Sample]) -> list[Sample]:
-    """Map binary log-loss samples to weighted-square samples.
-
-    With initial minimizer = label and auxiliary = weight, the log-loss fit
-    has the same merge dynamics as weighted square, so the reduced samples
-    fit identically under either family. Each label goes through
-    ``BinaryLogLoss.check_label``.
-    """
-    return [
-        Sample(score=s.score, target=float(s.target), weight=s.weight)
-        for s in map(LOG_LOSS.check_label, samples)
-    ]
+def _log_combine_ties(a: Sample, b: Sample) -> tuple[Sample, float]:
+    # The loss is linear in the label, so the composite drops nothing.
+    return _tie_mean(a, b), 0.0
 
 
-@dataclass(frozen=True)
-class CustomLossFamily:
-    """User-defined strictly convex loss family.
-
-    Supply ``minimizer_of``/``init_aux``/``merge`` for the merge solvers,
-    ``neg_derivative`` for the anytime solver, or both to enable
-    cross-validation. ``combine_ties`` is only needed when inputs can repeat
-    scores. All callables receive the Sample (use ``payload`` for per-sample
-    loss handles); ``merge`` takes (y_i, aux_i, y_j, aux_j).
-    """
-
-    name: str
-    loss: Callable[[Sample, float], float]
-    minimizer_of: Callable[[Sample], float] | None = None
-    init_aux: Callable[[Sample], float] | None = None
-    merge: Callable[[float, float, float, float], tuple[float, float]] | None = None
-    neg_derivative: Callable[[Sample, float], float] | None = None
-    combine_ties: Callable[[Sample, Sample], tuple[Sample, float]] | None = None
+def check_label(sample: Sample) -> Sample:
+    """Return ``sample`` if its target is a 0/1 label, else raise ``InvalidLabel``."""
+    if sample.target not in (0.0, 1.0):
+        raise InvalidLabel(f"binary label must be 0 or 1, got {sample.target!r}")
+    return sample
 
 
-def supports_merge(family: Any) -> bool:
-    return all(
-        getattr(family, attr, None) is not None
-        for attr in ("minimizer_of", "init_aux", "merge")
-    )
+# Both built-ins start each group at its target with its weight and join
+# groups by weighted mean, so they share the merge data and the tie mean.
+_target = attrgetter("target")
+_weight = attrgetter("weight")
 
+# w * (z - y)^2 per sample; group minimizer is the weighted mean.
+WEIGHTED_SQUARE = LossFamily(
+    name="square",
+    loss=_square_loss,
+    minimizer_of=_target,
+    init_aux=_weight,
+    merge=weighted_square_merge,
+    neg_derivative=_square_neg_derivative,
+    combine_ties=_square_combine_ties,
+)
 
-def supports_derivative(family: Any) -> bool:
-    return getattr(family, "neg_derivative", None) is not None
+# -w * (b*log z + (1-b)*log(1-z)) per sample. ``target`` holds the label
+# (fractional after tie merging; ``check_label`` each raw sample). Group
+# minimizers are weighted label means, so fitted values land in [0, 1].
+LOG_LOSS = LossFamily(
+    name="logloss",
+    loss=_log_loss,
+    minimizer_of=_target,
+    init_aux=_weight,
+    merge=weighted_square_merge,
+    neg_derivative=_log_neg_derivative,
+    combine_ties=_log_combine_ties,
+)
 
 
 class DerivativeOracle:
@@ -189,11 +171,8 @@ class DerivativeOracle:
     anytime solver can probe groups by index range.
     """
 
-    def __init__(self, samples: Sequence[Sample], family: Any) -> None:
-        if not supports_derivative(family):
-            raise InvalidConfig(
-                f"family {getattr(family, 'name', family)!r} has no derivative oracle"
-            )
+    def __init__(self, samples: Sequence[Sample], family: LossFamily) -> None:
+        family.require("neg_derivative")
         self._samples = samples
         self._neg_derivative = family.neg_derivative
 

@@ -22,11 +22,10 @@ threads is safe.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from .core import Block, Sample, Staircase, blocks_to_staircase
-from .errors import EmptyProblem, InvalidConfig, OutOfOrder
-from .losses import supports_merge
+from .errors import EmptyProblem, OutOfOrder
+from .losses import MERGE_RULES, LossFamily
 from .pav_offline import _pool, _stack_blocks
 
 __all__ = ["OnlineState"]
@@ -39,12 +38,8 @@ class OnlineState:
     ``step_count - 1`` values before it; only the top step is new.
     """
 
-    def __init__(self, family: Any) -> None:
-        if not supports_merge(family):
-            raise InvalidConfig(
-                f"family {getattr(family, 'name', family)!r} has no merge rule; "
-                "the streaming solver needs one"
-            )
+    def __init__(self, family: LossFamily) -> None:
+        family.require(*MERGE_RULES)
         self._family = family
         self._scores: list[float] = []
         self._firsts: list[int] = []

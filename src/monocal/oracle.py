@@ -15,7 +15,7 @@ from typing import Callable
 
 from .core import Problem
 from .errors import InvalidConfig, TooLarge
-from .losses import WeightedSquareLoss
+from .losses import WEIGHTED_SQUARE
 
 __all__ = ["OracleResult", "brute_force_fit", "grid_minimize"]
 
@@ -153,7 +153,7 @@ def brute_force_fit(
         raise TooLarge(
             f"{n} samples means 2^{n - 1} partitions; the oracle caps at {_MAX_SAMPLES}"
         )
-    if isinstance(problem.family, WeightedSquareLoss):
+    if problem.family is WEIGHTED_SQUARE:
         minimizers, losses = _square_range_tables(problem)
     elif bounds is not None:
         minimizers, losses = _generic_range_tables(problem, bounds, steps)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import Block, Problem, blocks_loss
+from .losses import MERGE_RULES
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 
@@ -74,6 +75,7 @@ def _stack_blocks(
 
 def _single_sample_groups(problem: Problem) -> list[Block]:
     family = problem.family
+    family.require(*MERGE_RULES)
     return [
         Block(i, i, family.minimizer_of(s), family.init_aux(s))
         for i, s in enumerate(problem.samples)
@@ -129,6 +131,7 @@ def fit_direct(problem: Problem) -> FitReport:
 def fit_stack(problem: Problem) -> FitReport:
     """Single left-to-right sweep keeping a stack of merged blocks."""
     family = problem.family
+    family.require(*MERGE_RULES)
     samples = problem.samples
     n = len(samples)
     firsts: list[int] = []

@@ -25,7 +25,7 @@ from monocal import (
     direct_passes,
     fit_direct,
     fit_stack,
-    logloss_reduce,
+    check_label,
     normalize,
 )
 from monocal.anytime import iterate
@@ -221,7 +221,7 @@ def test_c09_logloss_reduction_vs_derivative_path():
                 Sample(i + rng.random(), float(rng.randint(0, 1)), 0.5 + 1.5 * rng.random())
                 for i in range(n)
             ]
-            problem = normalize(logloss_reduce(raw), LOG_LOSS)
+            problem = normalize(map(check_label, raw), LOG_LOSS)
             reduction = fit_stack(problem)
             reduced_values = expand(reduction.blocks)
 

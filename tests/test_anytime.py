@@ -16,7 +16,7 @@ from monocal import (
     anytime_init,
     anytime_run,
     fit_stack,
-    logloss_reduce,
+    check_label,
     normalize,
     probe_point,
 )
@@ -28,7 +28,8 @@ from monocal.errors import (
     OracleFailure,
     Unbounded,
 )
-from monocal.losses import CustomLossFamily, DerivativeOracle
+from monocal.losses import DerivativeOracle, LossFamily
+from monocal.oracle import brute_force_fit
 
 from conftest import GOLDEN_SIZES, GOLDEN_TARGETS, GOLDEN_VALUES, make_square_instance
 
@@ -154,7 +155,7 @@ class TestIterate:
         assert groups[0].upper == 32.0
 
     def test_nan_derivative_raises(self):
-        family = CustomLossFamily(
+        family = LossFamily(
             name="broken",
             loss=lambda s, z: 0.0,
             neg_derivative=lambda s, z: float("nan"),
@@ -242,7 +243,7 @@ class TestAnytimeRun:
         # (>= rule) while the bisection keeps two bound-synchronized groups
         # with identical values, so agreement is on the staircase.
         raw = [Sample(0.2, 0.0), Sample(0.5, 1.0), Sample(0.9, 1.0)]
-        problem = normalize(logloss_reduce(raw), LOG_LOSS)
+        problem = normalize(map(check_label, raw), LOG_LOSS)
         scores = [s.score for s in problem.samples]
         reduction = fit_stack(problem)
         expected = blocks_to_staircase(reduction.blocks, scores)
@@ -301,9 +302,36 @@ class TestAnytimeRun:
         assert result.iters == 5
         assert result.width_bound == 128.0 * 2.0**-5
 
+    def test_per_sample_power_loss_matches_brute_force(self):
+        # The paper's general setting: each sample carries its own strictly
+        # convex loss w * |z - y|^p, with its exponent p > 1 in ``payload``.
+        def neg_derivative(s, z):
+            d = z - s.target
+            return -s.weight * s.payload * math.copysign(abs(d) ** (s.payload - 1.0), d)
+
+        family = LossFamily(
+            name="power",
+            loss=lambda s, z: s.weight * abs(z - s.target) ** s.payload,
+            neg_derivative=neg_derivative,
+        )
+        rng = random.Random(61)
+        for _ in range(5):
+            raw = [
+                Sample(i + rng.random(), i + rng.uniform(0.0, 4.0), 0.5 + rng.random(),
+                       payload=rng.uniform(1.2, 3.0))
+                for i in range(7)
+            ]
+            problem = normalize(raw, family)
+            result = anytime_run(problem, AnytimeConfig(10.0, 0.0, delta=1e-6))
+            best = brute_force_fit(problem, bounds=(0.0, 10.0)).best_values
+            assert result.width_bound <= 1e-6
+            for g in result.groups:
+                for i in range(g.first, g.last + 1):
+                    assert abs(0.5 * (g.upper + g.lower) - best[i]) <= result.width_bound
+
     def test_unbounded_loss_raises(self):
         # Derivative never changes sign: no finite bracket exists.
-        family = CustomLossFamily(
+        family = LossFamily(
             name="drift",
             loss=lambda s, z: z,
             neg_derivative=lambda s, z: -1.0,
@@ -313,7 +341,7 @@ class TestAnytimeRun:
             anytime_run(problem, AnytimeConfig(delta=1e-6, max_iters=40))
 
     def test_family_without_derivative_rejected(self):
-        family = CustomLossFamily(name="plain", loss=lambda s, z: (z - s.target) ** 2)
+        family = LossFamily(name="plain", loss=lambda s, z: (z - s.target) ** 2)
         problem = Problem((Sample(0.0, 0.0),), family)
         with pytest.raises(InvalidConfig):
             anytime_run(problem, AnytimeConfig())

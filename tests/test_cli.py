@@ -423,11 +423,12 @@ class TestModelFile:
             ("values", [10**400]),
             ("values", [float("inf")]),
             ("breakpoints", [float("-inf")]),
+            ("version", True),
         ],
         ids=["family-list", "family-null", "breakpoints-string", "values-null",
              "values-object", "values-string-entry", "values-bool-entry", "values-null-entry",
              "values-nan", "breakpoints-nan", "values-huge-int", "values-inf",
-             "breakpoints-inf"],
+             "breakpoints-inf", "version-bool"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, bad):
         doc = {"version": 1, "family": "square", "breakpoints": [], "values": [1.0],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,17 +8,21 @@ from hypothesis import strategies as st
 
 from monocal import (
     LOG_LOSS,
+    AnytimeConfig,
+    OnlineState,
+    Problem,
     Sample,
     WEIGHTED_SQUARE,
     blocks_to_staircase,
+    anytime_run,
+    check_label,
+    fit_direct,
     fit_stack,
-    logloss_reduce,
     normalize,
     weighted_square_merge,
-    weighted_square_neg_derivative,
 )
 from monocal.errors import InvalidConfig, InvalidLabel, InvalidWeight
-from monocal.losses import CustomLossFamily, DerivativeOracle, supports_derivative, supports_merge
+from monocal.losses import DerivativeOracle, LossFamily
 from monocal.oracle import grid_minimize
 
 
@@ -85,30 +90,29 @@ class TestWeightedSquareMerge:
 
 
 class TestLoglossReduce:
-    def test_maps_fields(self):
-        [reduced] = logloss_reduce([Sample(score=0.3, target=1.0, weight=2.0)])
-        assert (reduced.score, reduced.target, reduced.weight) == (0.3, 1.0, 2.0)
+    """Checked 0/1 labels fit under log loss exactly as under weighted square."""
 
     def test_rejects_nonbinary_label(self):
-        with pytest.raises(InvalidLabel):
-            logloss_reduce([Sample(0.5, 0.25)])
+        for label in (0.25, -1.0, 2.0):
+            with pytest.raises(InvalidLabel):
+                check_label(Sample(0.5, label))
 
     def test_check_label_is_the_label_rule(self):
         sample = Sample(0.3, 1.0, 2.0)
-        assert LOG_LOSS.check_label(sample) is sample
+        assert check_label(sample) is sample
         with pytest.raises(InvalidLabel, match="binary label must be 0 or 1, got 0.25"):
-            LOG_LOSS.check_label(Sample(0.5, 0.25))
+            check_label(Sample(0.5, 0.25))
 
     def test_all_positive_labels_fit_constant_one(self):
         raw = [Sample(0.1 * (i + 1), 1.0) for i in range(5)]
-        problem = normalize(logloss_reduce(raw), LOG_LOSS)
+        problem = normalize(map(check_label, raw), LOG_LOSS)
         report = fit_stack(problem)
         staircase = blocks_to_staircase(report.blocks, [s.score for s in problem.samples])
         assert staircase.values == (1.0,)
 
     def test_two_label_fit_confirmed_by_grid_search(self):
         raw = [Sample(1.0, 0.0), Sample(2.0, 1.0)]
-        problem = normalize(logloss_reduce(raw), LOG_LOSS)
+        problem = normalize(map(check_label, raw), LOG_LOSS)
         report = fit_stack(problem)
         assert [b.minimizer for b in report.blocks] == [0.0, 1.0]
         # Grid over [0, 1] in 0.001 steps agrees per block.
@@ -123,7 +127,7 @@ class TestLoglossReduce:
                    weight=0.5 + rng.random())
             for i in range(20)
         ]
-        reduced = logloss_reduce(raw)
+        reduced = list(map(check_label, raw))
         as_log = fit_stack(normalize(reduced, LOG_LOSS))
         as_square = fit_stack(normalize(reduced, WEIGHTED_SQUARE))
         assert [(b.first, b.last) for b in as_log.blocks] == [
@@ -149,11 +153,12 @@ class TestLoglossReduce:
 
 class TestNegDerivative:
     def test_zero_at_minimizer(self):
-        assert weighted_square_neg_derivative([Sample(1.0, 44.0)], 44.0) == 0.0
+        oracle = DerivativeOracle([Sample(1.0, 44.0)], WEIGHTED_SQUARE)
+        assert oracle.neg_derivative_at(0, 0, 44.0) == 0.0
 
     def test_two_sample_group_at_zero(self):
         group = [Sample(1.0, 44.0), Sample(2.0, 52.0)]
-        assert weighted_square_neg_derivative(group, 0.0) == 192.0
+        assert DerivativeOracle(group, WEIGHTED_SQUARE).neg_derivative_at(0, 1, 0.0) == 192.0
         # independent check: central finite difference of the summed loss
         h = 1e-6
         loss = lambda z: sum(WEIGHTED_SQUARE.loss(s, z) for s in group)
@@ -162,7 +167,7 @@ class TestNegDerivative:
 
     def test_above_minimizer_is_negative(self):
         group = [Sample(1.0, 44.0)]
-        assert weighted_square_neg_derivative(group, 64.0) == -40.0
+        assert DerivativeOracle(group, WEIGHTED_SQUARE).neg_derivative_at(0, 0, 64.0) == -40.0
         h = 1e-6
         fd = -(WEIGHTED_SQUARE.loss(group[0], 64 + h) - WEIGHTED_SQUARE.loss(group[0], 64 - h)) / (2 * h)
         assert fd == pytest.approx(-40.0, rel=1e-6)
@@ -228,18 +233,19 @@ class TestNegDerivative:
 class TestFamilyPlumbing:
     def test_builtins_support_both_interfaces(self):
         for family in (WEIGHTED_SQUARE, LOG_LOSS):
-            assert supports_merge(family)
-            assert supports_derivative(family)
+            family.require(
+                "minimizer_of", "init_aux", "merge", "neg_derivative", "combine_ties"
+            )
 
     def test_custom_family_without_derivative_rejected_by_oracle(self):
-        family = CustomLossFamily(name="absish", loss=lambda s, z: abs(z - s.target) ** 1.5)
-        assert not supports_merge(family)
-        assert not supports_derivative(family)
-        with pytest.raises(InvalidConfig):
+        family = LossFamily(name="absish", loss=lambda s, z: abs(z - s.target) ** 1.5)
+        with pytest.raises(InvalidConfig, match="family 'absish' has no minimizer_of, merge$"):
+            family.require("minimizer_of", "merge")
+        with pytest.raises(InvalidConfig, match="family 'absish' has no neg_derivative$"):
             DerivativeOracle([Sample(0.0, 1.0)], family)
 
     def test_custom_family_with_derivative_works(self):
-        family = CustomLossFamily(
+        family = LossFamily(
             name="quartic",
             loss=lambda s, z: s.weight * (z - s.target) ** 4,
             neg_derivative=lambda s, z: -4.0 * s.weight * (z - s.target) ** 3,
@@ -247,3 +253,31 @@ class TestFamilyPlumbing:
         oracle = DerivativeOracle([Sample(0.0, 2.0, 1.0)], family)
         assert oracle.neg_derivative_at(0, 0, 2.0) == 0.0
         assert oracle.neg_derivative_at(0, 0, 3.0) == -4.0
+
+
+_TWO_SAMPLES = (Sample(0.0, 2.0), Sample(1.0, 1.0))
+_ENTRY_POINTS = {
+    "normalize": lambda family: normalize([Sample(0.0, 1.0), Sample(0.0, 2.0)], family),
+    "fit_stack": lambda family: fit_stack(Problem(_TWO_SAMPLES, family)),
+    "fit_direct": lambda family: fit_direct(Problem(_TWO_SAMPLES, family)),
+    "OnlineState": OnlineState,
+    "DerivativeOracle": lambda family: DerivativeOracle(_TWO_SAMPLES, family),
+    "anytime_run": lambda family: anytime_run(Problem(_TWO_SAMPLES, family), AnytimeConfig()),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, rule",
+    [
+        ("normalize", "combine_ties"),
+        *((entry, rule) for entry in ("fit_stack", "fit_direct", "OnlineState")
+          for rule in ("minimizer_of", "init_aux", "merge")),
+        ("DerivativeOracle", "neg_derivative"),
+        ("anytime_run", "neg_derivative"),
+    ],
+)
+def test_entry_point_requires_its_rules(entry, rule):
+    # Every other part is present, so only the one check can stop the call.
+    family = dataclasses.replace(WEIGHTED_SQUARE, name="partial", **{rule: None})
+    with pytest.raises(InvalidConfig, match=f"^family 'partial' has no {rule}$"):
+        _ENTRY_POINTS[entry](family)

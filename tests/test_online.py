@@ -12,7 +12,7 @@ from monocal import (
     normalize,
 )
 from monocal.errors import EmptyProblem, InvalidConfig, OutOfOrder
-from monocal.losses import CustomLossFamily
+from monocal.losses import LossFamily
 
 from conftest import golden_samples, make_square_instance
 
@@ -77,7 +77,7 @@ def _contract_stream(rng: random.Random) -> list[Sample]:
 
 def test_push_changes_only_the_top_step():
     # `monocal stream` re-renders only the top value after each push, so it
-    # relies on this contract. A fix of the online tie fold (ROADMAP item 6)
+    # relies on this contract. A fix of the online tie fold (ROADMAP item 2)
     # can restore popped steps on a repeated score; that fix must keep the
     # contract or give `stream` the index of the first changed step.
     rng = random.Random(44)
@@ -163,7 +163,7 @@ def test_current_before_any_push_raises():
 
 
 def test_family_without_merge_rule_rejected():
-    family = CustomLossFamily(name="opaque", loss=lambda s, z: (z - s.target) ** 2)
+    family = LossFamily(name="opaque", loss=lambda s, z: (z - s.target) ** 2)
     with pytest.raises(InvalidConfig):
         OnlineState(family)
 

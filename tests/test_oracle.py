@@ -7,7 +7,7 @@ from monocal import (
     Sample,
     WEIGHTED_SQUARE,
     fit_stack,
-    logloss_reduce,
+    check_label,
     normalize,
 )
 from monocal.errors import InvalidConfig, TooLarge
@@ -63,7 +63,7 @@ class TestBruteForce:
             assert strict.best_values == relaxed.best_values
 
     def test_generic_family_needs_bounds(self):
-        problem = normalize(logloss_reduce([Sample(0.5, 1.0)]), LOG_LOSS)
+        problem = normalize(map(check_label, [Sample(0.5, 1.0)]), LOG_LOSS)
         with pytest.raises(InvalidConfig):
             brute_force_fit(problem)
 
@@ -74,7 +74,7 @@ class TestBruteForce:
                 Sample(i + rng.random(), float(rng.randint(0, 1)), 0.5 + rng.random())
                 for i in range(rng.randint(2, 8))
             ]
-            problem = normalize(logloss_reduce(raw), LOG_LOSS)
+            problem = normalize(map(check_label, raw), LOG_LOSS)
             report = fit_stack(problem)
             fitted = []
             for block in report.blocks:
@@ -90,7 +90,7 @@ class TestBruteForce:
             Sample(i + rng.random(), float(rng.randint(0, 1)), 0.5 + rng.random())
             for i in range(6)
         ]
-        problem = normalize(logloss_reduce(raw), LOG_LOSS)
+        problem = normalize(map(check_label, raw), LOG_LOSS)
         shrunk = brute_force_fit(problem, bounds=(0.0, 1.0))
         gridded = brute_force_fit(problem, bounds=(0.0, 1.0), steps=2000)
         for got, want in zip(gridded.best_values, shrunk.best_values):
