@@ -196,7 +196,8 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
     while iters < config.max_iters and any(g.width > config.delta for g in groups):
         groups = iterate(groups, oracle)
         iters += 1
-    if any(math.isinf(g.width) for g in groups):
+    width_bound = max(g.width for g in groups)
+    if math.isinf(width_bound):
         raise Unbounded(
             f"no finite bracket after {iters} rounds; "
             "the loss appears to have no finite minimizer"
@@ -207,7 +208,7 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
     ]
     return AnytimeResult(
         staircase=blocks_to_staircase(blocks, scores),
-        width_bound=max(g.width for g in groups),
+        width_bound=width_bound,
         iters=iters,
         groups=tuple(groups),
         total_loss=blocks_loss(problem, blocks),

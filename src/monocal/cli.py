@@ -171,7 +171,9 @@ def load_model(path: str) -> tuple[Staircase, str, dict[str, Any]]:
             doc = json.load(handle)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; a document
+        # nested too deep for the parser raises RecursionError.
         raise _CliError(f"{path}: not valid JSON: {exc}")
     return model_from_dict(doc)
 
@@ -216,8 +218,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     doc = model_to_dict(staircase, args.loss, metadata)
     text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc}")
     else:
         print(text)
     if not args.quiet:
@@ -239,13 +244,15 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     state = OnlineState(_FAMILIES[args.loss])
+    # Opens the input and checks its header, so a failure there writes nothing.
+    rows = _training_rows(args.input, args.loss)
     out = sys.stdout
     out.write("n,steps,merges,values\n")
     # The text of each step value, kept in step with the stack. A push changes
     # only the top step (see OnlineState), so a row costs one repr plus the
     # join of its output bytes instead of a rebuilt Staircase.
     reprs: list[str] = []
-    for row, sample in _training_rows(args.input, args.loss):
+    for row, sample in rows:
         try:
             state.push(sample)
         except OutOfOrder as exc:

@@ -96,6 +96,13 @@ class Block:
             raise InvalidValue(f"block range [{self.first}, {self.last}] is empty")
 
 
+def evaluate(staircase: Staircase, x: float) -> float:
+    """Value of the step function at ``x``; clamps beyond the outer steps."""
+    if math.isnan(x):
+        raise InvalidValue("cannot evaluate a staircase at NaN")
+    return staircase.values[bisect_right(staircase.breakpoints, x)]
+
+
 @dataclass(frozen=True)
 class Staircase:
     """Right-continuous nondecreasing step function.
@@ -128,8 +135,7 @@ class Staircase:
     def step_count(self) -> int:
         return len(self.values)
 
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
+    __call__ = evaluate
 
 
 def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
@@ -160,13 +166,6 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     return Problem(tuple(merged), family, offset)
 
 
-def evaluate(staircase: Staircase, x: float) -> float:
-    """Value of the step function at ``x``; clamps beyond the outer steps."""
-    if math.isnan(x):
-        raise InvalidValue("cannot evaluate a staircase at NaN")
-    return staircase.values[bisect_right(staircase.breakpoints, x)]
-
-
 def _boundary(left_score: float, right_score: float) -> float:
     # left < bp <= right keeps each score on its own block's value.
     if left_score == -math.inf:
@@ -180,8 +179,8 @@ def _boundary(left_score: float, right_score: float) -> float:
 def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Staircase:
     """Materialize solver blocks as a staircase over the given sample scores.
 
-    Adjacent blocks with equal minimizers are collapsed first so the value
-    sequence ends strictly increasing. Each breakpoint ``bp`` lies between
+    Adjacent blocks with equal minimizers are collapsed so the value
+    sequence is strictly increasing. Each breakpoint ``bp`` lies between
     the scores ``left < right`` astride the block boundary, with
     ``left < bp <= right``: the midpoint, or ``right`` when the midpoint
     rounds onto ``left``. A ``+inf`` right score gives the float just above
@@ -190,23 +189,20 @@ def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Sta
     """
     if not blocks:
         raise EmptyProblem("no blocks to materialize")
+    breakpoints = []
+    values = [blocks[0].minimizer]
     for a, b in pairwise(blocks):
         if b.minimizer < a.minimizer:
             raise NotMonotone(
                 f"block minimizers decrease ({a.minimizer!r} -> {b.minimizer!r}); "
                 "solver output is inconsistent"
             )
-    # Collapse equal-minimizer runs, keeping the covered index range.
-    spans: list[tuple[int, int, float]] = []
-    for blk in blocks:
-        if spans and blk.minimizer == spans[-1][2]:
-            spans[-1] = (spans[-1][0], blk.last, spans[-1][2])
-        else:
-            spans.append((blk.first, blk.last, blk.minimizer))
-    breakpoints = []
-    for (_, last, _), (nxt_first, _, _) in pairwise(spans):
-        breakpoints.append(_boundary(scores[last], scores[nxt_first]))
-    return Staircase(tuple(breakpoints), tuple(v for _, _, v in spans))
+        # != rather than >: a NaN minimizer keeps its own step, so
+        # Staircase's finite rule rejects it.
+        if b.minimizer != a.minimizer:
+            breakpoints.append(_boundary(scores[a.last], scores[b.first]))
+            values.append(b.minimizer)
+    return Staircase(tuple(breakpoints), tuple(values))
 
 
 def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:

@@ -8,6 +8,13 @@ solver (one left-to-right sweep, linear time for O(1) merge rules);
 ``fit_direct`` is the pass-structured reference kept for differential
 testing and pass-trace inspection.
 
+A direct pass is one left-to-right fold over the pass's input groups: a
+group whose minimizer is at most its left input neighbour's is merged into
+the last output block, otherwise it starts a new one. Violations are tested
+between input groups, not against the merged block, so a pass joins exactly
+the maximal violating runs of its input; passes repeat until one joins
+nothing.
+
 The stack kernel (``_pool``) is the one pooling loop of the merge solvers:
 ``fit_stack`` drives it with every sample in one call, and the streaming
 solver (``monocal.online``) drives it with one group per arrival.
@@ -16,6 +23,7 @@ solver (``monocal.online``) drives it with one group per arrival.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Iterator
 
 from .core import Block, Problem, blocks_loss
@@ -82,46 +90,39 @@ def _single_sample_groups(problem: Problem) -> list[Block]:
     ]
 
 
-def _join_pass(groups: list[Block], family) -> tuple[list[Block], int]:
-    """One simultaneous pass: join every maximal run of violating pairs."""
-    out: list[Block] = []
-    merges = 0
-    i = 0
-    n = len(groups)
-    while i < n:
-        j = i
-        while j + 1 < n and groups[j].minimizer >= groups[j + 1].minimizer:
-            j += 1
-        if j == i:
-            out.append(groups[i])
+def _join_pass(groups: list[Block], merge) -> list[Block]:
+    """One simultaneous pass: fold every maximal run of violating pairs."""
+    out = groups[:1]
+    for prev, group in pairwise(groups):
+        if prev.minimizer >= group.minimizer:
+            top = out[-1]
+            y, aux = merge(top.minimizer, top.aux, group.minimizer, group.aux)
+            out[-1] = Block(top.first, group.last, y, aux)
         else:
-            y, lam = groups[i].minimizer, groups[i].aux
-            for k in range(i + 1, j + 1):
-                y, lam = family.merge(y, lam, groups[k].minimizer, groups[k].aux)
-            out.append(Block(groups[i].first, groups[j].last, y, lam))
-            merges += j - i
-        i = j + 1
-    return out, merges
+            out.append(group)
+    return out
+
+
+def _passes(groups: list[Block], merge) -> Iterator[list[Block]]:
+    """Yield the groups after each joining pass until a pass joins nothing."""
+    while len(joined := _join_pass(groups, merge)) < len(groups):
+        yield joined
+        groups = joined
 
 
 def direct_passes(problem: Problem) -> Iterator[tuple[Block, ...]]:
     """Yield the group state after each joining pass of the direct solver."""
-    groups = _single_sample_groups(problem)
-    while True:
-        groups, merges = _join_pass(groups, problem.family)
-        if merges == 0:
-            return
-        yield tuple(groups)
+    yield from map(tuple, _passes(_single_sample_groups(problem), problem.family.merge))
 
 
 def fit_direct(problem: Problem) -> FitReport:
     """Pass-based solver: rebuild the violation set and join until none remain."""
-    blocks = tuple(_single_sample_groups(problem))
+    blocks = _single_sample_groups(problem)
     passes = 0
-    for passes, blocks in enumerate(direct_passes(problem), start=1):
+    for passes, blocks in enumerate(_passes(blocks, problem.family.merge), start=1):
         pass  # keep the last pass's groups and its number
     return FitReport(
-        blocks=blocks,
+        blocks=tuple(blocks),
         merge_count=len(problem.samples) - len(blocks),
         total_loss=blocks_loss(problem, blocks),
         passes=passes,

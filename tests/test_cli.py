@@ -165,6 +165,14 @@ class TestFit:
         assert doc["metadata"]["merge_count"] == 11
         assert doc["metadata"]["solver"] == "stack"
 
+    def test_unwritable_out_exits_2(self, golden_csv, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "m.json"
+        code, stdout, stderr = run(capsys, "fit", golden_csv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"monocal: cannot write {out}: ")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert not out.exists()
+
     def test_stdout_mode_and_quiet(self, golden_csv, capsys):
         code, stdout, stderr = run(capsys, "fit", golden_csv, "--quiet")
         assert code == 0
@@ -449,12 +457,20 @@ class TestModelFile:
         assert stderr.startswith("monocal: ") and "Traceback" not in stderr
 
     def test_corrupt_model_file_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
         scores = tmp_path / "s.csv"
         scores.write_text("score\n1\n")
-        code, _, stderr = run(capsys, "apply", str(bad), str(scores))
-        assert code == 2
+        doc = '{"version": 1, "family": "square", "breakpoints": [], "values": [1.0], '
+        contents = [
+            b"{not json",
+            (doc + '"metadata": {"note": "caf\xe9"}}').encode("latin-1"),
+            b"[" * 100_000 + b"]" * 100_000,
+        ]
+        for data in contents:
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(data)
+            code, stdout, stderr = run(capsys, "apply", str(bad), str(scores))
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith(f"monocal: {bad}: ") and "Traceback" not in stderr
 
 
 class TestStream:
@@ -532,6 +548,15 @@ class TestStream:
         code, stdout, _ = run(capsys, "stream", path)
         assert code == 0
         assert stdout.splitlines()[-1] == "2,2,0,1.0 2.0"
+
+    @pytest.mark.parametrize("header", [None, "score,weight"], ids=["missing-file", "no-target"])
+    def test_unreadable_input_writes_nothing(self, tmp_path, capsys, header):
+        path = tmp_path / "in.csv"
+        if header is not None:
+            path.write_text(f"{header}\n1,2\n")
+        code, stdout, stderr = run(capsys, "stream", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("monocal: ") and stderr.count("\n") == 1
 
     def test_out_of_order_exits_3(self, tmp_path, capsys):
         path = write_training_csv(tmp_path / "ooo.csv", [(1, 10), (3, 20), (2, 30)])

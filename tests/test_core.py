@@ -190,6 +190,29 @@ class TestBlocksToStaircase:
         staircase = blocks_to_staircase(blocks, [1.0, 2.0])
         assert staircase.values == (5.0,)
         assert staircase.breakpoints == ()
+        # Equal runs at the start, in the middle and at the end; each step
+        # sits between the last score of one run and the first of the next.
+        spans = [(0, 1, 1.0), (2, 2, 1.0), (3, 4, 2.0), (5, 5, 3.0), (6, 7, 3.0),
+                 (8, 8, 3.0), (9, 10, 4.0), (11, 11, 5.0), (12, 13, 5.0)]
+        blocks = [Block(first, last, y, 1.0) for first, last, y in spans]
+        scores = [float(i) for i in range(14)]
+        staircase = blocks_to_staircase(blocks, scores)
+        assert staircase.values == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert staircase.breakpoints == (2.5, 4.5, 8.5, 10.5)
+        for first, last, y in spans:
+            assert [staircase(x) for x in scores[first : last + 1]] == [y] * (last - first + 1)
+        staircase = blocks_to_staircase([Block(i, i, 7.0, 1.0) for i in range(5)], scores[:5])
+        assert (staircase.values, staircase.breakpoints) == ((7.0,), ())
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_minimizer_is_not_collapsed(self, position):
+        # An overflowed pool gives a NaN minimizer; it must reach Staircase's
+        # finite rule instead of folding into a neighbouring step.
+        values = [1.0, 2.0, 3.0]
+        values[position] = math.nan
+        blocks = [Block(i, i, y, 1.0) for i, y in enumerate(values)]
+        with pytest.raises(InvalidValue):
+            blocks_to_staircase(blocks, [0.0, 1.0, 2.0])
 
     def test_singleton_blocks_keep_all_steps(self):
         blocks = [Block(i, i, float(i), 1.0) for i in range(6)]

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from monocal import (
+    Block,
+    FitReport,
+    Problem,
     Sample,
     WEIGHTED_SQUARE,
     direct_passes,
@@ -75,6 +79,33 @@ class TestSmallCases:
         assert report.merge_count == 1
 
 
+    def test_empty_problem(self):
+        # Built by hand: normalize refuses zero samples.
+        problem = Problem((), WEIGHTED_SQUARE)
+        assert fit_direct(problem) == FitReport((), 0, 0.0, passes=0)
+        assert fit_stack(problem) == FitReport((), 0, 0.0)
+        assert list(direct_passes(problem)) == []
+
+    def test_direct_reads_each_sample_once(self):
+        calls = {"minimizer_of": 0, "init_aux": 0}
+
+        def counted(rule):
+            def call(sample):
+                calls[rule] += 1
+                return getattr(WEIGHTED_SQUARE, rule)(sample)
+
+            return call
+
+        family = dataclasses.replace(
+            WEIGHTED_SQUARE, name="counted", **{rule: counted(rule) for rule in calls}
+        )
+        rng = random.Random(107)
+        problem = make_square_instance(rng, 50)
+        problem = dataclasses.replace(problem, family=family)
+        assert fit_direct(problem).passes > 0
+        assert calls == {"minimizer_of": 50, "init_aux": 50}
+
+
 class TestRandomInstances:
     def test_matches_brute_force_on_200_instances(self):
         rng = random.Random(101)
@@ -101,6 +132,22 @@ class TestRandomInstances:
             for a, b in zip(direct.blocks, stack.blocks):
                 assert abs(a.minimizer - b.minimizer) <= 1e-12 * max(1.0, abs(a.minimizer))
             assert direct.merge_count == stack.merge_count
+
+    def test_direct_fit_is_its_last_pass(self):
+        # Integer targets make plateaus, so equal minimizers join too.
+        rng = random.Random(108)
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            samples = [Sample(i + rng.random(), float(rng.randint(0, 5))) for i in range(n)]
+            problem = rng.choice([normalize(samples, WEIGHTED_SQUARE),
+                                  make_square_instance(rng, n)])
+            passes = list(direct_passes(problem))
+            report = fit_direct(problem)
+            singles = tuple(
+                Block(i, i, s.target, s.weight) for i, s in enumerate(problem.samples)
+            )
+            assert report.blocks == (passes[-1] if passes else singles)
+            assert report.passes == len(passes)
 
     def test_output_minimizers_strictly_increase(self):
         rng = random.Random(103)
