@@ -110,19 +110,6 @@ def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
     return _csv_rows(path, columns, Sample)
 
 
-def _parse_bounds(text: str) -> tuple[float, float]:
-    if text == "auto":
-        return math.inf, -math.inf
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _CliError(f"--bounds wants 'lo,hi' or 'auto', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise _CliError(f"--bounds wants numbers, got {text!r}")
-    return hi, lo
-
-
 def model_to_dict(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> dict:
     return {
         "version": MODEL_VERSION,
@@ -178,42 +165,50 @@ def load_model(path: str) -> tuple[Staircase, str, dict[str, Any]]:
     return model_from_dict(doc)
 
 
+def _check_writable(path: str) -> None:
+    """Fail before the fit if ``path`` cannot be written; change no file."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}")
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
-    flags = ("delta", "bounds", "max_iters")
+    flags = ("delta", "max_iters")
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     if given and args.solver != "anytime":
         flag = next(iter(given)).replace("_", "-")
         raise _CliError(f"--{flag} only applies to --solver anytime")
+    if args.out:
+        _check_writable(args.out)
     family = _FAMILIES[args.loss]
     problem = normalize((s for _, s in _training_rows(args.input, args.loss)), family)
-    scores = [s.score for s in problem.samples]
     n = len(problem.samples)
 
     if args.solver == "anytime":
-        # Log loss lives on [0, 1]; doubling outward makes no sense there.
-        bounds = given.pop("bounds", "0,1" if args.loss == "logloss" else "auto")
-        upper, lower = _parse_bounds(bounds)
+        # Every block minimizer of both CLI losses is a weighted mean of
+        # targets, so the target range brackets it. Nothing narrower does:
+        # each single-sample group starts at its own target.
+        targets = [s.target for s in problem.samples]
+        lower, upper = min(targets), max(targets)
+        if lower == upper:
+            # One target value. Widen by one float toward zero: upward could
+            # leave [0, 1] for log loss or overflow at the largest float.
+            near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
+            lower, upper = sorted((lower, near))
         config = anytime.AnytimeConfig(init_upper=upper, init_lower=lower, **given)
         result = anytime.anytime_run(problem, config)
-        staircase = result.staircase
-        metadata: dict[str, Any] = {
-            "solver": "anytime",
-            "n_samples": n,
-            "merge_count": n - len(result.groups),
-            "total_loss": result.total_loss,
-            "delta": config.delta,
-            "width_bound": result.width_bound,
-            "rounds": result.iters,
-        }
+        staircase, total_loss = result.staircase, result.total_loss
+        extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
     else:
         report = fit_direct(problem) if args.solver == "direct" else fit_stack(problem)
-        staircase = blocks_to_staircase(report.blocks, scores)
-        metadata = {
-            "solver": args.solver,
-            "n_samples": n,
-            "merge_count": report.merge_count,
-            "total_loss": report.total_loss,
-        }
+        staircase = blocks_to_staircase(report.blocks, [s.score for s in problem.samples])
+        total_loss, extra = report.total_loss, {}
+    metadata = {"solver": args.solver, "n_samples": n,
+                "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
     doc = model_to_dict(staircase, args.loss, metadata)
     text = json.dumps(doc, indent=2)
@@ -256,8 +251,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         try:
             state.push(sample)
         except OutOfOrder as exc:
-            print(f"row {row}: {exc}", file=sys.stderr)
-            return EXIT_OUT_OF_ORDER
+            raise _CliError(f"row {row}: {exc}", EXIT_OUT_OF_ORDER)
         steps = state.step_count
         top = state.top
         del reprs[steps - 1:]
@@ -287,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack")
     fit.add_argument("--delta", type=float, default=None,
                      help=f"anytime bracket width target (default {defaults.delta})")
-    fit.add_argument("--bounds", default=None,
-                     help="anytime minimizer bounds 'lo,hi', or 'auto' (default)")
     fit.add_argument("--max-iters", type=int, default=None, dest="max_iters",
                      help=f"anytime round cap (default {defaults.max_iters})")
     fit.add_argument("--out", default=None, help="write the model here instead of stdout")

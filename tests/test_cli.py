@@ -14,6 +14,7 @@ from monocal import (
     fit_stack,
     normalize,
 )
+from monocal import cli
 from monocal.cli import main, model_from_dict
 
 from conftest import GOLDEN_TARGETS
@@ -165,13 +166,43 @@ class TestFit:
         assert doc["metadata"]["merge_count"] == 11
         assert doc["metadata"]["solver"] == "stack"
 
-    def test_unwritable_out_exits_2(self, golden_csv, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, golden_csv, tmp_path, capsys, monkeypatch):
+        # The path is checked before the input is read, so no fit runs.
+        def refuse(*args):
+            raise AssertionError("fit read its input before checking --out")
+
+        monkeypatch.setattr(cli, "normalize", refuse)
         out = tmp_path / "missing-dir" / "m.json"
-        code, stdout, stderr = run(capsys, "fit", golden_csv, "--out", str(out))
+        argv = ("fit", golden_csv, "--solver", "anytime", "--out", str(out))
+        code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (2, "")
         assert stderr.startswith(f"monocal: cannot write {out}: ")
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert not out.exists()
+
+    def test_failed_fit_changes_no_out_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("score,target\n1,44\nnope,52\n")
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_bytes(b'{"old": "model"}\n')
+        for out in (kept, absent):
+            code, _, stderr = run(capsys, "fit", str(path), "--out", str(out), "--quiet")
+            assert code == 2 and "row 3" in stderr
+        assert kept.read_bytes() == b'{"old": "model"}\n'
+        assert not absent.exists()
+
+    def test_out_file_holds_the_stdout_bytes(self, golden_csv, tmp_path, capsys):
+        code, stdout, _ = run(capsys, "fit", golden_csv, "--quiet")
+        assert code == 0
+        out_dir = tmp_path / "models"
+        out_dir.mkdir()
+        out = out_dir / "m.json"
+        for previous in (None, "x" * 10_000):
+            if previous is not None:
+                out.write_text(previous)
+            assert run(capsys, "fit", golden_csv, "--out", str(out), "--quiet")[0] == 0
+            assert out.read_text() == stdout
+            assert [p.name for p in out_dir.iterdir()] == ["m.json"]
 
     def test_stdout_mode_and_quiet(self, golden_csv, capsys):
         code, stdout, stderr = run(capsys, "fit", golden_csv, "--quiet")
@@ -204,22 +235,79 @@ class TestFit:
 
     def test_anytime_matches_stack(self, golden_csv, capsys):
         code, stdout, _ = run(
-            capsys, "fit", golden_csv, "--solver", "anytime",
-            "--delta", "1e-6", "--bounds", "0,128", "--quiet",
+            capsys, "fit", golden_csv, "--solver", "anytime", "--delta", "1e-6", "--quiet"
         )
         assert code == 0
         doc = json.loads(stdout)
         assert doc["metadata"]["solver"] == "anytime"
         assert doc["metadata"]["delta"] == 1e-6
+        # The bracket is the target range [1, 96].
+        assert doc["metadata"]["rounds"] == math.ceil(math.log2(95 / 1e-6))
         for got, want in zip(doc["values"], (32.0, 47.0, 55.0, 69.0)):
             assert abs(got - want) <= 5e-7
 
-    def test_anytime_auto_bounds(self, golden_csv, capsys):
-        code, stdout, _ = run(capsys, "fit", golden_csv, "--solver", "anytime", "--quiet")
+    @pytest.mark.parametrize(
+        "rows, loss",
+        [
+            ([(5, 42)], "square"),
+            ([(1, 5), (2, 5), (3, 5, 2.5), (3, 5)], "square"),
+            ([(1, -3), (2, -3, 0.5), (4, -3)], "square"),
+            ([(1, 0), (2, 0), (2, 0, 3)], "square"),
+            ([(0.1, 0), (0.5, 0), (0.9, 0)], "logloss"),
+            ([(0.1, 1), (0.5, 1), (0.5, 1), (0.9, 1)], "logloss"),
+        ],
+        ids=["one-row", "five", "minus-three", "zero", "labels-0", "labels-1"],
+    )
+    def test_anytime_one_target_value(self, tmp_path, capsys, rows, loss):
+        # The target range has no width, so the bracket is widened by a float.
+        rows = [(*row, 1)[:3] for row in rows]
+        path = write_training_csv(tmp_path / "c.csv", rows, header="score,target,weight")
+        code, stdout, _ = run(capsys, "fit", path, "--loss", loss, "--solver", "anytime", "--quiet")
         assert code == 0
         doc = json.loads(stdout)
-        for got, want in zip(doc["values"], (32.0, 47.0, 55.0, 69.0)):
-            assert abs(got - want) <= 5e-7
+        meta = doc["metadata"]
+        [value] = doc["values"]
+        assert abs(value - rows[0][1]) <= meta["width_bound"] / 2
+        assert meta["merge_count"] == meta["n_samples"] - 1
+        if loss == "logloss":
+            assert 0.0 <= value <= 1.0
+
+    def test_anytime_merge_count_is_samples_minus_steps(self, tmp_path, capsys):
+        # Tied scores and 0/1 labels: groups whose brackets end equal
+        # collapse into one step, so the group count overstates the steps.
+        rng = random.Random(73)
+        rows = [(s, int(rng.random() < s)) for s in (round(rng.random(), 2) for _ in range(600))]
+        path = write_training_csv(tmp_path / "ties.csv", rows)
+        code, stdout, stderr = run(capsys, "fit", path, "--loss", "logloss", "--solver", "anytime")
+        assert code == 0
+        doc = json.loads(stdout)
+        meta = doc["metadata"]
+        assert meta["merge_count"] == meta["n_samples"] - len(doc["values"])
+        assert f"({meta['merge_count']} merges," in stderr
+
+    @pytest.mark.parametrize("shape", ["negative", "wide", "weighted", "tied"])
+    def test_anytime_values_within_half_width_of_stack(self, tmp_path, capsys, shape):
+        rng = random.Random(f"anytime-{shape}")
+        lo, hi = {"negative": (-100.0, -1.0), "wide": (-1e6, 1e6)}.get(shape, (0.0, 100.0))
+        rows = [
+            (
+                rng.randrange(15) if shape == "tied" else rng.uniform(0.0, 50.0),
+                rng.uniform(lo, hi),
+                3.0 * (1.0 - rng.random()) if shape == "weighted" else 1.0,
+            )
+            for _ in range(60)
+        ]
+        path = write_training_csv(tmp_path / "r.csv", rows, header="score,target,weight")
+        models = {}
+        for solver in ("stack", "anytime"):
+            code, stdout, _ = run(capsys, "fit", path, "--solver", solver, "--quiet")
+            assert code == 0
+            models[solver] = model_from_dict(json.loads(stdout))
+        (stack, _, _), (any_, _, meta) = models["stack"], models["anytime"]
+        # Both values are rounded floats; allow a few ulps of the largest target.
+        slack = meta["width_bound"] / 2 + 16 * math.ulp(max(abs(lo), abs(hi)))
+        for score, _, _ in rows:
+            assert abs(any_(score) - stack(score)) <= slack
 
     def test_anytime_total_loss_is_library_total_loss(self, tmp_path, capsys):
         # Paired scores tie, so the loss includes a nonzero tie-merge offset.
@@ -228,7 +316,9 @@ class TestFit:
         code, stdout, _ = run(capsys, "fit", path, "--solver", "anytime", "--quiet")
         assert code == 0
         problem = normalize([Sample(float(x), float(t)) for x, t in rows], WEIGHTED_SQUARE)
-        expected = anytime_run(problem, AnytimeConfig()).total_loss
+        targets = [s.target for s in problem.samples]
+        config = AnytimeConfig(init_upper=max(targets), init_lower=min(targets))
+        expected = anytime_run(problem, config).total_loss
         assert json.loads(stdout)["metadata"]["total_loss"] == expected
 
     def test_unsorted_input_is_sorted_internally(self, tmp_path, capsys):
@@ -306,11 +396,11 @@ class TestFit:
         assert "--delta" in stderr
 
     def test_bad_bounds_rejected(self, golden_csv, capsys):
-        code, _, stderr = run(
-            capsys, "fit", golden_csv, "--solver", "anytime", "--bounds", "1;2", "--quiet"
-        )
-        assert code == 2
-        assert "--bounds" in stderr
+        # The bracket is the target range; there is no --bounds option.
+        with pytest.raises(SystemExit) as exit_:
+            main(["fit", golden_csv, "--solver", "anytime", "--bounds", "0,10", "--quiet"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --bounds 0,10" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code, _, stderr = run(capsys, "fit", "/nonexistent.csv", "--quiet")
@@ -560,9 +650,11 @@ class TestStream:
 
     def test_out_of_order_exits_3(self, tmp_path, capsys):
         path = write_training_csv(tmp_path / "ooo.csv", [(1, 10), (3, 20), (2, 30)])
-        code, _, stderr = run(capsys, "stream", str(path))
+        code, stdout, stderr = run(capsys, "stream", str(path))
         assert code == 3
-        assert "row 4" in stderr
+        assert stderr.startswith("monocal: row 4: score 2.0 arrived after 3.0")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert stdout.splitlines() == ["n,steps,merges,values", "1,1,0,10.0", "2,2,0,10.0 20.0"]
 
     def test_single_row(self, tmp_path, capsys):
         path = write_training_csv(tmp_path / "one.csv", [(1, 10)])
