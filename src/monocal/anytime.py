@@ -5,9 +5,20 @@ keeps a bracket [lower, upper] around its minimizer. Each round makes two
 passes over the groups. The first probes the bracket midpoint, evaluates the
 negative derivative of the group's summed loss there, and joins adjacent
 groups whose derivative signs cross downward while their brackets coincide.
-The second halves every bracket on the probed side and builds the round's
-groups. Stopping is the caller's choice: after any round the bracket
-midpoints are a valid answer with error at most half the widest bracket.
+The second halves every bracket on the probed side and notes the widest
+bracket that can still shrink. Stopping is the caller's choice: after any
+round the rounded bracket midpoints are a valid answer (see
+``AnytimeResult`` for the error bound).
+
+Between rounds the state is a plain list of mutable
+``[first, last, upper, lower, probe, neg_deriv]`` entries. ``anytime_run``
+keeps it for the whole run and builds one ``AnytimeGroup`` per final group,
+once, for ``AnytimeResult.groups``; ``iterate`` is the public one-round view
+of the same round, from groups to groups. ``anytime_run`` stops when no
+bracket that can still shrink is wider than ``delta``. A bracket whose next
+probe rounds onto one of its ends is as narrow as floats allow: another
+round could settle it on that end, which is already its midpoint, but never
+move its value, so it does not hold the run open.
 
 Groups start bound-synchronized, so brackets only ever diverge between
 groups whose fitted values are already correctly ordered; a pair that must
@@ -95,8 +106,10 @@ class AnytimeConfig:
 class AnytimeResult:
     """Staircase read off the final brackets, plus convergence diagnostics.
 
-    Fitted values are bracket midpoints, so each is within ``width_bound / 2``
-    of the exact minimizer. ``groups`` exposes the per-block brackets.
+    Fitted values are bracket midpoints ``0.5 * upper + 0.5 * lower``, rounded
+    once, so each is within ``width_bound / 2`` plus half an ulp of the value
+    (``math.ulp(value) / 2``) of its group's exact minimizer. ``groups``
+    exposes the per-block brackets.
     ``total_loss`` is the loss of the midpoint fit by the rule
     ``FitReport.total_loss`` uses (``blocks_loss``, tie-merge offset included).
     """
@@ -134,69 +147,95 @@ def probe_point(upper: float, lower: float) -> float:
     return 0.5 * upper + 0.5 * lower
 
 
-def anytime_init(problem: Problem, config: AnytimeConfig) -> list[AnytimeGroup]:
-    """One group per sample, all sharing the configured bounds."""
+def _entries(problem: Problem, config: AnytimeConfig) -> list[list]:
+    """Round state: one ``[first, last, upper, lower, probe, neg_deriv]`` per sample."""
     if not problem.samples:
         raise EmptyProblem("cannot calibrate zero samples")
-    return [
-        AnytimeGroup(i, i, config.init_upper, config.init_lower)
-        for i in range(len(problem.samples))
-    ]
+    upper, lower = config.init_upper, config.init_lower
+    return [[i, i, upper, lower, None, None] for i in range(len(problem.samples))]
+
+
+def anytime_init(problem: Problem, config: AnytimeConfig) -> list[AnytimeGroup]:
+    """One group per sample, all sharing the configured bounds."""
+    return [AnytimeGroup(*e) for e in _entries(problem, config)]
+
+
+def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], float]:
+    """One round on the list state: probe and join in one pass, then halve.
+
+    Updates ``entries`` in place and returns the joined entries with the
+    widest bracket that can still shrink: a bracket whose next probe rounds
+    onto one of its ends is as narrow as floats allow, so it does not count.
+    """
+    neg_derivative_at, inf = oracle.neg_derivative_at, math.inf
+    # A join keeps the left entry (its first and probe), sums the
+    # derivatives and re-tests leftward, so chains of three or more groups
+    # collapse within the round.
+    stack: list[list] = []
+    push = stack.append
+    for e in entries:
+        upper, lower = e[2], e[3]
+        if upper != lower:
+            if 0.0 < upper - lower < inf:  # probe_point's finite case, inline
+                probe = 0.5 * upper + 0.5 * lower
+            else:
+                probe = probe_point(upper, lower)
+            d = neg_derivative_at(e[0], e[1], probe)
+            if d != d:  # NaN
+                raise OracleFailure(
+                    f"derivative oracle returned NaN at z={probe!r} "
+                    f"for samples [{e[0]}, {e[1]}]"
+                )
+            e[4], e[5] = probe, d
+        while stack:
+            left = stack[-1]
+            if left[2] != e[2] or left[3] != e[3] or not left[5] >= 0.0 >= e[5]:
+                break
+            stack.pop()
+            left[1], left[5] = e[1], left[5] + e[5]
+            e = left
+        push(e)
+
+    widest = 0.0
+    for e in stack:
+        upper, lower = e[2], e[3]
+        if upper == lower:
+            continue
+        probe, d = e[4], e[5]
+        if d >= 0.0:
+            e[3] = lower = probe
+        if d <= 0.0:
+            e[2] = upper = probe
+        width = upper - lower
+        if width > widest and lower < probe_point(upper, lower) < upper:
+            widest = width
+    return stack, widest
 
 
 def iterate(groups: Sequence[AnytimeGroup], oracle: DerivativeOracle) -> list[AnytimeGroup]:
-    """One full round: probe and join in one pass, then halve and build.
+    """One full round: probe and join in one pass, then halve.
 
     Pure transformation; the input list is not modified. Probes within a
     round are independent of one another.
     """
-    # Entries are [first, last, upper, lower, probe, neg_deriv]. A join keeps
-    # the left probe, sums the derivatives and re-tests leftward, so chains
-    # of three or more groups collapse within the round.
-    stack: list[list] = []
-    for g in groups:
-        first, last, upper, lower = g.first, g.last, g.upper, g.lower
-        probe, d = g.probe, g.neg_deriv
-        if upper != lower:
-            probe = probe_point(upper, lower)
-            d = oracle.neg_derivative_at(first, last, probe)
-            if math.isnan(d):
-                raise OracleFailure(
-                    f"derivative oracle returned NaN at z={probe!r} "
-                    f"for samples [{first}, {last}]"
-                )
-        stack.append([first, last, upper, lower, probe, d])
-        while len(stack) > 1:
-            left, right = stack[-2], stack[-1]
-            if left[2] != right[2] or left[3] != right[3] or not left[5] >= 0.0 >= right[5]:
-                break
-            stack.pop()
-            left[1], left[5] = right[1], left[5] + right[5]
-
-    out: list[AnytimeGroup] = []
-    for first, last, upper, lower, probe, d in stack:
-        if upper != lower:
-            if d >= 0.0:
-                lower = probe
-            if d <= 0.0:
-                upper = probe
-        out.append(AnytimeGroup(first, last, upper, lower, probe, d))
-    return out
+    entries = [[g.first, g.last, g.upper, g.lower, g.probe, g.neg_deriv] for g in groups]
+    return [AnytimeGroup(*e) for e in _round(entries, oracle)[0]]
 
 
 def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
-    """Iterate rounds until every bracket is at most ``delta`` wide.
+    """Iterate rounds until no bracket that can still shrink is over ``delta``.
 
     Stops early at ``max_iters``; if any bracket is still infinite at that
     point the loss has no finite minimizer to find and the run fails.
     """
-    groups = anytime_init(problem, config)
+    entries = _entries(problem, config)
     oracle = DerivativeOracle(problem.samples, problem.family)
     iters = 0
-    while iters < config.max_iters and any(g.width > config.delta for g in groups):
-        groups = iterate(groups, oracle)
+    widest = config.init_upper - config.init_lower
+    while iters < config.max_iters and widest > config.delta:
+        entries, widest = _round(entries, oracle)
         iters += 1
-    width_bound = max(g.width for g in groups)
+    width_bound = max(upper - lower for _, _, upper, lower, _, _ in entries)
     if math.isinf(width_bound):
         raise Unbounded(
             f"no finite bracket after {iters} rounds; "
@@ -204,12 +243,13 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
         )
     scores = [s.score for s in problem.samples]
     blocks = [
-        Block(g.first, g.last, 0.5 * g.upper + 0.5 * g.lower, g.width) for g in groups
+        Block(first, last, 0.5 * upper + 0.5 * lower, upper - lower)
+        for first, last, upper, lower, _, _ in entries
     ]
     return AnytimeResult(
         staircase=blocks_to_staircase(blocks, scores),
         width_bound=width_bound,
         iters=iters,
-        groups=tuple(groups),
+        groups=tuple(AnytimeGroup(*e) for e in entries),
         total_loss=blocks_loss(problem, blocks),
     )

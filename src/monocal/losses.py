@@ -178,5 +178,9 @@ class DerivativeOracle:
 
     def neg_derivative_at(self, first: int, last: int, z: float) -> float:
         f = self._neg_derivative
-        samples = self._samples
-        return math.fsum(f(samples[i], z) for i in range(first, last + 1))
+        if first == last:
+            # One term is its own fsum, except that fsum sets the sign of a
+            # zero, so a zero still goes through it.
+            d = f(self._samples[first], z)
+            return d or math.fsum([d])
+        return math.fsum([f(s, z) for s in self._samples[first:last + 1]])

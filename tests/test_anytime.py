@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from monocal import (
     normalize,
     probe_point,
 )
+from monocal import anytime
 from monocal.anytime import iterate
 from monocal.errors import (
     EmptyProblem,
@@ -345,3 +347,131 @@ class TestAnytimeRun:
         problem = Problem((Sample(0.0, 0.0),), family)
         with pytest.raises(InvalidConfig):
             anytime_run(problem, AnytimeConfig())
+
+
+def _can_shrink(g):
+    """Whether another round can narrow ``g``: its next probe lies strictly inside."""
+    return g.upper != g.lower and g.lower < probe_point(g.upper, g.lower) < g.upper
+
+
+def _target_bracket(problem, **kwargs):
+    targets = [s.target for s in problem.samples]
+    return AnytimeConfig(init_upper=max(targets), init_lower=min(targets), **kwargs)
+
+
+def _lock_step_instance(kind):
+    rng = random.Random(f"lock-step-{kind}")
+    # delta is the smallest float, so only the float grid stops the run.
+    settings = {"delta": math.ulp(0.0), "max_iters": 4096}
+    if kind == "random-weighted":
+        problem = make_square_instance(rng, 40)
+        return problem, _target_bracket(problem, **settings)
+    if kind == "ties-logloss":
+        raw = [Sample(round(rng.random(), 1), float(rng.random() < 0.5)) for _ in range(80)]
+        problem = normalize(map(check_label, raw), LOG_LOSS)
+        return problem, AnytimeConfig(init_upper=1.0, init_lower=0.0, **settings)
+    if kind == "doubling":
+        samples = [Sample(i + rng.random(), rng.uniform(-1000, 1000), 0.5 + rng.random())
+                   for i in range(30)]
+        return normalize(samples, WEIGHTED_SQUARE), AnytimeConfig(**settings)
+    samples = [Sample(i + rng.random(), rng.uniform(1e10, 2e10)) for i in range(30)]
+    problem = normalize(samples, WEIGHTED_SQUARE)
+    return problem, _target_bracket(problem, **settings)
+
+
+class TestListRound:
+    @pytest.mark.parametrize("kind", ["random-weighted", "ties-logloss", "doubling", "1e10"])
+    def test_iterate_and_run_in_lock_step(self, kind):
+        problem, config = _lock_step_instance(kind)
+        oracle = DerivativeOracle(problem.samples, problem.family)
+        groups = anytime_init(problem, config)
+        rounds = 0
+        while any(_can_shrink(g) for g in groups):
+            groups = iterate(groups, oracle)
+            rounds += 1
+        result = anytime_run(problem, config)
+        assert 0 < result.iters == rounds < config.max_iters
+        assert result.groups == tuple(groups)
+
+    def test_run_builds_each_group_once(self, monkeypatch):
+        built = []
+
+        def counting(*fields):
+            built.append(AnytimeGroup(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(anytime, "AnytimeGroup", counting)
+        problem = make_square_instance(random.Random(5), 60)
+        result = anytime_run(problem, _target_bracket(problem, delta=1e-9))
+        assert result.iters > 20
+        assert len(built) == len(result.groups)
+        assert tuple(built) == result.groups
+
+    def test_one_float_brackets_stop_the_run(self):
+        # At 1e10 the float spacing (1.9e-6) is wider than delta. A bracket one
+        # float wide cannot shrink, so it no longer keeps the run going to
+        # max_iters (256 rounds); its true width still shows in width_bound.
+        rng = random.Random(0)
+        samples = [Sample(i + rng.random(), rng.uniform(1e10, 2e10)) for i in range(50)]
+        problem = normalize(samples, WEIGHTED_SQUARE)
+        config = _target_bracket(problem, delta=1e-6)
+        result = anytime_run(problem, config)
+        assert result.iters == 53
+        assert result.iters <= math.ceil(math.log2((config.init_upper - config.init_lower) / 1e-6))
+        assert result.width_bound == math.ulp(1e10)
+        assert not any(_can_shrink(g) for g in result.groups)
+        stack = fit_stack(problem)
+        scores = [s.score for s in problem.samples]
+        want = blocks_to_staircase(stack.blocks, scores)
+        for score in scores:
+            got = result.staircase(score)
+            # The stack value is itself a rounded mean: a few ulps of slack.
+            assert abs(got - want(score)) <= result.width_bound / 2 + 4 * math.ulp(got)
+
+    def test_one_float_initial_bracket_runs_one_round(self):
+        target = 10000000000.000002  # one float above 1e10
+        problem = normalize([Sample(0.0, target)], WEIGHTED_SQUARE)
+        config = AnytimeConfig(init_upper=target, init_lower=1e10, delta=1e-6)
+        result = anytime_run(problem, config)
+        assert result.iters == 1
+        assert result.width_bound == math.ulp(1e10) > config.delta
+        # The midpoint rounds onto the lower end: one ulp off, the full bound.
+        assert result.staircase.values == (1e10,)
+        assert target - 1e10 == result.width_bound / 2 + math.ulp(1e10) / 2
+
+
+class TestErrorBound:
+    def test_rounded_midpoint_misses_half_width(self):
+        # The bracket [0.3 - ulp, 0.3] rounds its midpoint onto the lower end,
+        # a whole width from the minimizer: the ulp term of the bound is needed.
+        problem = normalize([Sample(0.0, 0.3)], WEIGHTED_SQUARE)
+        result = anytime_run(problem, AnytimeConfig(0.3, math.nextafter(0.3, 0.0)))
+        [value] = result.staircase.values
+        assert value == 0.29999999999999993
+        assert result.width_bound == 5.551115123125783e-17
+        assert 0.3 - value > result.width_bound / 2
+        assert 0.3 - value <= result.width_bound / 2 + math.ulp(value) / 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_within_half_width_plus_half_ulp(self, seed):
+        # Integer targets in [32, 64) and power-of-two weights keep every
+        # oracle term exact at every probe, so each bracket holds its group's
+        # exact minimizer and the run can go down to the float grid. Distinct
+        # exact block means differ by far more than an ulp, so fit_stack's
+        # partition is the exact one and Fraction gives its exact values.
+        rng = random.Random(seed)
+        samples = [
+            Sample(i + rng.random(), float(rng.randrange(32, 64)), rng.choice((0.5, 1.0, 2.0)))
+            for i in range(rng.randint(2, 14))
+        ]
+        problem = normalize(samples, WEIGHTED_SQUARE)
+        for delta in (1e-3, 1e-9, math.ulp(0.0)):
+            result = anytime_run(problem, _target_bracket(problem, delta=delta))
+            for block in fit_stack(problem).blocks:
+                members = problem.samples[block.first:block.last + 1]
+                exact = (sum(Fraction(s.weight) * Fraction(s.target) for s in members)
+                         / sum(Fraction(s.weight) for s in members))
+                for s in members:
+                    value = result.staircase(s.score)
+                    bound = Fraction(result.width_bound) / 2 + Fraction(math.ulp(value)) / 2
+                    assert abs(Fraction(value) - exact) <= bound

@@ -309,6 +309,41 @@ class TestFit:
         for score, _, _ in rows:
             assert abs(any_(score) - stack(score)) <= slack
 
+    @pytest.mark.parametrize("shape", ["spread", "one-row"])
+    def test_anytime_stops_at_one_float_brackets(self, tmp_path, capsys, shape):
+        # At 1e10 the float spacing (1.9e-6) is wider than the default delta.
+        # Brackets one float wide cannot shrink, so the fit stops within the
+        # documented round bound instead of running all 256 rounds.
+        if shape == "one-row":
+            rows = [(1, 10000000000.000002)]  # one float above 1e10
+        else:
+            rng = random.Random(0)
+            rows = [(i + rng.random(), rng.uniform(1e10, 2e10)) for i in range(50)]
+        path = write_training_csv(tmp_path / "big.csv", rows)
+        code, stdout, _ = run(capsys, "fit", path, "--solver", "anytime", "--quiet")
+        assert code == 0
+        doc = json.loads(stdout)
+        meta = doc["metadata"]
+        targets = [t for _, t in rows]
+        if shape == "one-row":
+            # The bracket is the target widened by one float: one round.
+            assert meta["rounds"] == 1
+            assert doc["values"] == [1e10]
+        else:
+            assert meta["rounds"] == 53
+            assert meta["rounds"] <= math.ceil(math.log2((max(targets) - min(targets)) / 1e-6))
+        assert meta["width_bound"] == math.ulp(1e10)
+
+    def test_anytime_error_bound_has_an_ulp_term(self, tmp_path, capsys):
+        # The bracket [0.3 - ulp, 0.3] rounds its midpoint onto its lower end.
+        path = write_training_csv(tmp_path / "c.csv", [(1, 0.3)])
+        code, stdout, _ = run(capsys, "fit", path, "--solver", "anytime", "--quiet")
+        assert code == 0
+        doc = json.loads(stdout)
+        [value], width_bound = doc["values"], doc["metadata"]["width_bound"]
+        assert (value, width_bound) == (0.29999999999999993, 5.551115123125783e-17)
+        assert width_bound / 2 < 0.3 - value <= width_bound / 2 + math.ulp(value) / 2
+
     def test_anytime_total_loss_is_library_total_loss(self, tmp_path, capsys):
         # Paired scores tie, so the loss includes a nonzero tie-merge offset.
         rows = [(i // 2, t) for i, t in enumerate(GOLDEN_TARGETS)]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,31 @@ class TestNegDerivative:
         h = 1e-6
         fd = -(WEIGHTED_SQUARE.loss(group[0], 64 + h) - WEIGHTED_SQUARE.loss(group[0], 64 - h)) / (2 * h)
         assert fd == pytest.approx(-40.0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "family, sample, zs",
+        [
+            # z == target gives -2w * 0.0 == -0.0; fsum sets the sign of a
+            # zero sum by its own rule.
+            (WEIGHTED_SQUARE, Sample(1.0, 44.0, 2.5), (44.0, 0.0, 64.0, -1e300, 1e-300, 44.1)),
+            (WEIGHTED_SQUARE, Sample(1.0, -3.0), (-3.0, 0.0, -3.0000000000000004)),
+            # z = 0 and z = 1 read the one-sided limits, +inf and -inf.
+            (LOG_LOSS, Sample(0.5, 1.0), (0.0, 1.0, 0.5, 1e-300, 0.9999999999999999)),
+            (LOG_LOSS, Sample(0.5, 0.0, 3.0), (0.0, 1.0, 0.5, 1e-300, 0.9999999999999999)),
+            (LOG_LOSS, Sample(0.5, 0.25, 4.0), (0.0, 1.0, 0.25, 0.5)),
+        ],
+        ids=["square", "square-negative", "log-label-1", "log-label-0", "log-tied"],
+    )
+    def test_one_sample_shortcut_matches_fsum_bits(self, family, sample, zs):
+        # A one-sample group skips the fsum; its result must be the fsum's bits.
+        oracle = DerivativeOracle([Sample(0.0, 7.0), sample], family)
+        for z in zs:
+            got = oracle.neg_derivative_at(1, 1, z)
+            want = math.fsum([family.neg_derivative(sample, z)])
+            assert struct.pack("<d", got) == struct.pack("<d", want), (z, got, want)
+        if family is LOG_LOSS and sample.target in (0.0, 1.0):
+            limits = (oracle.neg_derivative_at(1, 1, 0.0), oracle.neg_derivative_at(1, 1, 1.0))
+            assert limits == ((-3.0, -math.inf) if sample.target == 0.0 else (math.inf, 1.0))
 
     @pytest.mark.parametrize("family,z_lo,z_hi", [(WEIGHTED_SQUARE, -50.0, 150.0), (LOG_LOSS, 0.05, 0.95)])
     def test_matches_finite_differences(self, family, z_lo, z_hi):
