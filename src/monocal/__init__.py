@@ -6,70 +6,63 @@ pass-based merging, a single-sweep stack variant, an online streaming updater
 for ordered arrivals, and an anytime bisection solver for losses that only
 expose a derivative. Each loss is one ``LossFamily`` value; the built-ins are
 ``WEIGHTED_SQUARE`` and ``LOG_LOSS``.
+
+Public names resolve lazily (PEP 562): ``import monocal`` loads no submodule,
+and the first use of a name imports the module that defines it, so a command
+line run loads only the solvers it uses.
 """
 
-from . import errors
-from .anytime import (
-    AnytimeConfig,
-    AnytimeGroup,
-    AnytimeResult,
-    anytime_init,
-    anytime_run,
-    probe_point,
-)
-from .core import (
-    Block,
-    Problem,
-    Sample,
-    Staircase,
-    blocks_loss,
-    blocks_to_staircase,
-    evaluate,
-    normalize,
-)
-from .losses import (
-    LOG_LOSS,
-    WEIGHTED_SQUARE,
-    DerivativeOracle,
-    LossFamily,
-    check_label,
-    weighted_square_merge,
-)
-from .online import OnlineState
-from .oracle import OracleResult, brute_force_fit, grid_minimize
-from .pav_offline import FitReport, direct_passes, fit_direct, fit_stack
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "Sample",
-    "Problem",
-    "Block",
-    "Staircase",
-    "normalize",
-    "evaluate",
-    "blocks_to_staircase",
-    "blocks_loss",
-    "LossFamily",
-    "DerivativeOracle",
-    "WEIGHTED_SQUARE",
-    "LOG_LOSS",
-    "weighted_square_merge",
-    "check_label",
-    "FitReport",
-    "fit_direct",
-    "fit_stack",
-    "direct_passes",
-    "OnlineState",
-    "AnytimeGroup",
-    "AnytimeConfig",
-    "AnytimeResult",
-    "probe_point",
-    "anytime_init",
-    "anytime_run",
-    "OracleResult",
-    "brute_force_fit",
-    "grid_minimize",
-    "__version__",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    "errors": None,
+    "Sample": "core",
+    "Problem": "core",
+    "Block": "core",
+    "Staircase": "core",
+    "normalize": "core",
+    "evaluate": "core",
+    "blocks_to_staircase": "core",
+    "blocks_loss": "core",
+    "LossFamily": "losses",
+    "DerivativeOracle": "losses",
+    "WEIGHTED_SQUARE": "losses",
+    "LOG_LOSS": "losses",
+    "weighted_square_merge": "losses",
+    "check_label": "losses",
+    "FitReport": "pav_offline",
+    "fit_direct": "pav_offline",
+    "fit_stack": "pav_offline",
+    "direct_passes": "pav_offline",
+    "OnlineState": "online",
+    "AnytimeGroup": "anytime",
+    "AnytimeConfig": "anytime",
+    "AnytimeResult": "anytime",
+    "probe_point": "anytime",
+    "anytime_init": "anytime",
+    "anytime_run": "anytime",
+    "OracleResult": "oracle",
+    "brute_force_fit": "oracle",
+    "grid_minimize": "oracle",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOMES[name]
+    # A submodule (None) is the module itself; importing it binds it here too.
+    value = import_module(f".{home or name}", __name__)
+    if home is not None:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,11 +17,12 @@ import os
 import sys
 from typing import Any, Callable, Iterator, Sequence
 
-from . import anytime, losses
+from . import losses
 from .core import Sample, Staircase, blocks_to_staircase, normalize
 from .errors import CalibrationError, InvalidValue, OutOfOrder
-from .online import OnlineState
-from .pav_offline import fit_direct, fit_stack
+
+# Each command imports the solver module it runs, so a command loads no other
+# solver (`monocal.cli` itself loads core, errors and losses only).
 
 MODEL_VERSION = 1
 MAX_N_ENV = "MONOCAL_MAX_N"
@@ -199,11 +200,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             # leave [0, 1] for log loss or overflow at the largest float.
             near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
             lower, upper = sorted((lower, near))
-        config = anytime.AnytimeConfig(init_upper=upper, init_lower=lower, **given)
-        result = anytime.anytime_run(problem, config)
+        from .anytime import AnytimeConfig, anytime_run
+
+        config = AnytimeConfig(init_upper=upper, init_lower=lower, **given)
+        result = anytime_run(problem, config)
         staircase, total_loss = result.staircase, result.total_loss
         extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
     else:
+        from .pav_offline import fit_direct, fit_stack
+
         report = fit_direct(problem) if args.solver == "direct" else fit_stack(problem)
         staircase = blocks_to_staircase(report.blocks, [s.score for s in problem.samples])
         total_loss, extra = report.total_loss, {}
@@ -211,7 +216,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
     doc = model_to_dict(staircase, args.loss, metadata)
-    text = json.dumps(doc, indent=2)
+    # One line per top-level field. json.dumps without indent runs the C
+    # encoder; indent=2 would fall back to the pure-Python one.
+    fields = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                         for key, value in doc.items())
+    text = f"{{\n{fields}\n}}"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -238,6 +247,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from .online import OnlineState
+
     state = OnlineState(_FAMILIES[args.loss])
     # Opens the input and checks its header, so a failure there writes nothing.
     rows = _training_rows(args.input, args.loss)
@@ -268,7 +279,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    defaults = anytime.AnytimeConfig()
     parser = argparse.ArgumentParser(
         prog="monocal",
         description="Fit and apply optimal monotone staircase calibrations.",
@@ -279,10 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("input", help="CSV with columns score,target[,weight]")
     fit.add_argument("--loss", choices=("square", "logloss"), default="square")
     fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack")
+    # AnytimeConfig()'s defaults, copied so that building the parser loads no
+    # solver; tests/test_cli.py fails when the two drift.
     fit.add_argument("--delta", type=float, default=None,
-                     help=f"anytime bracket width target (default {defaults.delta})")
+                     help="anytime bracket width target (default 1e-06)")
     fit.add_argument("--max-iters", type=int, default=None, dest="max_iters",
-                     help=f"anytime round cap (default {defaults.max_iters})")
+                     help="anytime round cap (default 256)")
     fit.add_argument("--out", default=None, help="write the model here instead of stdout")
     fit.add_argument("--quiet", action="store_true", help="suppress diagnostics")
     fit.set_defaults(func=_cmd_fit)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .errors import EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
+from .errors import CalibrationError, EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
 
 if TYPE_CHECKING:
     from .losses import LossFamily
@@ -145,7 +145,8 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     into one composite per score via the family's tie rule; the additive
     constant this drops from the objective is kept in ``Problem.loss_offset``.
     A family without ``combine_ties`` raises ``InvalidConfig`` at the first
-    repeated score. Idempotent: normalizing a normalized problem's samples
+    repeated score; a tie merge that fails re-raises its error class with a
+    ``ties at score X:`` prefix. Idempotent: normalizing a normalized problem's samples
     changes nothing.
     """
     samples = sorted(raw_samples, key=lambda s: s.score)
@@ -159,7 +160,11 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
             if combine is None:
                 family.require("combine_ties")
                 combine = family.combine_ties
-            merged[-1], dropped = combine(merged[-1], s)
+            try:
+                merged[-1], dropped = combine(merged[-1], s)
+            except CalibrationError as exc:
+                # The tie has no row of its own to report; name its score.
+                raise type(exc)(f"ties at score {s.score!r}: {exc}") from exc
             offset += dropped
         else:
             merged.append(s)

@@ -437,6 +437,38 @@ class TestFit:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --bounds 0,10" in capsys.readouterr().err
 
+    def test_help_shows_the_anytime_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fit", "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = AnytimeConfig()
+        assert f"anytime bracket width target (default {defaults.delta})" in text
+        assert f"anytime round cap (default {defaults.max_iters})" in text
+
+    def test_model_text_is_one_line_per_field(self, golden_csv, capsys):
+        # README's "Model file" example, byte for byte.
+        code, stdout, _ = run(capsys, "fit", golden_csv, "--quiet")
+        assert code == 0
+        assert stdout == (
+            '{\n'
+            '  "version": 1,\n'
+            '  "family": "square",\n'
+            '  "breakpoints": [4.5, 9.5, 14.5],\n'
+            '  "values": [32.0, 47.0, 55.0, 69.0],\n'
+            '  "metadata": {"solver": "stack", "n_samples": 15, "merge_count": 11, '
+            '"total_loss": 13000.0}\n'
+            '}\n'
+        )
+
+    def test_failed_tie_merge_names_the_score(self, tmp_path, capsys):
+        # The pooled target of the two rows overflows; neither row is at fault.
+        path = write_training_csv(tmp_path / "ties.csv", [(1, 1e300, 1e10)] * 2,
+                                  header="score,target,weight")
+        code, stdout, stderr = run(capsys, "fit", path, "--quiet")
+        assert (code, stdout) == (2, "")
+        assert stderr == "monocal: ties at score 1.0: sample target must be finite, got inf\n"
+
     def test_missing_file(self, capsys):
         code, _, stderr = run(capsys, "fit", "/nonexistent.csv", "--quiet")
         assert code == 2

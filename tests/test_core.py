@@ -59,6 +59,12 @@ class TestNormalize:
         for score in (1.0, 2.0):
             assert evaluate(staircase, score) == pytest.approx(47.0 / 3.0, abs=1e-12)
 
+    def test_failed_tie_merge_names_the_score(self):
+        tie = Sample(1.0, 1e300, 1e10)
+        message = "^ties at score 1.0: sample target must be finite, got inf$"
+        with pytest.raises(InvalidValue, match=message):
+            normalize([Sample(0.0), tie, tie], WEIGHTED_SQUARE)
+
     def test_single_sample(self):
         problem = normalize([Sample(5.0, 42.0)], WEIGHTED_SQUARE)
         assert len(problem.samples) == 1

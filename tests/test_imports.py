@@ -1,0 +1,123 @@
+"""Start-up cost: what ``import monocal`` and each CLI command load.
+
+Every test runs its imports in a fresh interpreter, so modules that other
+tests imported into this process cannot hide a load.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import monocal
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(monocal.__file__)))
+CLI_MODULES = ["monocal", "monocal.cli", "monocal.core", "monocal.errors", "monocal.losses"]
+SUBMODULES = ("core", "losses", "pav_offline", "online", "anytime", "oracle")
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter; return the JSON it prints last."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal')))"
+
+
+def test_import_monocal_loads_no_submodule():
+    assert fresh(f"import json, sys, monocal; {LOADED}") == ["monocal"]
+
+
+def test_cli_import_loads_no_solver():
+    assert fresh(f"import json, sys; from monocal import cli; {LOADED}") == CLI_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, solvers",
+    [
+        (["apply", "{model}", "{rows}"], []),
+        (["fit", "{rows}", "--quiet"], ["monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "direct", "--quiet"], ["monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "anytime", "--quiet"], ["monocal.anytime"]),
+        (["stream", "{rows}"], ["monocal.online", "monocal.pav_offline"]),
+    ],
+    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream"],
+)
+def test_each_command_loads_only_its_solver(tmp_path, argv, solvers):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("score,target\n1,10\n2,30\n3,20\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"version": 1, "family": "square", "breakpoints": [1.5],
+                                 "values": [10.0, 25.0], "metadata": {}}))
+    argv = [arg.format(rows=rows, model=model) for arg in argv]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from monocal import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "assert code == 0, code\n"
+        + LOADED
+    )
+    assert fresh(code) == sorted(CLI_MODULES + solvers)
+
+
+def test_every_public_name_is_its_home_modules_object():
+    code = (
+        "import importlib, json, monocal\n"
+        f"homes = {{m: importlib.import_module('monocal.' + m) for m in {SUBMODULES!r}}}\n"
+        "wrong = []\n"
+        "for name in monocal.__all__:\n"
+        "    if name in ('errors', '__version__'):\n"
+        "        continue\n"
+        "    owners = [m for m, mod in homes.items() if name in mod.__all__]\n"
+        "    if len(owners) != 1 or getattr(monocal, name) is not getattr(homes[owners[0]], name):\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps(wrong))"
+    )
+    assert fresh(code) == []
+
+
+def test_errors_submodule_and_version():
+    code = (
+        "import importlib, json, monocal\n"
+        "errors = monocal.errors\n"
+        "print(json.dumps([errors is importlib.import_module('monocal.errors'),\n"
+        "                  issubclass(errors.InvalidValue, errors.CalibrationError),\n"
+        "                  monocal.__version__]))"
+    )
+    assert fresh(code) == [True, True, "0.1.0"]
+
+
+def test_star_import_and_dir_cover_all():
+    code = (
+        "import json, monocal\n"
+        "names = {}\n"
+        "exec('from monocal import *', names)\n"
+        "print(json.dumps([[n for n in monocal.__all__ if n not in names],\n"
+        "                  [n for n in monocal.__all__ if n not in dir(monocal)]]))"
+    )
+    assert fresh(code) == [[], []]
+
+
+def test_unknown_name_raises():
+    code = (
+        "import json, monocal\n"
+        "caught = []\n"
+        "try:\n"
+        "    monocal.nope\n"
+        "except AttributeError as exc:\n"
+        "    caught.append(str(exc))\n"
+        "try:\n"
+        "    from monocal import nope\n"
+        "except ImportError:\n"
+        "    caught.append('ImportError')\n"
+        "print(json.dumps(caught))"
+    )
+    assert fresh(code) == ["module 'monocal' has no attribute 'nope'", "ImportError"]
