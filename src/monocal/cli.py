@@ -15,16 +15,23 @@ import json
 import math
 import os
 import sys
+from itertools import chain, count, islice
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from . import losses
-from .core import Sample, Staircase, blocks_to_staircase, normalize
+from .core import (
+    Sample, Staircase, _partition_loss, _partition_staircase, blocks_to_staircase, normalize,
+)
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
 # Each command imports the solver module it runs, so a command loads no other
 # solver (`monocal.cli` itself loads core, errors and losses only).
 
 MODEL_VERSION = 1
+# Records read from a CSV at a time; a larger chunk saves little time and
+# holds more rows in memory.
+_CHUNK_ROWS = 1024
 MAX_N_ENV = "MONOCAL_MAX_N"
 
 EXIT_OK = 0
@@ -32,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_OUT_OF_ORDER = 3
 
 _FAMILIES = {"square": losses.WEIGHTED_SQUARE, "logloss": losses.LOG_LOSS}
+_LABELS = frozenset((0.0, 1.0))
 
 
 class _CliError(Exception):
@@ -40,16 +48,22 @@ class _CliError(Exception):
         self.code = code
 
 
-def _csv_rows(
-    path: str, columns: dict[str, float | None], convert: Callable[..., Any]
-) -> Iterator[tuple[int, Any]]:
-    """Check the CSV header now; iterate ``(line number, convert(*numbers))`` later.
+def _read_csv(
+    path: str, columns: dict[str, float | None], build: Callable[..., list]
+) -> Iterator[tuple[list[int], list]]:
+    """Check the CSV header now; later yield ``(line numbers, build(*columns))`` per chunk.
 
-    ``columns`` maps each column, in ``numbers`` order, to the number an empty
-    or missing field reads as, or to None if it is required. Blank lines are
-    skipped, ``convert`` errors get a ``row N:`` prefix, and a positive
-    ``MONOCAL_MAX_N`` caps the rows. Undecodable text and csv-module errors
-    (such as an oversized field) are usage errors.
+    ``columns`` maps each column, in ``build``'s argument order, to the number
+    an empty or missing field reads as, or to None if it is required. A chunk
+    is at most ``_CHUNK_ROWS`` records; ``build`` gets one list of numbers per
+    column and returns one item per row. Blank lines are skipped, a leading
+    byte-order mark is ignored and a positive ``MONOCAL_MAX_N`` caps the rows.
+    When anything in a chunk fails (a field that is not a number or needs its
+    default, a ``build`` error, the cap, a CSV error), the chunk is read again
+    row by row: the rows before the failure are yielded, and then its error is
+    raised, a bad row's with a ``row N:`` prefix (N is the line the record
+    ends on). Undecodable text and csv-module errors (such as an oversized
+    field) are usage errors.
     """
     raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
@@ -57,58 +71,101 @@ def _csv_rows(
     except ValueError:
         raise _CliError(f"{MAX_N_ENV} must be an integer, got {raw_cap!r}")
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
     reader = csv.reader(handle)
 
-    def records() -> Iterator[list[str]]:
-        try:
-            yield from reader
-        except (UnicodeDecodeError, csv.Error) as exc:
-            handle.close()
-            raise _CliError(f"{path}: cannot parse CSV (read {reader.line_num} lines): {exc}")
+    def parse_error(exc: Exception) -> _CliError:
+        return _CliError(f"{path}: cannot parse CSV (read {reader.line_num} lines): {exc}")
 
-    lines = records()
-    header = next(lines, [])
+    try:
+        header = next(reader, [])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        handle.close()
+        raise parse_error(exc)
     for name, default in columns.items():
         if default is None and name not in header:
             handle.close()
             raise _CliError(f"{path}: header with a {name!r} column is required")
-    # The last of repeated column names wins; a column the header lacks gets
-    # an index past the end of every row.
+    # The last of repeated column names wins; None marks a column the header lacks.
     index = {name: i for i, name in enumerate(header)}
-    picks = [(name, index.get(name, sys.maxsize), default) for name, default in columns.items()]
+    picks = [(name, index.get(name), default) for name, default in columns.items()]
 
-    def rows() -> Iterator[tuple[int, Any]]:
-        with handle:
-            for count, fields in enumerate(filter(None, lines), 1):
-                if 0 < cap < count:
-                    raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
-                row = reader.line_num
-                numbers = []
-                for name, i, default in picks:
-                    text = fields[i] if i < len(fields) else ""
-                    try:
-                        numbers.append(float(text) if text or default is None else default)
-                    except ValueError:
-                        raise _CliError(f"row {row}: column {name!r} is not a number: {text!r}")
+    def by_row(records: list[list[str]], rows: list[int], seen: int):
+        """Yield a chunk's rows one at a time; raise the first bad row's error."""
+        for number, fields, row in zip(count(seen + 1), records, rows):
+            if 0 < cap < number:
+                raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
+            numbers = []
+            for name, i, default in picks:
+                text = fields[i] if i is not None and i < len(fields) else ""
                 try:
-                    value = convert(*numbers)
-                except CalibrationError as exc:
-                    raise _CliError(f"row {row}: {exc}")
-                yield row, value
+                    numbers.append(float(text) if text or default is None else default)
+                except ValueError:
+                    raise _CliError(f"row {row}: column {name!r} is not a number: {text!r}")
+            try:
+                item = build(*([x] for x in numbers))
+            except CalibrationError as exc:
+                raise _CliError(f"row {row}: {exc}")
+            yield [row], item
 
-    return rows()
+    def chunks() -> Iterator[tuple[list[int], list]]:
+        seen = 0
+        with handle:
+            while True:
+                start = reader.line_num
+                records: list[list[str]] = []
+                rows: list[int] = []
+                error = None
+                try:
+                    for fields in islice(reader, _CHUNK_ROWS):
+                        if fields:
+                            records.append(fields)
+                            rows.append(reader.line_num)
+                except (UnicodeDecodeError, csv.Error) as exc:
+                    # The records read before the error still count.
+                    error = parse_error(exc)
+                items = None
+                if records and not 0 < cap < seen + len(records):
+                    try:
+                        items = build(*(
+                            [default] * len(records) if i is None
+                            else list(map(float, map(itemgetter(i), records)))
+                            for _, i, default in picks
+                        ))
+                    except (IndexError, ValueError, CalibrationError):
+                        pass  # read again row by row, for the defaults or the error
+                if items is not None:
+                    yield rows, items
+                elif records:
+                    yield from by_row(records, rows, seen)
+                seen += len(records)
+                if error is not None:
+                    raise error
+                if reader.line_num == start:
+                    return
+
+    return chunks()
 
 
-def _training_rows(path: str, loss_tag: str) -> Iterator[tuple[int, Sample]]:
-    columns = {"score": None, "target": None, "weight": 1.0}
-    if loss_tag == "logloss":
-        return _csv_rows(
-            path, columns, lambda *numbers: losses.check_label(Sample(*numbers))
-        )
-    return _csv_rows(path, columns, Sample)
+def _samples(scores: list[float], targets: list[float], weights: list[float]) -> list[Sample]:
+    return list(map(Sample, scores, targets, weights))
+
+
+def _labelled_samples(
+    scores: list[float], targets: list[float], weights: list[float]
+) -> list[Sample]:
+    samples = _samples(scores, targets, weights)
+    if not _LABELS.issuperset(targets):
+        for sample in samples:
+            losses.check_label(sample)
+    return samples
+
+
+def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[list[int], list[Sample]]]:
+    build = _labelled_samples if loss_tag == "logloss" else _samples
+    return _read_csv(path, {"score": None, "target": None, "weight": 1.0}, build)
 
 
 def model_to_dict(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> dict:
@@ -186,7 +243,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.out:
         _check_writable(args.out)
     family = _FAMILIES[args.loss]
-    problem = normalize((s for _, s in _training_rows(args.input, args.loss)), family)
+    chunks = _training_csv(args.input, args.loss)
+    problem = normalize(chain.from_iterable(samples for _, samples in chunks), family)
     n = len(problem.samples)
 
     if args.solver == "anytime":
@@ -206,12 +264,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         result = anytime_run(problem, config)
         staircase, total_loss = result.staircase, result.total_loss
         extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
-    else:
-        from .pav_offline import fit_direct, fit_stack
+    elif args.solver == "direct":
+        from .pav_offline import fit_direct
 
-        report = fit_direct(problem) if args.solver == "direct" else fit_stack(problem)
+        report = fit_direct(problem)
         staircase = blocks_to_staircase(report.blocks, [s.score for s in problem.samples])
         total_loss, extra = report.total_loss, {}
+    else:
+        from .pav_offline import _fit_stack
+
+        # The stack's own lists, so no Block is built.
+        firsts, ys, _, _ = _fit_stack(problem)
+        staircase = _partition_staircase([s.score for s in problem.samples], firsts, ys)
+        total_loss, extra = _partition_loss(problem, firsts, ys), {}
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
@@ -240,9 +305,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     staircase, _, _ = load_model(args.model)
-    rows = _csv_rows(args.scores, {"score": None}, lambda x: f"{x!r},{staircase(x)!r}\n")
+
+    def lines(scores: list[float]) -> list[str]:
+        return [f"{x!r},{y!r}\n" for x, y in zip(scores, map(staircase, scores))]
+
+    chunks = _read_csv(args.scores, {"score": None}, lines)
     sys.stdout.write("score,calibrated\n")
-    sys.stdout.writelines(line for _, line in rows)
+    for _, text in chunks:
+        sys.stdout.writelines(text)
     return EXIT_OK
 
 
@@ -251,14 +321,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     state = OnlineState(_FAMILIES[args.loss])
     # Opens the input and checks its header, so a failure there writes nothing.
-    rows = _training_rows(args.input, args.loss)
+    chunks = _training_csv(args.input, args.loss)
     out = sys.stdout
     out.write("n,steps,merges,values\n")
     # The text of each step value, kept in step with the stack. A push changes
     # only the top step (see OnlineState), so a row costs one repr plus the
     # join of its output bytes instead of a rebuilt Staircase.
     reprs: list[str] = []
-    for row, sample in rows:
+    for row, sample in chain.from_iterable(zip(rows, samples) for rows, samples in chunks):
         try:
             state.push(sample)
         except OutOfOrder as exc:

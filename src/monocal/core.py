@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, compress, pairwise, repeat
+from operator import lt, ne, sub
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import CalibrationError, EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
@@ -181,9 +182,43 @@ def _boundary(left_score: float, right_score: float) -> float:
     return mid if mid > left_score else right_score
 
 
+def _partition_staircase(
+    scores: Sequence[float], firsts: Sequence[int], ys: Sequence[float]
+) -> Staircase:
+    """Staircase of a partition given as parallel lists, the stack's own shape.
+
+    Block ``k`` starts at sample ``firsts[k]`` and ends where block ``k + 1``
+    starts (the last block at the last score); ``ys[k]`` is its minimizer.
+    The rules are ``blocks_to_staircase``'s.
+    """
+    if not ys:
+        raise EmptyProblem("no blocks to materialize")
+    nexts = ys[1:]
+    if any(map(lt, nexts, ys)):
+        a, b = next((a, b) for a, b in pairwise(ys) if b < a)
+        raise NotMonotone(
+            f"block minimizers decrease ({a!r} -> {b!r}); solver output is inconsistent"
+        )
+    # != rather than >: a NaN minimizer keeps its own step, so Staircase's
+    # finite rule rejects it.
+    rises = list(map(ne, nexts, ys))
+    cuts = list(compress(firsts[1:], rises))
+    breakpoints = map(_boundary, [scores[i - 1] for i in cuts], [scores[i] for i in cuts])
+    return Staircase(tuple(breakpoints), (ys[0], *compress(nexts, rises)))
+
+
+def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
+    """Total loss of a partition given as in ``_partition_staircase``, offset included."""
+    samples = problem.samples
+    sizes = map(sub, [*firsts[1:], len(samples)], firsts)
+    values = chain.from_iterable(map(repeat, ys, sizes))
+    return math.fsum(chain((problem.loss_offset,), map(problem.family.loss, samples, values)))
+
+
 def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Staircase:
     """Materialize solver blocks as a staircase over the given sample scores.
 
+    ``blocks`` partition the samples in order, as every solver's do.
     Adjacent blocks with equal minimizers are collapsed so the value
     sequence is strictly increasing. Each breakpoint ``bp`` lies between
     the scores ``left < right`` astride the block boundary, with
@@ -192,30 +227,9 @@ def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Sta
     ``left``, a ``-inf`` left score gives ``right``, and ``(-inf, +inf)``
     gives 0.
     """
-    if not blocks:
-        raise EmptyProblem("no blocks to materialize")
-    breakpoints = []
-    values = [blocks[0].minimizer]
-    for a, b in pairwise(blocks):
-        if b.minimizer < a.minimizer:
-            raise NotMonotone(
-                f"block minimizers decrease ({a.minimizer!r} -> {b.minimizer!r}); "
-                "solver output is inconsistent"
-            )
-        # != rather than >: a NaN minimizer keeps its own step, so
-        # Staircase's finite rule rejects it.
-        if b.minimizer != a.minimizer:
-            breakpoints.append(_boundary(scores[a.last], scores[b.first]))
-            values.append(b.minimizer)
-    return Staircase(tuple(breakpoints), tuple(values))
+    return _partition_staircase(scores, [b.first for b in blocks], [b.minimizer for b in blocks])
 
 
 def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:
     """Total loss of a block partition, including the tie-merge offset."""
-    family = problem.family
-    samples = problem.samples
-    terms = [problem.loss_offset]
-    for blk in blocks:
-        value = blk.minimizer
-        terms.extend(family.loss(samples[i], value) for i in range(blk.first, blk.last + 1))
-    return math.fsum(terms)
+    return _partition_loss(problem, [b.first for b in blocks], [b.minimizer for b in blocks])

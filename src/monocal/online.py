@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Block, Sample, Staircase, blocks_to_staircase
+from .core import Block, Sample, Staircase, _partition_staircase
 from .errors import EmptyProblem, OutOfOrder
 from .losses import MERGE_RULES, LossFamily
 from .pav_offline import _pool, _stack_blocks
@@ -104,4 +104,4 @@ class OnlineState:
         """Materialize the optimal staircase for the samples seen so far."""
         if not self._ys:
             raise EmptyProblem("no samples pushed yet")
-        return blocks_to_staircase(self.blocks(), self._scores)
+        return _partition_staircase(self._scores, self._firsts, self._ys)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Iterator
 
-from .core import Block, Problem, blocks_loss
+from .core import Block, Problem, _partition_loss, blocks_loss
 from .losses import MERGE_RULES
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
@@ -129,20 +129,24 @@ def fit_direct(problem: Problem) -> FitReport:
     )
 
 
-def fit_stack(problem: Problem) -> FitReport:
-    """Single left-to-right sweep keeping a stack of merged blocks."""
+def _fit_stack(problem: Problem) -> tuple[list[int], list[float], list[float], int]:
+    """The stack sweep on lists: ``(firsts, ys, auxs, merges)``, no ``Block``."""
     family = problem.family
     family.require(*MERGE_RULES)
     samples = problem.samples
-    n = len(samples)
     firsts: list[int] = []
     ys: list[float] = []
     auxs: list[float] = []
-    groups = zip(range(n), map(family.minimizer_of, samples), map(family.init_aux, samples))
+    groups = zip(range(len(samples)), map(family.minimizer_of, samples), map(family.init_aux, samples))
     merges = _pool(firsts, ys, auxs, groups, family.merge)
-    blocks = _stack_blocks(firsts, ys, auxs, n)
+    return firsts, ys, auxs, merges
+
+
+def fit_stack(problem: Problem) -> FitReport:
+    """Single left-to-right sweep keeping a stack of merged blocks."""
+    firsts, ys, auxs, merges = _fit_stack(problem)
     return FitReport(
-        blocks=blocks,
+        blocks=_stack_blocks(firsts, ys, auxs, len(problem.samples)),
         merge_count=merges,
-        total_loss=blocks_loss(problem, blocks),
+        total_loss=_partition_loss(problem, firsts, ys),
     )
