@@ -149,10 +149,10 @@ def probe_point(upper: float, lower: float) -> float:
 
 def _entries(problem: Problem, config: AnytimeConfig) -> list[list]:
     """Round state: one ``[first, last, upper, lower, probe, neg_deriv]`` per sample."""
-    if not problem.samples:
+    if not problem.scores:
         raise EmptyProblem("cannot calibrate zero samples")
     upper, lower = config.init_upper, config.init_lower
-    return [[i, i, upper, lower, None, None] for i in range(len(problem.samples))]
+    return [[i, i, upper, lower, None, None] for i in range(len(problem.scores))]
 
 
 def anytime_init(problem: Problem, config: AnytimeConfig) -> list[AnytimeGroup]:
@@ -180,7 +180,15 @@ def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], f
                 probe = 0.5 * upper + 0.5 * lower
             else:
                 probe = probe_point(upper, lower)
-            d = neg_derivative_at(e[0], e[1], probe)
+            try:
+                d = neg_derivative_at(e[0], e[1], probe)
+            except (ValueError, OverflowError) as exc:
+                # math.fsum's errors: terms of +inf and -inf, or an exact sum
+                # beyond the float range.
+                raise OracleFailure(
+                    f"derivative oracle failed at z={probe!r} "
+                    f"for samples [{e[0]}, {e[1]}]: {exc}"
+                ) from exc
             if d != d:  # NaN
                 raise OracleFailure(
                     f"derivative oracle returned NaN at z={probe!r} "
@@ -241,13 +249,12 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
             f"no finite bracket after {iters} rounds; "
             "the loss appears to have no finite minimizer"
         )
-    scores = [s.score for s in problem.samples]
     blocks = [
         Block(first, last, 0.5 * upper + 0.5 * lower, upper - lower)
         for first, last, upper, lower, _, _ in entries
     ]
     return AnytimeResult(
-        staircase=blocks_to_staircase(blocks, scores),
+        staircase=blocks_to_staircase(blocks, problem.scores),
         width_bound=width_bound,
         iters=iters,
         groups=tuple(AnytimeGroup(*e) for e in entries),

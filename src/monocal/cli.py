@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from . import losses
 from .core import (
-    Sample, Staircase, _partition_loss, _partition_staircase, blocks_to_staircase, normalize,
+    Sample, Staircase, _normalize, _partition_loss, _partition_staircase, blocks_to_staircase,
 )
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
@@ -49,14 +49,14 @@ class _CliError(Exception):
 
 
 def _read_csv(
-    path: str, columns: dict[str, float | None], build: Callable[..., list]
-) -> Iterator[tuple[list[int], list]]:
+    path: str, columns: dict[str, float | None], build: Callable[..., Any]
+) -> Iterator[tuple[list[int], Any]]:
     """Check the CSV header now; later yield ``(line numbers, build(*columns))`` per chunk.
 
     ``columns`` maps each column, in ``build``'s argument order, to the number
     an empty or missing field reads as, or to None if it is required. A chunk
     is at most ``_CHUNK_ROWS`` records; ``build`` gets one list of numbers per
-    column and returns one item per row. Blank lines are skipped, a leading
+    column and returns the chunk's value. Blank lines are skipped, a leading
     byte-order mark is ignored and a positive ``MONOCAL_MAX_N`` caps the rows.
     When anything in a chunk fails (a field that is not a number or needs its
     default, a ``build`` error, the cap, a CSV error), the chunk is read again
@@ -110,7 +110,7 @@ def _read_csv(
                 raise _CliError(f"row {row}: {exc}")
             yield [row], item
 
-    def chunks() -> Iterator[tuple[list[int], list]]:
+    def chunks() -> Iterator[tuple[list[int], Any]]:
         seen = 0
         with handle:
             while True:
@@ -153,19 +153,42 @@ def _samples(scores: list[float], targets: list[float], weights: list[float]) ->
     return list(map(Sample, scores, targets, weights))
 
 
-def _labelled_samples(
+def _columns(
     scores: list[float], targets: list[float], weights: list[float]
-) -> list[Sample]:
-    samples = _samples(scores, targets, weights)
-    if not _LABELS.issuperset(targets):
-        for sample in samples:
-            losses.check_label(sample)
-    return samples
+) -> tuple[list[float], list[float], list[float]]:
+    # Sample's rule on whole columns; only a failing chunk builds samples, to
+    # raise its first bad row's error.
+    if (any(map(math.isnan, scores)) or not all(map(math.isfinite, targets))
+            or not all(map(math.isfinite, weights)) or not min(weights) > 0.0):
+        _samples(scores, targets, weights)
+    return scores, targets, weights
 
 
-def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[list[int], list[Sample]]]:
-    build = _labelled_samples if loss_tag == "logloss" else _samples
-    return _read_csv(path, {"score": None, "target": None, "weight": 1.0}, build)
+def _training_csv(
+    path: str, loss_tag: str, build: Callable[..., Any]
+) -> Iterator[tuple[list[int], Any]]:
+    """``_read_csv`` of training rows; ``build`` must raise what ``Sample`` raises.
+
+    For log loss, every target must then be a 0/1 label.
+    """
+
+    def checked(scores: list[float], targets: list[float], weights: list[float]) -> Any:
+        rows = build(scores, targets, weights)
+        if loss_tag == "logloss" and not _LABELS.issuperset(targets):
+            for sample in map(Sample, scores, targets, weights):
+                losses.check_label(sample)
+        return rows
+
+    return _read_csv(path, {"score": None, "target": None, "weight": 1.0}, checked)
+
+
+def _training_columns(path: str, loss_tag: str) -> list[list[float]]:
+    """The ``[scores, targets, weights]`` columns of a training CSV's valid rows."""
+    columns: list[list[float]] = [[], [], []]
+    for _, chunk in _training_csv(path, loss_tag, _columns):
+        for column, values in zip(columns, chunk):
+            column += values
+    return columns
 
 
 def model_to_dict(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> dict:
@@ -243,16 +266,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.out:
         _check_writable(args.out)
     family = _FAMILIES[args.loss]
-    chunks = _training_csv(args.input, args.loss)
-    problem = normalize(chain.from_iterable(samples for _, samples in chunks), family)
-    n = len(problem.samples)
+    # Rows go from the reader to the problem as columns, no Sample each. Only
+    # _normalize holds the columns, so its sort can free each one it replaces.
+    problem = _normalize(_training_columns(args.input, args.loss), family)
+    n = len(problem.scores)
 
     if args.solver == "anytime":
         # Every block minimizer of both CLI losses is a weighted mean of
         # targets, so the target range brackets it. Nothing narrower does:
         # each single-sample group starts at its own target.
-        targets = [s.target for s in problem.samples]
-        lower, upper = min(targets), max(targets)
+        lower, upper = min(problem.targets), max(problem.targets)
         if lower == upper:
             # One target value. Widen by one float toward zero: upward could
             # leave [0, 1] for log loss or overflow at the largest float.
@@ -268,14 +291,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         from .pav_offline import fit_direct
 
         report = fit_direct(problem)
-        staircase = blocks_to_staircase(report.blocks, [s.score for s in problem.samples])
+        staircase = blocks_to_staircase(report.blocks, problem.scores)
         total_loss, extra = report.total_loss, {}
     else:
         from .pav_offline import _fit_stack
 
         # The stack's own lists, so no Block is built.
         firsts, ys, _, _ = _fit_stack(problem)
-        staircase = _partition_staircase([s.score for s in problem.samples], firsts, ys)
+        staircase = _partition_staircase(problem.scores, firsts, ys)
         total_loss, extra = _partition_loss(problem, firsts, ys), {}
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
@@ -321,7 +344,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     state = OnlineState(_FAMILIES[args.loss])
     # Opens the input and checks its header, so a failure there writes nothing.
-    chunks = _training_csv(args.input, args.loss)
+    chunks = _training_csv(args.input, args.loss, _samples)
     out = sys.stdout
     out.write("n,steps,merges,values\n")
     # The text of each step value, kept in step with the stack. A push changes

@@ -1,9 +1,10 @@
 """Shared domain types: samples, blocks, the staircase transform, input normalization.
 
-A calibration problem is a score-sorted sequence of samples plus a loss
-family. Solvers partition the samples into contiguous blocks with one fitted
-value each; the resulting transform is a right-continuous nondecreasing step
-function (`Staircase`) with strictly increasing step values.
+A calibration problem is three score-sorted columns (scores, targets,
+weights) with no repeated score, plus a loss family. Solvers partition the
+rows into contiguous blocks with one fitted value each; the resulting
+transform is a right-continuous nondecreasing step function (`Staircase`)
+with strictly increasing step values.
 
 `Sample` is the one validation point for input values: construction rejects
 bad values, so every sample that exists is valid and no code checks again.
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import chain, compress, pairwise, repeat
-from operator import lt, ne, sub
+from dataclasses import dataclass, field
+from itertools import chain, compress, islice, pairwise, repeat
+from operator import itemgetter, le, lt, ne, sub
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import CalibrationError, EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
@@ -64,18 +65,62 @@ class Sample:
             raise InvalidWeight(f"sample weight must be positive and finite, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
-class Problem:
-    """Samples sorted ascending by score, equal scores pre-merged.
+def _columns_of(samples: Sequence[Sample]) -> list[list[float]]:
+    return [[s.score for s in samples], [s.target for s in samples], [s.weight for s in samples]]
 
-    ``loss_offset`` is the constant dropped when equal-score samples were
-    merged into composites; adding it back makes any loss computed on the
-    normalized samples equal the loss on the raw input.
+
+class _Samples(Sequence):
+    """Samples kept with their columns; with no ``items`` they are built on first use, once.
+
+    ``Problem`` unwraps given ``items`` into a tuple and keeps a column-built
+    view as it is (threads racing on its first use may each build equal samples).
     """
 
-    samples: tuple[Sample, ...]
+    __slots__ = ("columns", "items")
+
+    def __init__(self, columns: Iterable[Iterable[float]], items: Sequence[Sample] | None = None):
+        self.columns = tuple(map(tuple, columns))
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if self.items is None:
+            self.items = tuple(map(Sample, *self.columns))
+        return self.items[index]
+
+    def __iter__(self):
+        return iter(self[:])
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Score-sorted ``scores``, ``targets`` and ``weights`` columns, no score repeated.
+
+    ``samples`` is the same rows as ``Sample`` objects: the given ones, as a
+    tuple, or, for a problem built from columns, a read-only sequence that
+    builds them when first read. The built-in families' solvers read the
+    columns. ``loss_offset`` is the constant dropped when equal-score samples
+    were merged into composites; adding it back makes any loss computed on
+    the normalized samples equal the loss on the raw input.
+    """
+
+    samples: Sequence[Sample]
     family: LossFamily
     loss_offset: float = 0.0
+    scores: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    targets: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        view = self.samples
+        if not isinstance(view, _Samples):
+            view = _Samples(_columns_of(items := tuple(view)), items)
+        # Given samples are kept as a plain tuple; column-built ones stay lazy.
+        object.__setattr__(self, "samples", view if view.items is None else tuple(view.items))
+        for name, column in zip(("scores", "targets", "weights"), view.columns):
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,29 +192,66 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     constant this drops from the objective is kept in ``Problem.loss_offset``.
     A family without ``combine_ties`` raises ``InvalidConfig`` at the first
     repeated score; a tie merge that fails re-raises its error class with a
-    ``ties at score X:`` prefix. Idempotent: normalizing a normalized problem's samples
-    changes nothing.
+    ``ties at score X:`` prefix. The sort is stable, and a sample without a
+    tie is kept as the same object. Idempotent: normalizing a normalized
+    problem's samples changes nothing.
     """
-    samples = sorted(raw_samples, key=lambda s: s.score)
-    if not samples:
+    samples = tuple(raw_samples)
+    return _normalize(_columns_of(samples), family, samples)
+
+
+def _normalize(
+    columns: Sequence[Sequence[float]], family: LossFamily, samples: Sequence[Sample] | None = None
+) -> Problem:
+    """``normalize`` on the ``[scores, targets, weights]`` columns of valid samples.
+
+    ``samples``, when given, are the same rows: they are reordered with the
+    columns and kept, and the tie rule reads them; otherwise it builds the
+    tied rows alone. Each run of equal scores folds into its first row, in order.
+    """
+    scores = columns[0]
+    n = len(scores)
+    if not n:
         raise EmptyProblem("cannot calibrate zero samples")
-    combine = None
-    merged: list[Sample] = [samples[0]]
+    if not all(map(le, scores, islice(scores, 1, None))):
+        # Stable, as sorting the samples by score is; n > 1, so take returns tuples.
+        take = itemgetter(*sorted(range(n), key=scores.__getitem__))
+        columns = list(columns)
+        for i in range(len(columns)):
+            columns[i] = take(columns[i])  # the input column can go before the next
+        scores = columns[0]
+        if samples is not None:
+            samples = take(samples)
     offset = 0.0
-    for s in samples[1:]:
-        if s.score == merged[-1].score:
-            if combine is None:
-                family.require("combine_ties")
-                combine = family.combine_ties
-            try:
-                merged[-1], dropped = combine(merged[-1], s)
-            except CalibrationError as exc:
-                # The tie has no row of its own to report; name its score.
-                raise type(exc)(f"ties at score {s.score!r}: {exc}") from exc
-            offset += dropped
-        else:
-            merged.append(s)
-    return Problem(tuple(merged), family, offset)
+    if not all(map(lt, scores, islice(scores, 1, None))):
+        family.require("combine_ties")
+        starts = [0, *compress(range(1, n), map(ne, islice(scores, 1, None), scores))]
+        scores, targets, weights = columns = list(map(list, columns))
+        if samples is not None:
+            samples = list(samples)
+        for start, end in pairwise([*starts, n]):
+            if end - start == 1:
+                continue
+            if samples is None:
+                run = list(map(Sample, scores[start:end], targets[start:end], weights[start:end]))
+            else:
+                run = samples[start:end]
+            merged = run[0]
+            for member in run[1:]:
+                try:
+                    merged, dropped = family.combine_ties(merged, member)
+                except CalibrationError as exc:
+                    # The tie has no row of its own to report; name its score.
+                    raise type(exc)(f"ties at score {member.score!r}: {exc}") from exc
+                offset += dropped
+            scores[start], targets[start], weights[start] = (
+                merged.score, merged.target, merged.weight)
+            if samples is not None:
+                samples[start] = merged
+        columns = [list(map(column.__getitem__, starts)) for column in columns]
+        if samples is not None:
+            samples = list(map(samples.__getitem__, starts))
+    return Problem(_Samples(columns, samples), family, offset)
 
 
 def _boundary(left_score: float, right_score: float) -> float:
@@ -209,10 +291,17 @@ def _partition_staircase(
 
 def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
     """Total loss of a partition given as in ``_partition_staircase``, offset included."""
-    samples = problem.samples
-    sizes = map(sub, [*firsts[1:], len(samples)], firsts)
+    from .losses import _column_loss  # loaded with every family
+
+    sizes = map(sub, [*firsts[1:], len(problem.scores)], firsts)
     values = chain.from_iterable(map(repeat, ys, sizes))
-    return math.fsum(chain((problem.loss_offset,), map(problem.family.loss, samples, values)))
+    loss = problem.family.loss
+    term = _column_loss(loss)
+    if term is None:
+        terms = map(loss, problem.samples, values)
+    else:
+        terms = map(term, values, problem.targets, problem.weights)
+    return math.fsum(chain((problem.loss_offset,), terms))
 
 
 def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Staircase:

@@ -38,7 +38,7 @@ class NoWidth(CalibrationError):
 
 
 class OracleFailure(CalibrationError):
-    """A derivative oracle returned NaN."""
+    """A derivative oracle returned NaN or could not sum its terms."""
 
 
 class Unbounded(CalibrationError):

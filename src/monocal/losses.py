@@ -78,9 +78,16 @@ def _tie_mean(a: Sample, b: Sample) -> Sample:
     return Sample(a.score, y, lam)
 
 
+# Each built-in loss formula is one function of (z, target, weight), which
+# the columnar loss (``core._partition_loss``) maps over a problem's columns;
+# the family's ``loss`` applies it to one Sample.
+def _square_term(z: float, t: float, w: float) -> float:
+    d = z - t
+    return w * d * d
+
+
 def _square_loss(sample: Sample, z: float) -> float:
-    d = z - sample.target
-    return sample.weight * d * d
+    return _square_term(z, sample.target, sample.weight)
 
 
 def _square_neg_derivative(sample: Sample, z: float) -> float:
@@ -99,15 +106,23 @@ def _square_combine_ties(a: Sample, b: Sample) -> tuple[Sample, float]:
 _REPORT_CLAMP = 1e-12
 
 
-def _log_loss(sample: Sample, z: float) -> float:
+def _log_term(z: float, t: float, w: float) -> float:
     z = min(max(z, _REPORT_CLAMP), 1.0 - _REPORT_CLAMP)
-    t, w = sample.target, sample.weight
     out = 0.0
     if t != 0.0:
         out -= w * t * math.log(z)
     if t != 1.0:
         out -= w * (1.0 - t) * math.log1p(-z)
     return out
+
+
+def _log_loss(sample: Sample, z: float) -> float:
+    return _log_term(z, sample.target, sample.weight)
+
+
+def _column_loss(loss: Callable) -> Callable[[float, float, float], float] | None:
+    """The (z, target, weight) formula behind a built-in ``loss``, else None."""
+    return _square_term if loss is _square_loss else _log_term if loss is _log_loss else None
 
 
 def _log_neg_derivative(sample: Sample, z: float) -> float:
@@ -136,6 +151,8 @@ def check_label(sample: Sample) -> Sample:
 
 # Both built-ins start each group at its target with its weight and join
 # groups by weighted mean, so they share the merge data and the tie mean.
+# The merge solvers recognise these two parts and read the target and weight
+# columns instead of calling them per sample.
 _target = attrgetter("target")
 _weight = attrgetter("weight")
 
@@ -173,7 +190,7 @@ class DerivativeOracle:
 
     def __init__(self, samples: Sequence[Sample], family: LossFamily) -> None:
         family.require("neg_derivative")
-        self._samples = samples
+        self._samples = tuple(samples)
         self._neg_derivative = family.neg_derivative
 
     def neg_derivative_at(self, first: int, last: int, z: float) -> float:

@@ -27,7 +27,7 @@ from itertools import pairwise
 from typing import Iterable, Iterator
 
 from .core import Block, Problem, _partition_loss, blocks_loss
-from .losses import MERGE_RULES
+from .losses import MERGE_RULES, _target, _weight
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 
@@ -81,13 +81,20 @@ def _stack_blocks(
     return tuple(map(Block, firsts, lasts, ys, auxs))
 
 
-def _single_sample_groups(problem: Problem) -> list[Block]:
+def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
+    """``(index, minimizer, aux)`` per sample; the built-ins' are the target and weight columns."""
     family = problem.family
     family.require(*MERGE_RULES)
-    return [
-        Block(i, i, family.minimizer_of(s), family.init_aux(s))
-        for i, s in enumerate(problem.samples)
-    ]
+    if family.minimizer_of is _target and family.init_aux is _weight:
+        ys, auxs = problem.targets, problem.weights
+    else:
+        samples = problem.samples
+        ys, auxs = map(family.minimizer_of, samples), map(family.init_aux, samples)
+    return zip(range(len(problem.scores)), ys, auxs)
+
+
+def _single_sample_groups(problem: Problem) -> list[Block]:
+    return [Block(i, i, y, aux) for i, y, aux in _sample_groups(problem)]
 
 
 def _join_pass(groups: list[Block], merge) -> list[Block]:
@@ -123,7 +130,7 @@ def fit_direct(problem: Problem) -> FitReport:
         pass  # keep the last pass's groups and its number
     return FitReport(
         blocks=tuple(blocks),
-        merge_count=len(problem.samples) - len(blocks),
+        merge_count=len(problem.scores) - len(blocks),
         total_loss=blocks_loss(problem, blocks),
         passes=passes,
     )
@@ -131,14 +138,11 @@ def fit_direct(problem: Problem) -> FitReport:
 
 def _fit_stack(problem: Problem) -> tuple[list[int], list[float], list[float], int]:
     """The stack sweep on lists: ``(firsts, ys, auxs, merges)``, no ``Block``."""
-    family = problem.family
-    family.require(*MERGE_RULES)
-    samples = problem.samples
+    groups = _sample_groups(problem)
     firsts: list[int] = []
     ys: list[float] = []
     auxs: list[float] = []
-    groups = zip(range(len(samples)), map(family.minimizer_of, samples), map(family.init_aux, samples))
-    merges = _pool(firsts, ys, auxs, groups, family.merge)
+    merges = _pool(firsts, ys, auxs, groups, problem.family.merge)
     return firsts, ys, auxs, merges
 
 
@@ -146,7 +150,7 @@ def fit_stack(problem: Problem) -> FitReport:
     """Single left-to-right sweep keeping a stack of merged blocks."""
     firsts, ys, auxs, merges = _fit_stack(problem)
     return FitReport(
-        blocks=_stack_blocks(firsts, ys, auxs, len(problem.samples)),
+        blocks=_stack_blocks(firsts, ys, auxs, len(problem.scores)),
         merge_count=merges,
         total_loss=_partition_loss(problem, firsts, ys),
     )

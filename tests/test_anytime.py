@@ -166,6 +166,23 @@ class TestIterate:
         with pytest.raises(OracleFailure):
             iterate([AnytimeGroup(0, 0, 1.0, 0.0)], oracle)
 
+    def test_derivatives_that_overflow_raise(self):
+        # At probe 0 the two derivatives are +inf and -inf, which fsum cannot add.
+        problem = normalize([Sample(1.0, 1e308), Sample(2.0, -1e308)], WEIGHTED_SQUARE)
+        config = AnytimeConfig(init_upper=1e308, init_lower=-1e308)
+        message = r"^derivative oracle failed at z=0\.0 for samples \[0, 1\]: -inf \+ inf in fsum$"
+        with pytest.raises(OracleFailure, match=message):
+            anytime_run(problem, config)
+        # The stack solver fits the same rows.
+        assert [b.minimizer for b in fit_stack(problem).blocks] == [0.0]
+
+    def test_exact_sum_past_float_range_raises(self):
+        family = LossFamily(name="huge", loss=lambda s, z: 0.0,
+                            neg_derivative=lambda s, z: 1e308)
+        oracle = DerivativeOracle((Sample(0.0, 0.0), Sample(1.0, 0.0)), family)
+        with pytest.raises(OracleFailure, match=r"for samples \[0, 1\]: intermediate overflow"):
+            iterate([AnytimeGroup(0, 1, 1.0, 0.0)], oracle)
+
 
 def _run_rounds(problem, config, rounds):
     oracle = DerivativeOracle(problem.samples, problem.family)

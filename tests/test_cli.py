@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,11 +16,14 @@ from hypothesis import strategies as st
 
 from monocal import (
     AnytimeConfig,
+    LOG_LOSS,
     OnlineState,
+    Problem,
     Sample,
     WEIGHTED_SQUARE,
     anytime_run,
     blocks_to_staircase,
+    fit_direct,
     fit_stack,
     normalize,
 )
@@ -181,7 +185,7 @@ class TestFit:
         def refuse(*args):
             raise AssertionError("fit read its input before checking --out")
 
-        monkeypatch.setattr(cli, "normalize", refuse)
+        monkeypatch.setattr(cli, "_normalize", refuse)
         out = tmp_path / "missing-dir" / "m.json"
         argv = ("fit", golden_csv, "--solver", "anytime", "--out", str(out))
         code, stdout, stderr = run(capsys, *argv)
@@ -932,6 +936,170 @@ class TestChunkedReader:
         # The library fit still builds its blocks, and the counter sees them.
         blocks = fit_stack(normalize(golden_samples(), WEIGHTED_SQUARE)).blocks
         assert built == list(blocks)
+
+
+class TestColumnFit:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``Sample`` built while the test runs."""
+        built = []
+        post_init = core.Sample.__post_init__
+
+        def counting(sample):
+            built.append(sample)
+            post_init(sample)
+
+        monkeypatch.setattr(core.Sample, "__post_init__", counting)
+        return built
+
+    @pytest.mark.parametrize("solver", ["stack", "direct", "anytime"])
+    @pytest.mark.parametrize("loss", ["square", "logloss"])
+    def test_fit_builds_no_sample_per_row(self, tmp_path, built, loss, solver):
+        rng = random.Random(f"{loss}-{solver}")
+        rows = [(i + rng.random(), rng.choice([0.0, 1.0]) if loss == "logloss"
+                 else rng.uniform(-5, 5), rng.uniform(0.1, 3)) for i in range(2500)]
+        rng.shuffle(rows)
+        path = write_training_csv(tmp_path / "rows.csv", rows, header="score,target,weight")
+        code, _, err = run_quietly(["fit", path, "--loss", loss, "--solver", solver, "--quiet"])
+        assert (code, err) == (0, "")
+        # The anytime oracle reads samples, built once for it; the merge
+        # solvers read the target and weight columns.
+        assert len(built) == (len(rows) if solver == "anytime" else 0)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,0,1", "sample score is NaN"),
+            ("2,-inf,1", "sample target must be finite, got -inf"),
+            ("2,0,0", "sample weight must be positive and finite, got 0.0"),
+            ("2,0,-0.0", "sample weight must be positive and finite, got -0.0"),
+            ("2,0,-1", "sample weight must be positive and finite, got -1.0"),
+            ("2,0,nan", "sample weight must be positive and finite, got nan"),
+            ("2,0,inf", "sample weight must be positive and finite, got inf"),
+        ],
+    )
+    def test_a_bad_row_in_a_chunk_raises_its_sample_error(self, tmp_path, row, message):
+        rows = [f"{i}.5,{i % 7},{1 + i % 3}" for i in range(60)]
+        rows[40] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("score,target,weight\n" + "\n".join(rows) + "\n")
+        assert run_quietly(["fit", str(path), "--quiet"]) == (2, "", f"monocal: row 42: {message}\n")
+
+    def test_tied_rows_alone_are_built(self, tmp_path, built):
+        rows = [(1, 10), (2, 30), (2, 20), (3, 5), (4, 7), (4, 8), (4, 9)]
+        path = write_training_csv(tmp_path / "ties.csv", rows)
+        assert run_quietly(["fit", path, "--quiet"])[0] == 0
+        # Five tied rows, and one composite per merge of a tied row.
+        assert len(built) == 5 + 3
+
+    def test_normalize_keeps_the_given_samples(self, built):
+        samples = [Sample(3.0, 1.0), Sample(1.0, 2.0), Sample(-0.0, 0.5), Sample(2.0, 4.0)]
+        problem = normalize(samples, WEIGHTED_SQUARE)
+        order = sorted(samples, key=lambda s: s.score)
+        assert all(got is want for got, want in zip(problem.samples, order))
+        assert len(problem.samples) == len(order)
+        assert problem.scores == (-0.0, 1.0, 2.0, 3.0)
+        assert built == samples  # the four built above, none since
+
+
+def per_sample(family):
+    """``family`` with its parts wrapped, so every solver calls them per ``Sample``."""
+    return dataclasses.replace(
+        family,
+        loss=lambda s, z: family.loss(s, z),
+        minimizer_of=lambda s: family.minimizer_of(s),
+        init_aux=lambda s: family.init_aux(s),
+    )
+
+
+def reference_normalize(samples, family):
+    """The per-``Sample`` loop ``normalize`` was before it ran on columns."""
+    samples = sorted(samples, key=lambda s: s.score)
+    merged, offset = [samples[0]], 0.0
+    for s in samples[1:]:
+        if s.score == merged[-1].score:
+            merged[-1], dropped = family.combine_ties(merged[-1], s)
+            offset += dropped
+        else:
+            merged.append(s)
+    return Problem(tuple(merged), family, offset)
+
+
+def library_fit(problem, solver):
+    """``(breakpoints, values, total_loss)`` as reprs: the library fit ``monocal fit`` runs."""
+    if solver == "anytime":
+        targets = [s.target for s in problem.samples]
+        lower, upper = min(targets), max(targets)
+        if lower == upper:
+            near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
+            lower, upper = sorted((lower, near))
+        result = anytime_run(problem, AnytimeConfig(init_upper=upper, init_lower=lower))
+        staircase, total_loss = result.staircase, result.total_loss
+    else:
+        report = (fit_stack if solver == "stack" else fit_direct)(problem)
+        staircase = blocks_to_staircase(report.blocks, [s.score for s in problem.samples])
+        total_loss = report.total_loss
+    return [*map(repr, staircase.breakpoints)], [*map(repr, staircase.values)], repr(total_loss)
+
+
+@st.composite
+def column_fit_cases(draw):
+    """Rows that stress the tie fold and the sums: ``(loss, rows)``."""
+    loss = draw(st.sampled_from(["square", "logloss"]))
+    shape = draw(st.sampled_from(["coarse", "adjacent", "spread"]))
+    if shape == "coarse":
+        # Few distinct scores, so most rows tie; 0.0 and -0.0 tie too.
+        scores = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.5, 1e300])
+    elif shape == "adjacent":
+        chain = [draw(st.sampled_from([0.0, 1.0, -1e-300, 1e15, -2.5]))]
+        for _ in range(5):
+            chain.append(math.nextafter(chain[-1], math.inf))
+        scores = st.sampled_from(chain)
+    else:
+        scores = st.floats(-1e6, 1e6)
+    if loss == "logloss":
+        targets = st.sampled_from([0.0, 1.0, -0.0])
+    else:
+        # Sums of these round differently in different orders.
+        targets = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, -0.1, 2 / 3]) | st.floats(-100, 100)
+    weights = st.sampled_from([1.0, 1.0, 0.1, 3.0, 1 / 3, 1e-3])
+    rows = draw(st.lists(st.tuples(scores, targets, weights), min_size=1, max_size=40))
+    return loss, rows
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(column_fit_cases())
+def test_column_fit_matches_the_sample_fit(case):
+    loss, rows = case
+    family = {"square": WEIGHTED_SQUARE, "logloss": LOG_LOSS}[loss]
+    samples = [Sample(*row) for row in rows]
+    problem = normalize(samples, family)
+    slow = reference_normalize(samples, per_sample(family))
+    assert problem.samples == slow.samples
+    assert repr(problem.loss_offset) == repr(slow.loss_offset)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rows.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("score,target,weight\n")
+            handle.writelines(f"{s!r},{t!r},{w!r}\n" for s, t, w in rows)
+        for solver in ("stack", "direct", "anytime"):
+            code, out, err = run_quietly(["fit", path, "--loss", loss, "--solver", solver, "--quiet"])
+            assert (code, err) == (0, ""), solver
+            doc = json.loads(out)
+            got = ([*map(repr, doc["breakpoints"])], [*map(repr, doc["values"])],
+                   repr(doc["metadata"]["total_loss"]))
+            assert got == library_fit(problem, solver) == library_fit(slow, solver), solver
+
+
+def test_anytime_oracle_failure_exits_2(tmp_path):
+    # Both derivatives overflow at probe 0; the stack solver fits these rows.
+    path = write_training_csv(tmp_path / "big.csv", [(1, 1e308), (2, -1e308)])
+    code, out, err = run_quietly(["fit", path, "--solver", "anytime", "--quiet"])
+    assert (code, out) == (2, "")
+    assert err == ("monocal: derivative oracle failed at z=0.0 for samples [0, 1]: "
+                   "-inf + inf in fsum\n")
+    code, out, _ = run_quietly(["fit", path, "--quiet"])
+    assert code == 0 and json.loads(out)["values"] == [0.0]
 
 
 # Row defects that leave a row readable, and ones that make it an error.

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from monocal import (
     Block,
+    LOG_LOSS,
+    Problem,
     Sample,
     Staircase,
     WEIGHTED_SQUARE,
@@ -23,6 +25,7 @@ from monocal.errors import (
     InvalidWeight,
     NotMonotone,
 )
+from monocal.core import _normalize
 from monocal.oracle import brute_force_fit
 
 
@@ -64,6 +67,22 @@ class TestNormalize:
         message = "^ties at score 1.0: sample target must be finite, got inf$"
         with pytest.raises(InvalidValue, match=message):
             normalize([Sample(0.0), tie, tie], WEIGHTED_SQUARE)
+
+    def test_custom_tie_rule_folds_in_input_order(self):
+        # A tie rule that depends on order: payloads concatenate left to right.
+        family = dataclasses.replace(
+            WEIGHTED_SQUARE,
+            name="concat",
+            combine_ties=lambda a, b: (
+                Sample(a.score, a.target, a.weight + b.weight, a.payload + b.payload), 0.5),
+        )
+        raw = [Sample(2.0, 0.0, payload=("a",)), Sample(1.0, 0.0, payload=("b",)),
+               Sample(2.0, 0.0, payload=("c",)), Sample(3.0, 0.0, payload=("d",)),
+               Sample(2.0, 0.0, payload=("e",))]
+        problem = normalize(raw, family)
+        assert [s.payload for s in problem.samples] == [("b",), ("a", "c", "e"), ("d",)]
+        assert problem.samples[0] is raw[1] and problem.samples[2] is raw[3]
+        assert problem.weights == (1.0, 3.0, 1.0) and problem.loss_offset == 1.0
 
     def test_single_sample(self):
         problem = normalize([Sample(5.0, 42.0)], WEIGHTED_SQUARE)
@@ -120,6 +139,37 @@ class TestNormalize:
         twice = normalize(once.samples, WEIGHTED_SQUARE)
         assert twice.samples == once.samples
         assert twice.loss_offset == 0.0
+
+
+class TestProblemColumns:
+    def test_problem_of_samples_keeps_them(self):
+        samples = (Sample(1.0, 10.0, 2.0), Sample(2.0, 30.0))
+        problem = Problem(samples, WEIGHTED_SQUARE, 0.5)
+        assert (problem.scores, problem.targets, problem.weights) == (
+            (1.0, 2.0), (10.0, 30.0), (2.0, 1.0))
+        assert problem.samples == samples and problem.samples[0] is samples[0]
+        assert problem.loss_offset == 0.5
+
+    def test_replace_keeps_samples_and_columns(self):
+        problem = normalize([Sample(2.0, 1.0), Sample(1.0, 3.0)], WEIGHTED_SQUARE)
+        other = dataclasses.replace(problem, family=LOG_LOSS)
+        assert other.family is LOG_LOSS and other.samples is problem.samples
+        assert (other.scores, other.targets, other.weights) == ((1.0, 2.0), (3.0, 1.0), (1.0, 1.0))
+        columns = [[2.0, 1.0], [1.0, 3.0], [1.0, 1.0]]
+        lazy = dataclasses.replace(_normalize(columns, WEIGHTED_SQUARE), loss_offset=2.0)
+        assert lazy.scores == (1.0, 2.0) and lazy.loss_offset == 2.0
+        assert tuple(lazy.samples) == problem.samples
+
+    def test_column_problem_builds_its_samples_once(self):
+        columns = [[3.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 2.0, 1.0]]
+        problem = _normalize(columns, LOG_LOSS)
+        assert problem.scores == (1.0, 3.0)
+        assert problem.targets == (2.0 / 3.0, 0.0) and problem.weights == (3.0, 1.0)
+        first = problem.samples[0]
+        assert problem.samples[0] is first and next(iter(problem.samples)) is first
+        raw = [Sample(*row) for row in zip(*columns)]
+        assert tuple(problem.samples) == normalize(raw, LOG_LOSS).samples
+        assert len(problem.samples) == 2
 
 
 class TestEvaluate:
