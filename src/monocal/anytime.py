@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Block, Problem, Staircase, blocks_loss, blocks_to_staircase
+from .core import Problem, Staircase, _partition_loss, _partition_staircase
 from .errors import EmptyProblem, InvalidConfig, NoWidth, OracleFailure, Unbounded
 from .losses import DerivativeOracle
 
@@ -249,14 +249,12 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
             f"no finite bracket after {iters} rounds; "
             "the loss appears to have no finite minimizer"
         )
-    blocks = [
-        Block(first, last, 0.5 * upper + 0.5 * lower, upper - lower)
-        for first, last, upper, lower, _, _ in entries
-    ]
+    firsts = [e[0] for e in entries]
+    mids = [0.5 * upper + 0.5 * lower for _, _, upper, lower, _, _ in entries]
     return AnytimeResult(
-        staircase=blocks_to_staircase(blocks, problem.scores),
+        staircase=_partition_staircase(problem.scores, firsts, mids),
         width_bound=width_bound,
         iters=iters,
         groups=tuple(AnytimeGroup(*e) for e in entries),
-        total_loss=blocks_loss(problem, blocks),
+        total_loss=_partition_loss(problem, firsts, mids),
     )

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from . import losses
 from .core import (
-    Sample, Staircase, _normalize, _partition_loss, _partition_staircase, blocks_to_staircase,
+    Sample, Staircase, _normalize, _partition_loss, _partition_staircase,
 )
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
@@ -149,35 +149,23 @@ def _read_csv(
     return chunks()
 
 
-def _samples(scores: list[float], targets: list[float], weights: list[float]) -> list[Sample]:
-    return list(map(Sample, scores, targets, weights))
+def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[list[int], Any]]:
+    """``_read_csv`` of training rows, each chunk its ``(scores, targets, weights)``.
 
-
-def _columns(
-    scores: list[float], targets: list[float], weights: list[float]
-) -> tuple[list[float], list[float], list[float]]:
-    # Sample's rule on whole columns; only a failing chunk builds samples, to
-    # raise its first bad row's error.
-    if (any(map(math.isnan, scores)) or not all(map(math.isfinite, targets))
-            or not all(map(math.isfinite, weights)) or not min(weights) > 0.0):
-        _samples(scores, targets, weights)
-    return scores, targets, weights
-
-
-def _training_csv(
-    path: str, loss_tag: str, build: Callable[..., Any]
-) -> Iterator[tuple[list[int], Any]]:
-    """``_read_csv`` of training rows; ``build`` must raise what ``Sample`` raises.
-
-    For log loss, every target must then be a 0/1 label.
+    The columns pass ``Sample``'s rule and, for log loss, every target is a
+    0/1 label. The rules run on whole columns; only a chunk that fails them
+    builds samples, to raise its first bad row's error.
     """
+    logloss = loss_tag == "logloss"
 
-    def checked(scores: list[float], targets: list[float], weights: list[float]) -> Any:
-        rows = build(scores, targets, weights)
-        if loss_tag == "logloss" and not _LABELS.issuperset(targets):
+    def checked(scores: list[float], targets: list[float], weights: list[float]) -> tuple:
+        if (any(map(math.isnan, scores)) or not all(map(math.isfinite, targets))
+                or not all(map(math.isfinite, weights)) or not min(weights) > 0.0
+                or logloss and not _LABELS.issuperset(targets)):
             for sample in map(Sample, scores, targets, weights):
-                losses.check_label(sample)
-        return rows
+                if logloss:
+                    losses.check_label(sample)
+        return scores, targets, weights
 
     return _read_csv(path, {"score": None, "target": None, "weight": 1.0}, checked)
 
@@ -185,7 +173,7 @@ def _training_csv(
 def _training_columns(path: str, loss_tag: str) -> list[list[float]]:
     """The ``[scores, targets, weights]`` columns of a training CSV's valid rows."""
     columns: list[list[float]] = [[], [], []]
-    for _, chunk in _training_csv(path, loss_tag, _columns):
+    for _, chunk in _training_csv(path, loss_tag):
         for column, values in zip(columns, chunk):
             column += values
     return columns
@@ -287,17 +275,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         result = anytime_run(problem, config)
         staircase, total_loss = result.staircase, result.total_loss
         extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
-    elif args.solver == "direct":
-        from .pav_offline import fit_direct
-
-        report = fit_direct(problem)
-        staircase = blocks_to_staircase(report.blocks, problem.scores)
-        total_loss, extra = report.total_loss, {}
     else:
-        from .pav_offline import _fit_stack
+        from .pav_offline import _fit_direct, _fit_stack
 
-        # The stack's own lists, so no Block is built.
-        firsts, ys, _, _ = _fit_stack(problem)
+        # The solver's own lists, so no Block is built.
+        solve = _fit_direct if args.solver == "direct" else _fit_stack
+        firsts, ys = solve(problem)[:2]
         staircase = _partition_staircase(problem.scores, firsts, ys)
         total_loss, extra = _partition_loss(problem, firsts, ys), {}
     metadata = {"solver": args.solver, "n_samples": n,
@@ -344,14 +327,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     state = OnlineState(_FAMILIES[args.loss])
     # Opens the input and checks its header, so a failure there writes nothing.
-    chunks = _training_csv(args.input, args.loss, _samples)
+    chunks = _training_csv(args.input, args.loss)
     out = sys.stdout
     out.write("n,steps,merges,values\n")
     # The text of each step value, kept in step with the stack. A push changes
     # only the top step (see OnlineState), so a row costs one repr plus the
     # join of its output bytes instead of a rebuilt Staircase.
     reprs: list[str] = []
-    for row, sample in chain.from_iterable(zip(rows, samples) for rows, samples in chunks):
+    samples = (zip(rows, map(Sample, *columns)) for rows, columns in chunks)
+    for row, sample in chain.from_iterable(samples):
         try:
             state.push(sample)
         except OutOfOrder as exc:

@@ -36,6 +36,7 @@ class OnlineState:
 
     Each ``push`` leaves ``values[:-1]`` equal to the first
     ``step_count - 1`` values before it; only the top step is new.
+    ``cumulative_merges`` is ``n_seen - step_count`` by definition.
     """
 
     def __init__(self, family: LossFamily) -> None:
@@ -45,7 +46,6 @@ class OnlineState:
         self._firsts: list[int] = []
         self._ys: list[float] = []
         self._lams: list[float] = []
-        self.cumulative_merges = 0
 
     @property
     def n_seen(self) -> int:
@@ -54,6 +54,10 @@ class OnlineState:
     @property
     def step_count(self) -> int:
         return len(self._ys)
+
+    @property
+    def cumulative_merges(self) -> int:
+        return len(self._scores) - len(self._ys)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -91,11 +95,8 @@ class OnlineState:
             # violation checks.
             y, lam = family.merge(self._ys.pop(), self._lams.pop(), y, lam)
             first = self._firsts.pop()
-            self.cumulative_merges += 1
         self._scores.append(sample.score)
-        self.cumulative_merges += _pool(
-            self._firsts, self._ys, self._lams, ((first, y, lam),), family.merge
-        )
+        _pool(self._firsts, self._ys, self._lams, ((first, y, lam),), family.merge)
 
     def blocks(self) -> tuple[Block, ...]:
         return _stack_blocks(self._firsts, self._ys, self._lams, len(self._scores))

@@ -17,16 +17,17 @@ nothing.
 
 The stack kernel (``_pool``) is the one pooling loop of the merge solvers:
 ``fit_stack`` drives it with every sample in one call, and the streaming
-solver (``monocal.online``) drives it with one group per arrival.
+solver (``monocal.online``) drives it with one group per arrival. A direct
+pass reads and writes the stack's lists too; ``Block``s are built from them
+only for a returned result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Iterable, Iterator
 
-from .core import Block, Problem, _partition_loss, blocks_loss
+from .core import Block, Problem, _partition_loss
 from .losses import MERGE_RULES, _target, _weight
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
@@ -36,7 +37,7 @@ __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 class FitReport:
     """Fit outcome: final blocks plus merge accounting.
 
-    ``merge_count`` always equals N - S (samples minus stairs). ``passes``
+    ``merge_count`` is N - S (samples minus stairs) by definition. ``passes``
     counts joining passes and is set by the direct solver only.
     """
 
@@ -52,24 +53,21 @@ def _pool(
     auxs: list[float],
     groups: Iterable[tuple[int, float, float]],
     merge,
-) -> int:
+) -> None:
     """Push ``(first, y, aux)`` groups onto the stack, pooling each leftward.
 
     The stack is three parallel lists, one entry per block: its first sample
     index, minimizer and auxiliary value. A pushed group merges with the top
     block while the top's minimizer is ``>=`` its own, so the stack
-    minimizers strictly increase after every push. Returns the merge count.
+    minimizers strictly increase after every push.
     """
-    merges = 0
     for first, y, aux in groups:
         while ys and ys[-1] >= y:
             y, aux = merge(ys.pop(), auxs.pop(), y, aux)
             first = firsts.pop()
-            merges += 1
         firsts.append(first)
         ys.append(y)
         auxs.append(aux)
-    return merges
 
 
 def _stack_blocks(
@@ -79,6 +77,18 @@ def _stack_blocks(
     lasts = [first - 1 for first in firsts[1:]]
     lasts.append(n - 1)
     return tuple(map(Block, firsts, lasts, ys, auxs))
+
+
+def _report(problem: Problem, firsts: list[int], ys: list[float], auxs: list[float],
+            passes: int | None = None) -> FitReport:
+    """The ``FitReport`` of a solver's lists; the fit's ``Block``s are built here."""
+    n = len(problem.scores)
+    return FitReport(
+        blocks=_stack_blocks(firsts, ys, auxs, n),
+        merge_count=n - len(ys),
+        total_loss=_partition_loss(problem, firsts, ys),
+        passes=passes,
+    )
 
 
 def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
@@ -93,64 +103,66 @@ def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
     return zip(range(len(problem.scores)), ys, auxs)
 
 
-def _single_sample_groups(problem: Problem) -> list[Block]:
-    return [Block(i, i, y, aux) for i, y, aux in _sample_groups(problem)]
-
-
-def _join_pass(groups: list[Block], merge) -> list[Block]:
+def _join_pass(
+    groups: Iterable[tuple[int, float, float]], merge
+) -> tuple[list[int], list[float], list[float]]:
     """One simultaneous pass: fold every maximal run of violating pairs."""
-    out = groups[:1]
-    for prev, group in pairwise(groups):
-        if prev.minimizer >= group.minimizer:
-            top = out[-1]
-            y, aux = merge(top.minimizer, top.aux, group.minimizer, group.aux)
-            out[-1] = Block(top.first, group.last, y, aux)
+    firsts, ys, auxs = stack = [], [], []
+    prev = None
+    for first, y, aux in groups:
+        if ys and prev >= y:
+            ys[-1], auxs[-1] = merge(ys[-1], auxs[-1], y, aux)
         else:
-            out.append(group)
-    return out
+            firsts.append(first)
+            ys.append(y)
+            auxs.append(aux)
+        prev = y
+    return stack
 
 
-def _passes(groups: list[Block], merge) -> Iterator[list[Block]]:
-    """Yield the groups after each joining pass until a pass joins nothing."""
-    while len(joined := _join_pass(groups, merge)) < len(groups):
-        yield joined
-        groups = joined
+def _passes(problem: Problem) -> Iterator[tuple[tuple[list[int], list[float], list[float]], bool]]:
+    """Yield ``(the stack's lists, joined)`` after each pass, up to the first that joins nothing."""
+    merge = problem.family.merge
+    groups, size = _sample_groups(problem), len(problem.scores)
+    while True:
+        stack = _join_pass(groups, merge)
+        joined = len(stack[1]) < size
+        yield stack, joined
+        if not joined:
+            return
+        groups, size = zip(*stack), len(stack[1])
 
 
 def direct_passes(problem: Problem) -> Iterator[tuple[Block, ...]]:
     """Yield the group state after each joining pass of the direct solver."""
-    yield from map(tuple, _passes(_single_sample_groups(problem), problem.family.merge))
+    n = len(problem.scores)
+    for (firsts, ys, auxs), joined in _passes(problem):
+        if joined:
+            yield _stack_blocks(firsts, ys, auxs, n)
+
+
+def _fit_direct(problem: Problem) -> tuple[list[int], list[float], list[float], int]:
+    """The direct passes on lists: ``(firsts, ys, auxs, passes)``, no ``Block``."""
+    for passes, ((firsts, ys, auxs), _) in enumerate(_passes(problem)):
+        pass  # keep the last pass's lists; it joined nothing and every one before it did
+    return firsts, ys, auxs, passes
 
 
 def fit_direct(problem: Problem) -> FitReport:
     """Pass-based solver: rebuild the violation set and join until none remain."""
-    blocks = _single_sample_groups(problem)
-    passes = 0
-    for passes, blocks in enumerate(_passes(blocks, problem.family.merge), start=1):
-        pass  # keep the last pass's groups and its number
-    return FitReport(
-        blocks=tuple(blocks),
-        merge_count=len(problem.scores) - len(blocks),
-        total_loss=blocks_loss(problem, blocks),
-        passes=passes,
-    )
+    return _report(problem, *_fit_direct(problem))
 
 
-def _fit_stack(problem: Problem) -> tuple[list[int], list[float], list[float], int]:
-    """The stack sweep on lists: ``(firsts, ys, auxs, merges)``, no ``Block``."""
+def _fit_stack(problem: Problem) -> tuple[list[int], list[float], list[float]]:
+    """The stack sweep on lists: ``(firsts, ys, auxs)``, no ``Block``."""
     groups = _sample_groups(problem)
     firsts: list[int] = []
     ys: list[float] = []
     auxs: list[float] = []
-    merges = _pool(firsts, ys, auxs, groups, problem.family.merge)
-    return firsts, ys, auxs, merges
+    _pool(firsts, ys, auxs, groups, problem.family.merge)
+    return firsts, ys, auxs
 
 
 def fit_stack(problem: Problem) -> FitReport:
     """Single left-to-right sweep keeping a stack of merged blocks."""
-    firsts, ys, auxs, merges = _fit_stack(problem)
-    return FitReport(
-        blocks=_stack_blocks(firsts, ys, auxs, len(problem.scores)),
-        merge_count=merges,
-        total_loss=_partition_loss(problem, firsts, ys),
-    )
+    return _report(problem, *_fit_stack(problem))

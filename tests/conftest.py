@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monocal import Problem, Sample, WEIGHTED_SQUARE, normalize
+from monocal import Problem, Sample, WEIGHTED_SQUARE, core, normalize
 
 # 15-sample reference instance used by the golden tests: unit weights,
 # scores 1..15, square loss. The optimal staircase is [32, 47, 55, 69]
@@ -20,6 +20,20 @@ def golden_samples() -> list[Sample]:
 @pytest.fixture(scope="session")
 def golden_problem() -> Problem:
     return normalize(golden_samples(), WEIGHTED_SQUARE)
+
+
+@pytest.fixture
+def built_blocks(monkeypatch) -> list:
+    """Every ``Block`` built while the test runs."""
+    built = []
+    post_init = core.Block.__post_init__
+
+    def counting(block):
+        built.append(block)
+        post_init(block)
+
+    monkeypatch.setattr(core.Block, "__post_init__", counting)
+    return built
 
 
 def make_square_instance(

@@ -48,6 +48,9 @@ class TestProbePoint:
         assert probe_point(0.0, -math.inf) == -1.0
         assert probe_point(-1.0, -math.inf) == -2.0
         assert probe_point(-8.0, -math.inf) == -16.0
+        # A half-infinite bracket that holds 0 probes 0 first.
+        assert probe_point(math.inf, -5.0) == 0.0
+        assert probe_point(5.0, -math.inf) == 0.0
 
     def test_no_width(self):
         with pytest.raises(NoWidth):
@@ -81,6 +84,10 @@ class TestConfigAndInit:
     def test_inverted_bounds(self):
         with pytest.raises(InvalidConfig):
             AnytimeConfig(init_upper=0.0, init_lower=1.0)
+
+    def test_negative_max_iters(self):
+        with pytest.raises(InvalidConfig, match="max_iters must be >= 0, got -1"):
+            AnytimeConfig(max_iters=-1)
 
 
 class TestIterate:
@@ -234,6 +241,11 @@ class TestAnytimeRun:
         assert result.width_bound <= 1e-6
         for got, want in zip(result.staircase.values, GOLDEN_VALUES):
             assert abs(got - want) <= 5e-7
+
+    def test_builds_no_block(self, golden_problem, built_blocks):
+        config = AnytimeConfig(init_upper=128.0, init_lower=0.0)
+        assert len(anytime_run(golden_problem, config).groups) == len(GOLDEN_SIZES)
+        assert built_blocks == []
 
     def test_total_loss_is_blocks_loss_of_midpoints(self):
         # Paired scores tie, so the loss includes a nonzero tie-merge offset.

@@ -164,6 +164,8 @@ def test_max_n_cap(golden_csv, tmp_path, capsys, monkeypatch, command):
     assert "MONOCAL_MAX_N" in stderr
     monkeypatch.setenv("MONOCAL_MAX_N", "100")
     assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("MONOCAL_MAX_N", "abc")
+    assert run(capsys, *argv) == (2, "", "monocal: MONOCAL_MAX_N must be an integer, got 'abc'\n")
 
 
 class TestFit:
@@ -614,11 +616,12 @@ class TestModelFile:
             ("values", [float("inf")]),
             ("breakpoints", [float("-inf")]),
             ("version", True),
+            ("metadata", []),
         ],
         ids=["family-list", "family-null", "breakpoints-string", "values-null",
              "values-object", "values-string-entry", "values-bool-entry", "values-null-entry",
              "values-nan", "breakpoints-nan", "values-huge-int", "values-inf",
-             "breakpoints-inf", "version-bool"],
+             "breakpoints-inf", "version-bool", "metadata-list"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, field, bad):
         doc = {"version": 1, "family": "square", "breakpoints": [], "values": [1.0],
@@ -637,6 +640,14 @@ class TestModelFile:
         code, stdout, stderr = run(capsys, "apply", str(model), str(scores))
         assert (code, stdout) == (2, "")
         assert stderr.startswith("monocal: ") and "Traceback" not in stderr
+
+    def test_model_file_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("score\n1\n")
+        model = tmp_path / "model.json"
+        model.write_text("[]")
+        code, stdout, stderr = run(capsys, "apply", str(model), str(scores))
+        assert (code, stdout, stderr) == (2, "", "monocal: model file must be a JSON object\n")
 
     def test_corrupt_model_file_exits_2(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
@@ -922,20 +933,13 @@ class TestChunkedReader:
         assert run_quietly(["apply", model, path]) == plain["apply"]
         assert run_quietly(["stream", path, "--loss", "square"]) == plain["stream"]
 
-    def test_stack_fit_builds_no_block(self, golden_csv, monkeypatch):
-        built = []
-        post_init = core.Block.__post_init__
-
-        def counting(block):
-            built.append(block)
-            post_init(block)
-
-        monkeypatch.setattr(core.Block, "__post_init__", counting)
-        assert run_quietly(["fit", golden_csv, "--quiet"])[0] == 0
-        assert built == []
+    def test_stack_fit_builds_no_block(self, golden_csv, built_blocks):
+        for solver in ("stack", "direct", "anytime"):
+            assert run_quietly(["fit", golden_csv, "--solver", solver, "--quiet"])[0] == 0
+        assert built_blocks == []
         # The library fit still builds its blocks, and the counter sees them.
         blocks = fit_stack(normalize(golden_samples(), WEIGHTED_SQUARE)).blocks
-        assert built == list(blocks)
+        assert built_blocks == list(blocks)
 
 
 class TestColumnFit:

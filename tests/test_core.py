@@ -302,6 +302,10 @@ class TestBlocksToStaircase:
         with pytest.raises(EmptyProblem):
             blocks_to_staircase([], [])
 
+    def test_block_with_no_samples_raises(self):
+        with pytest.raises(InvalidValue, match=r"block range \[2, 1\] is empty"):
+            Block(2, 1, 0.0, 1.0)
+
     def test_roundtrip_block_minimizers_at_observed_scores(self):
         rng = random.Random(23)
         for _ in range(40):

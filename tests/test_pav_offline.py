@@ -39,6 +39,14 @@ class TestGoldenInstance:
     def test_total_loss(self, golden_problem):
         assert fit_stack(golden_problem).total_loss == pytest.approx(13000.0, abs=1e-9)
 
+    def test_blocks_are_built_only_for_the_result(self, golden_problem, built_blocks):
+        # The passes run on lists; a Block is built only for what is returned.
+        report = fit_direct(golden_problem)
+        assert built_blocks == list(report.blocks)
+        built_blocks.clear()
+        passes = list(direct_passes(golden_problem))
+        assert built_blocks == [block for state in passes for block in state]
+
 
 class TestSmallCases:
     def test_sorted_targets_need_no_passes(self):
