@@ -26,7 +26,7 @@ _HOMES = {
     "normalize": "core",
     "evaluate": "core",
     "blocks_to_staircase": "core",
-    "blocks_loss": "core",
+    "blocks_loss": "losses",
     "LossFamily": "losses",
     "DerivativeOracle": "losses",
     "WEIGHTED_SQUARE": "losses",

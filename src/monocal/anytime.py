@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Problem, Staircase, _partition_loss, _partition_staircase
+from .core import Problem, Staircase, _partition_staircase
 from .errors import EmptyProblem, InvalidConfig, NoWidth, OracleFailure, Unbounded
-from .losses import DerivativeOracle
+from .losses import DerivativeOracle, _partition_loss
 
 __all__ = [
     "AnytimeGroup",
@@ -160,6 +160,20 @@ def anytime_init(problem: Problem, config: AnytimeConfig) -> list[AnytimeGroup]:
     return [AnytimeGroup(*e) for e in _entries(problem, config)]
 
 
+def _neg_derivative(oracle: DerivativeOracle, first: int, last: int, z: float) -> float:
+    """``oracle``'s derivative for samples [first, last] at ``z``, or ``OracleFailure``."""
+    try:
+        d = oracle.neg_derivative_at(first, last, z)
+    except (ValueError, OverflowError) as exc:
+        # math.fsum's errors: terms of +inf and -inf, or an exact sum past the float range.
+        raise OracleFailure(f"derivative oracle failed at z={z!r} "
+                            f"for samples [{first}, {last}]: {exc}") from exc
+    if d != d:  # NaN
+        raise OracleFailure(f"derivative oracle returned NaN at z={z!r} "
+                            f"for samples [{first}, {last}]")
+    return d
+
+
 def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], float]:
     """One round on the list state: probe and join in one pass, then halve.
 
@@ -167,7 +181,7 @@ def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], f
     widest bracket that can still shrink: a bracket whose next probe rounds
     onto one of its ends is as narrow as floats allow, so it does not count.
     """
-    neg_derivative_at, inf = oracle.neg_derivative_at, math.inf
+    inf = math.inf
     # A join keeps the left entry (its first and probe), sums the
     # derivatives and re-tests leftward, so chains of three or more groups
     # collapse within the round.
@@ -180,27 +194,15 @@ def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], f
                 probe = 0.5 * upper + 0.5 * lower
             else:
                 probe = probe_point(upper, lower)
-            try:
-                d = neg_derivative_at(e[0], e[1], probe)
-            except (ValueError, OverflowError) as exc:
-                # math.fsum's errors: terms of +inf and -inf, or an exact sum
-                # beyond the float range.
-                raise OracleFailure(
-                    f"derivative oracle failed at z={probe!r} "
-                    f"for samples [{e[0]}, {e[1]}]: {exc}"
-                ) from exc
-            if d != d:  # NaN
-                raise OracleFailure(
-                    f"derivative oracle returned NaN at z={probe!r} "
-                    f"for samples [{e[0]}, {e[1]}]"
-                )
-            e[4], e[5] = probe, d
+            e[4], e[5] = probe, _neg_derivative(oracle, e[0], e[1], probe)
         while stack:
             left = stack[-1]
             if left[2] != e[2] or left[3] != e[3] or not left[5] >= 0.0 >= e[5]:
                 break
             stack.pop()
             left[1], left[5] = e[1], left[5] + e[5]
+            if left[5] != left[5]:  # +inf and -inf: the joined group's own sum names the cause
+                left[5] = _neg_derivative(oracle, left[0], left[1], left[4])
             e = left
         push(e)
 
@@ -233,8 +235,9 @@ def iterate(groups: Sequence[AnytimeGroup], oracle: DerivativeOracle) -> list[An
 def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
     """Iterate rounds until no bracket that can still shrink is over ``delta``.
 
-    Stops early at ``max_iters``; if any bracket is still infinite at that
-    point the loss has no finite minimizer to find and the run fails.
+    Stops early at ``max_iters``; if any bracket end is still infinite at
+    that point the loss has no finite minimizer to find and the run fails. A
+    finite bracket wider than the float range gives ``width_bound == inf``.
     """
     entries = _entries(problem, config)
     oracle = DerivativeOracle(problem.samples, problem.family)
@@ -244,7 +247,7 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
         entries, widest = _round(entries, oracle)
         iters += 1
     width_bound = max(upper - lower for _, _, upper, lower, _, _ in entries)
-    if math.isinf(width_bound):
+    if any(math.isinf(e[2]) or math.isinf(e[3]) for e in entries):
         raise Unbounded(
             f"no finite bracket after {iters} rounds; "
             "the loss appears to have no finite minimizer"

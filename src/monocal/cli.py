@@ -20,9 +20,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from . import losses
-from .core import (
-    Sample, Staircase, _normalize, _partition_loss, _partition_staircase,
-)
+from .core import Sample, Staircase, _normalize, _partition_staircase, _valid_rows
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
 # Each command imports the solver module it runs, so a command loads no other
@@ -39,7 +37,6 @@ EXIT_USAGE = 2
 EXIT_OUT_OF_ORDER = 3
 
 _FAMILIES = {"square": losses.WEIGHTED_SQUARE, "logloss": losses.LOG_LOSS}
-_LABELS = frozenset((0.0, 1.0))
 
 
 class _CliError(Exception):
@@ -159,9 +156,8 @@ def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[list[int], Any]]:
     logloss = loss_tag == "logloss"
 
     def checked(scores: list[float], targets: list[float], weights: list[float]) -> tuple:
-        if (any(map(math.isnan, scores)) or not all(map(math.isfinite, targets))
-                or not all(map(math.isfinite, weights)) or not min(weights) > 0.0
-                or logloss and not _LABELS.issuperset(targets)):
+        if (not _valid_rows(scores, targets, weights)
+                or logloss and not losses._LABELS.issuperset(targets)):
             for sample in map(Sample, scores, targets, weights):
                 if logloss:
                     losses.check_label(sample)
@@ -282,7 +278,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         solve = _fit_direct if args.solver == "direct" else _fit_stack
         firsts, ys = solve(problem)[:2]
         staircase = _partition_staircase(problem.scores, firsts, ys)
-        total_loss, extra = _partition_loss(problem, firsts, ys), {}
+        total_loss, extra = losses._partition_loss(problem, firsts, ys), {}
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
@@ -364,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a calibration model from a training CSV")
     fit.add_argument("input", help="CSV with columns score,target[,weight]")
-    fit.add_argument("--loss", choices=("square", "logloss"), default="square")
+    fit.add_argument("--loss", choices=tuple(_FAMILIES), default="square")
     fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack")
     # AnytimeConfig()'s defaults, copied so that building the parser loads no
     # solver; tests/test_cli.py fails when the two drift.
@@ -384,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stream = sub.add_parser("stream", help="drive the online solver over ordered rows")
     stream.add_argument("input", help="CSV with columns score,target[,weight], score-ordered")
-    stream.add_argument("--loss", choices=("square", "logloss"), default="square")
+    stream.add_argument("--loss", choices=tuple(_FAMILIES), default="square")
     stream.add_argument("--quiet", action="store_true", help="suppress diagnostics")
     stream.set_defaults(func=_cmd_stream)
     return parser

@@ -6,8 +6,10 @@ rows into contiguous blocks with one fitted value each; the resulting
 transform is a right-continuous nondecreasing step function (`Staircase`)
 with strictly increasing step values.
 
-`Sample` is the one validation point for input values: construction rejects
-bad values, so every sample that exists is valid and no code checks again.
+This module owns rows and knows no loss formula (`monocal.losses` builds on
+it). `Sample` is the one validation point for input values, `_valid_rows`
+its column form: construction rejects bad values, so every sample that
+exists is valid and no code checks again.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.
@@ -18,8 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, pairwise, repeat
-from operator import itemgetter, le, lt, ne, sub
+from itertools import compress, islice, pairwise
+from operator import itemgetter, le, lt, ne
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import CalibrationError, EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
@@ -35,7 +37,6 @@ __all__ = [
     "normalize",
     "evaluate",
     "blocks_to_staircase",
-    "blocks_loss",
 ]
 
 
@@ -63,6 +64,12 @@ class Sample:
             raise InvalidValue(f"sample target must be finite, got {self.target!r}")
         if not 0.0 < self.weight < math.inf:
             raise InvalidWeight(f"sample weight must be positive and finite, got {self.weight!r}")
+
+
+def _valid_rows(scores: list[float], targets: list[float], weights: list[float]) -> bool:
+    """Whether ``Sample`` accepts every row of these nonempty columns; builds no sample."""
+    return not (any(map(math.isnan, scores)) or not all(map(math.isfinite, targets))
+                or not all(map(math.isfinite, weights)) or not min(weights) > 0.0)
 
 
 def _columns_of(samples: Sequence[Sample]) -> list[list[float]]:
@@ -127,9 +134,8 @@ class Problem:
 class Block:
     """Contiguous sample range [first, last] sharing one fitted value.
 
-    ``minimizer`` is the argmin of the block's summed loss. ``aux`` is the
-    family's auxiliary merge parameter (the weight sum for the built-in
-    families); the anytime solver stores its bracket width here instead.
+    ``minimizer`` is the argmin of the block's summed loss and ``aux`` the
+    family's auxiliary merge parameter (the weight sum for the built-ins).
     """
 
     first: int
@@ -197,17 +203,15 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     problem's samples changes nothing.
     """
     samples = tuple(raw_samples)
-    return _normalize(_columns_of(samples), family, samples)
+    return _normalize([*_columns_of(samples), samples], family)
 
 
-def _normalize(
-    columns: Sequence[Sequence[float]], family: LossFamily, samples: Sequence[Sample] | None = None
-) -> Problem:
+def _normalize(columns: Sequence[Sequence], family: LossFamily) -> Problem:
     """``normalize`` on the ``[scores, targets, weights]`` columns of valid samples.
 
-    ``samples``, when given, are the same rows: they are reordered with the
-    columns and kept, and the tie rule reads them; otherwise it builds the
-    tied rows alone. Each run of equal scores folds into its first row, in order.
+    A fourth column, the same rows as ``Sample``s, is sorted, folded and kept
+    with the rest, and the tie rule reads it; without it the tie rule builds
+    the tied rows alone. Each run of equal scores folds into its first row.
     """
     scores = columns[0]
     n = len(scores)
@@ -220,22 +224,18 @@ def _normalize(
         for i in range(len(columns)):
             columns[i] = take(columns[i])  # the input column can go before the next
         scores = columns[0]
-        if samples is not None:
-            samples = take(samples)
     offset = 0.0
     if not all(map(lt, scores, islice(scores, 1, None))):
         family.require("combine_ties")
         starts = [0, *compress(range(1, n), map(ne, islice(scores, 1, None), scores))]
-        scores, targets, weights = columns = list(map(list, columns))
-        if samples is not None:
-            samples = list(samples)
+        columns = list(map(list, columns))
         for start, end in pairwise([*starts, n]):
             if end - start == 1:
                 continue
-            if samples is None:
-                run = list(map(Sample, scores[start:end], targets[start:end], weights[start:end]))
+            if len(columns) > 3:
+                run = columns[3][start:end]
             else:
-                run = samples[start:end]
+                run = list(map(Sample, *(column[start:end] for column in columns)))
             merged = run[0]
             for member in run[1:]:
                 try:
@@ -244,14 +244,10 @@ def _normalize(
                     # The tie has no row of its own to report; name its score.
                     raise type(exc)(f"ties at score {member.score!r}: {exc}") from exc
                 offset += dropped
-            scores[start], targets[start], weights[start] = (
-                merged.score, merged.target, merged.weight)
-            if samples is not None:
-                samples[start] = merged
+            for column, value in zip(columns, (merged.score, merged.target, merged.weight, merged)):
+                column[start] = value
         columns = [list(map(column.__getitem__, starts)) for column in columns]
-        if samples is not None:
-            samples = list(map(samples.__getitem__, starts))
-    return Problem(_Samples(columns, samples), family, offset)
+    return Problem(_Samples(columns[:3], *columns[3:]), family, offset)
 
 
 def _boundary(left_score: float, right_score: float) -> float:
@@ -289,21 +285,6 @@ def _partition_staircase(
     return Staircase(tuple(breakpoints), (ys[0], *compress(nexts, rises)))
 
 
-def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
-    """Total loss of a partition given as in ``_partition_staircase``, offset included."""
-    from .losses import _column_loss  # loaded with every family
-
-    sizes = map(sub, [*firsts[1:], len(problem.scores)], firsts)
-    values = chain.from_iterable(map(repeat, ys, sizes))
-    loss = problem.family.loss
-    term = _column_loss(loss)
-    if term is None:
-        terms = map(loss, problem.samples, values)
-    else:
-        terms = map(term, values, problem.targets, problem.weights)
-    return math.fsum(chain((problem.loss_offset,), terms))
-
-
 def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Staircase:
     """Materialize solver blocks as a staircase over the given sample scores.
 
@@ -317,8 +298,3 @@ def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Sta
     gives 0.
     """
     return _partition_staircase(scores, [b.first for b in blocks], [b.minimizer for b in blocks])
-
-
-def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:
-    """Total loss of a block partition, including the tie-merge offset."""
-    return _partition_loss(problem, [b.first for b in blocks], [b.minimizer for b in blocks])

@@ -10,16 +10,21 @@ needs ``neg_derivative`` (per-sample -l'(z), strictly decreasing in z).
 entry points calls ``LossFamily.require`` before it uses a part. A family that
 supplies both sides can be cross-validated: the z where the summed negative
 derivative crosses zero is the merge-rule minimizer.
+
+It owns every loss rule: the 0/1 label set, a partition's total loss, and
+which built-ins read their loss terms and merge inputs from a problem's
+columns; rows (``monocal.core``) and pooling hold no loss knowledge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, sub
+from typing import Callable, Iterable, Sequence
 
-from .core import Sample
+from .core import Block, Problem, Sample
 from .errors import InvalidConfig, InvalidLabel, InvalidWeight
 
 __all__ = [
@@ -27,6 +32,7 @@ __all__ = [
     "MERGE_RULES",
     "weighted_square_merge",
     "check_label",
+    "blocks_loss",
     "DerivativeOracle",
     "WEIGHTED_SQUARE",
     "LOG_LOSS",
@@ -79,8 +85,8 @@ def _tie_mean(a: Sample, b: Sample) -> Sample:
 
 
 # Each built-in loss formula is one function of (z, target, weight), which
-# the columnar loss (``core._partition_loss``) maps over a problem's columns;
-# the family's ``loss`` applies it to one Sample.
+# ``_partition_loss`` maps over a problem's columns; the family's ``loss``
+# applies it to one Sample.
 def _square_term(z: float, t: float, w: float) -> float:
     d = z - t
     return w * d * d
@@ -120,11 +126,6 @@ def _log_loss(sample: Sample, z: float) -> float:
     return _log_term(z, sample.target, sample.weight)
 
 
-def _column_loss(loss: Callable) -> Callable[[float, float, float], float] | None:
-    """The (z, target, weight) formula behind a built-in ``loss``, else None."""
-    return _square_term if loss is _square_loss else _log_term if loss is _log_loss else None
-
-
 def _log_neg_derivative(sample: Sample, z: float) -> float:
     # Domain is [0, 1]; the endpoints return the one-sided limits so a
     # bracket pinned at 0 or 1 still reads the right sign.
@@ -142,17 +143,21 @@ def _log_combine_ties(a: Sample, b: Sample) -> tuple[Sample, float]:
     return _tie_mean(a, b), 0.0
 
 
+# The binary labels; -0.0 is 0.0 here, as in every float comparison.
+_LABELS = frozenset((0.0, 1.0))
+
+
 def check_label(sample: Sample) -> Sample:
     """Return ``sample`` if its target is a 0/1 label, else raise ``InvalidLabel``."""
-    if sample.target not in (0.0, 1.0):
+    if sample.target not in _LABELS:
         raise InvalidLabel(f"binary label must be 0 or 1, got {sample.target!r}")
     return sample
 
 
 # Both built-ins start each group at its target with its weight and join
 # groups by weighted mean, so they share the merge data and the tie mean.
-# The merge solvers recognise these two parts and read the target and weight
-# columns instead of calling them per sample.
+# ``_sample_groups`` recognises these two parts and hands the merge solvers
+# the target and weight columns instead of calling them per sample.
 _target = attrgetter("target")
 _weight = attrgetter("weight")
 
@@ -179,6 +184,36 @@ LOG_LOSS = LossFamily(
     neg_derivative=_log_neg_derivative,
     combine_ties=_log_combine_ties,
 )
+
+
+def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
+    """``(index, minimizer, aux)`` per sample; the built-ins' are the target and weight columns."""
+    family = problem.family
+    family.require(*MERGE_RULES)
+    if family.minimizer_of is _target and family.init_aux is _weight:
+        ys, auxs = problem.targets, problem.weights
+    else:
+        samples = problem.samples
+        ys, auxs = map(family.minimizer_of, samples), map(family.init_aux, samples)
+    return zip(range(len(problem.scores)), ys, auxs)
+
+
+def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
+    """Total loss of a partition given as in ``core._partition_staircase``, offset included."""
+    sizes = map(sub, [*firsts[1:], len(problem.scores)], firsts)
+    values = chain.from_iterable(map(repeat, ys, sizes))
+    loss = problem.family.loss
+    term = _square_term if loss is _square_loss else _log_term if loss is _log_loss else None
+    if term is None:
+        terms = map(loss, problem.samples, values)
+    else:
+        terms = map(term, values, problem.targets, problem.weights)
+    return math.fsum(chain((problem.loss_offset,), terms))
+
+
+def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:
+    """Total loss of a block partition, including the tie-merge offset."""
+    return _partition_loss(problem, [b.first for b in blocks], [b.minimizer for b in blocks])
 
 
 class DerivativeOracle:

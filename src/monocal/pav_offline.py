@@ -19,7 +19,8 @@ The stack kernel (``_pool``) is the one pooling loop of the merge solvers:
 ``fit_stack`` drives it with every sample in one call, and the streaming
 solver (``monocal.online``) drives it with one group per arrival. A direct
 pass reads and writes the stack's lists too; ``Block``s are built from them
-only for a returned result.
+only for a returned result. Pooling knows no loss: ``monocal.losses`` gives
+each sample's merge inputs (``_sample_groups``) and a partition's total loss.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Block, Problem, _partition_loss
-from .losses import MERGE_RULES, _target, _weight
+from .core import Block, Problem
+from .losses import _partition_loss, _sample_groups
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 
@@ -89,18 +90,6 @@ def _report(problem: Problem, firsts: list[int], ys: list[float], auxs: list[flo
         total_loss=_partition_loss(problem, firsts, ys),
         passes=passes,
     )
-
-
-def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
-    """``(index, minimizer, aux)`` per sample; the built-ins' are the target and weight columns."""
-    family = problem.family
-    family.require(*MERGE_RULES)
-    if family.minimizer_of is _target and family.init_aux is _weight:
-        ys, auxs = problem.targets, problem.weights
-    else:
-        samples = problem.samples
-        ys, auxs = map(family.minimizer_of, samples), map(family.init_aux, samples)
-    return zip(range(len(problem.scores)), ys, auxs)
 
 
 def _join_pass(

@@ -190,6 +190,25 @@ class TestIterate:
         with pytest.raises(OracleFailure, match=r"for samples \[0, 1\]: intermediate overflow"):
             iterate([AnytimeGroup(0, 1, 1.0, 0.0)], oracle)
 
+    def test_join_of_opposite_infinite_derivatives_raises_the_sum_failure(self):
+        # One round joins the +inf and -inf groups; their sum is NaN, so the
+        # joined group is summed as one, and fsum names the cause.
+        problem = normalize([Sample(1.0, 1e308), Sample(2.0, -1e308)], WEIGHTED_SQUARE)
+        config = AnytimeConfig(init_upper=1e308, init_lower=-1e308, max_iters=1)
+        message = r"^derivative oracle failed at z=0\.0 for samples \[0, 1\]: -inf \+ inf in fsum$"
+        with pytest.raises(OracleFailure, match=message):
+            anytime_run(problem, config)
+        oracle = DerivativeOracle(problem.samples, WEIGHTED_SQUARE)
+        with pytest.raises(OracleFailure, match=message):
+            iterate(anytime_init(problem, config), oracle)
+
+    def test_finite_bracket_wider_than_floats_is_not_unbounded(self):
+        problem = normalize([Sample(1.0, 1e308), Sample(2.0, -1e308)], WEIGHTED_SQUARE)
+        config = AnytimeConfig(init_upper=1e308, init_lower=-1e308, max_iters=0)
+        result = anytime_run(problem, config)
+        assert result.width_bound == math.inf and result.iters == 0
+        assert result.staircase.values == (0.0,)
+
 
 def _run_rounds(problem, config, rounds):
     oracle = DerivativeOracle(problem.samples, problem.family)

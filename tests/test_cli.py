@@ -1106,6 +1106,20 @@ def test_anytime_oracle_failure_exits_2(tmp_path):
     assert code == 0 and json.loads(out)["values"] == [0.0]
 
 
+def test_anytime_round_cap_keeps_the_real_cause(tmp_path):
+    path = write_training_csv(tmp_path / "big.csv", [(1, 1e308), (2, -1e308)])
+    # No round: the target range is a finite bracket, only wider than floats.
+    code, out, err = run_quietly(["fit", path, "--solver", "anytime", "--max-iters", "0"])
+    metadata = json.loads(out)["metadata"]
+    assert (code, metadata["width_bound"], metadata["rounds"]) == (0, math.inf, 0)
+    assert err == "fit: 2 samples -> 1 steps (1 merges, loss inf)\n"
+    # One round joins the two groups: the failure is the joined sum's.
+    code, out, err = run_quietly(["fit", path, "--solver", "anytime", "--max-iters", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("monocal: derivative oracle failed at z=0.0 for samples [0, 1]: "
+                   "-inf + inf in fsum\n")
+
+
 # Row defects that leave a row readable, and ones that make it an error.
 LAYOUT_DEFECTS = ("blank", "quoted", "multi-line", "short", "empty-weight")
 ROW_ERRORS = ("bad-number", "nan", "inf", "zero-weight", "bad-label")

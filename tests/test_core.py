@@ -21,11 +21,13 @@ from monocal import (
 )
 from monocal.errors import (
     EmptyProblem,
+    InvalidLabel,
     InvalidValue,
     InvalidWeight,
     NotMonotone,
 )
-from monocal.core import _normalize
+from monocal.core import _normalize, _valid_rows
+from monocal.losses import _LABELS, check_label
 from monocal.oracle import brute_force_fit
 
 
@@ -170,6 +172,33 @@ class TestProblemColumns:
         raw = [Sample(*row) for row in zip(*columns)]
         assert tuple(problem.samples) == normalize(raw, LOG_LOSS).samples
         assert len(problem.samples) == 2
+
+
+EDGE_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+    1.0, -1.0, 0.5, -2.5,
+])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+def test_column_rules_accept_exactly_what_their_owners_accept(score, target, weight):
+    # Sample's rule on columns, in core, against Sample itself.
+    try:
+        Sample(score, target, weight)
+    except (InvalidValue, InvalidWeight):
+        builds = False
+    else:
+        builds = True
+    assert _valid_rows([score], [target], [weight]) is builds
+    # The label set, in losses, against check_label.
+    try:
+        check_label(Sample(0.0, target))
+    except (InvalidLabel, InvalidValue):  # no Sample holds a non-finite target
+        labelled = False
+    else:
+        labelled = True
+    assert _LABELS.issuperset([target]) is labelled
 
 
 class TestEvaluate:

@@ -35,6 +35,12 @@ def test_import_monocal_loads_no_submodule():
     assert fresh(f"import json, sys, monocal; {LOADED}") == ["monocal"]
 
 
+def test_core_import_loads_no_loss_module():
+    # Imports run one way: core needs only errors, and losses builds on core.
+    assert fresh(f"import json, sys, monocal.core; {LOADED}") == [
+        "monocal", "monocal.core", "monocal.errors"]
+
+
 def test_cli_import_loads_no_solver():
     assert fresh(f"import json, sys; from monocal import cli; {LOADED}") == CLI_MODULES
 
