@@ -34,10 +34,9 @@ sits at or above the probe while the right sits at or below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Problem, Staircase, _partition_staircase
+from .core import Problem, Staircase, _Frozen, _partition_staircase, _set
 from .errors import EmptyProblem, InvalidConfig, NoWidth, OracleFailure, Unbounded
 from .losses import DerivativeOracle, _partition_loss
 
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AnytimeGroup:
+class AnytimeGroup(_Frozen):
     """Bisection state for one contiguous sample group.
 
     ``probe`` is the point where ``neg_deriv`` was last evaluated (None
@@ -61,12 +59,22 @@ class AnytimeGroup:
     exactly (zero derivative collapses both bounds onto the probe).
     """
 
+    __slots__ = ("first", "last", "upper", "lower", "probe", "neg_deriv")
     first: int
     last: int
     upper: float
     lower: float
-    probe: float | None = None
-    neg_deriv: float | None = None
+    probe: float | None
+    neg_deriv: float | None
+
+    def __init__(self, first: int, last: int, upper: float, lower: float,
+                 probe: float | None = None, neg_deriv: float | None = None) -> None:
+        _set(self, "first", first)
+        _set(self, "last", last)
+        _set(self, "upper", upper)
+        _set(self, "lower", lower)
+        _set(self, "probe", probe)
+        _set(self, "neg_deriv", neg_deriv)
 
     @property
     def settled(self) -> bool:
@@ -77,18 +85,25 @@ class AnytimeGroup:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class AnytimeConfig:
+class AnytimeConfig(_Frozen):
     """Initial bracket, target width, and round cap.
 
     Infinite bounds (the default) engage the doubling probe pattern until
     each group finds a finite bracket on its own.
     """
 
-    init_upper: float = math.inf
-    init_lower: float = -math.inf
-    delta: float = 1e-6
-    max_iters: int = 256
+    init_upper: float
+    init_lower: float
+    delta: float
+    max_iters: int
+
+    def __init__(self, init_upper: float = math.inf, init_lower: float = -math.inf,
+                 delta: float = 1e-6, max_iters: int = 256) -> None:
+        _set(self, "init_upper", init_upper)
+        _set(self, "init_lower", init_lower)
+        _set(self, "delta", delta)
+        _set(self, "max_iters", max_iters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.delta > 0:
@@ -102,8 +117,7 @@ class AnytimeConfig:
             raise InvalidConfig(f"max_iters must be >= 0, got {self.max_iters!r}")
 
 
-@dataclass(frozen=True)
-class AnytimeResult:
+class AnytimeResult(_Frozen):
     """Staircase read off the final brackets, plus convergence diagnostics.
 
     Fitted values are bracket midpoints ``0.5 * upper + 0.5 * lower``, rounded
@@ -119,6 +133,14 @@ class AnytimeResult:
     iters: int
     groups: tuple[AnytimeGroup, ...]
     total_loss: float
+
+    def __init__(self, staircase: Staircase, width_bound: float, iters: int,
+                 groups: tuple[AnytimeGroup, ...], total_loss: float) -> None:
+        _set(self, "staircase", staircase)
+        _set(self, "width_bound", width_bound)
+        _set(self, "iters", iters)
+        _set(self, "groups", groups)
+        _set(self, "total_loss", total_loss)
 
 
 def probe_point(upper: float, lower: float) -> float:

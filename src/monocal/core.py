@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import compress, islice, pairwise
 from operator import itemgetter, le, lt, ne
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -39,9 +38,123 @@ __all__ = [
     "blocks_to_staircase",
 ]
 
+# Each value type's ``__init__`` sets its fields through this, as a frozen
+# dataclass's does.
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Sample:
+
+class _DataclassFields:
+    """``__dataclass_fields__`` of a ``_Frozen`` class, built on first read.
+
+    Only then is ``dataclasses`` imported: the fields come from a dataclass
+    declared like the class (its annotations and ``__init__`` defaults) and
+    are cached on the class, so ``dataclasses.fields``, ``replace`` and
+    ``is_dataclass`` see it as a dataclass.
+    """
+
+    def __get__(self, instance, cls):
+        import dataclasses
+        import inspect
+
+        cls = next(c for c in cls.__mro__ if _Frozen in c.__bases__)  # the declaring class
+        params = inspect.signature(cls).parameters
+
+        def declared(name):
+            if name not in params:
+                return dataclasses.field(init=False, repr=False, compare=False)
+            default = params[name].default
+            if default is params[name].empty:
+                default = dataclasses.MISSING
+            return dataclasses.field(default=default)
+
+        shadow = dataclasses.make_dataclass(cls.__name__, [
+            (name, cls.__annotations__[name], declared(name)) for name in cls._fields
+        ], frozen=True)
+        cls.__dataclass_fields__ = fields = shadow.__dataclass_fields__
+        return fields
+
+
+def _compile_key_methods(cls: type) -> type:
+    """Give ``cls`` the ``__eq__`` and ``__hash__`` of a dataclass with its fields."""
+    key = "({},)".format
+    mine = key(", ".join(f"self.{name}" for name in cls.__match_args__))
+    theirs = key(", ".join(f"other.{name}" for name in cls.__match_args__))
+    namespace: dict[str, Any] = {}
+    exec(
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return {mine} == {theirs}\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash({mine})\n",
+        namespace,
+    )
+    cls.__eq__ = namespace["__eq__"]
+    cls.__hash__ = namespace["__hash__"]
+    return cls
+
+
+class _Frozen:
+    """Base of the value types: what ``@dataclass(frozen=True)`` would generate.
+
+    Loading ``dataclasses`` costs a command a large share of its start-up
+    (it imports ``inspect``), so each subclass declares its fields as a
+    dataclass does, as annotations in order (and in ``__slots__`` if it has
+    them), and writes its ``__init__``: set every field with ``_set``, then
+    call ``__post_init__`` if it has one. ``_hidden`` fields are neither init
+    arguments nor compared nor shown. From these the base gives the
+    dataclass's ``==``, ``hash``, ``repr``, ``__match_args__``, frozen
+    ``FrozenInstanceError``, pickling and ``copy.replace``, and
+    ``dataclasses`` is imported only for an error or a ``dataclasses`` call.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        # As with a dataclass, a subclass of a value type keeps its fields.
+        if _Frozen in cls.__bases__:
+            cls._fields = tuple(cls.__annotations__)
+            cls.__match_args__ = tuple(name for name in cls._fields if name not in cls._hidden)
+
+    # The first ``==`` or hash of a class compiles its own pair, which reads
+    # the compared fields in line as a dataclass's does (``attrgetter`` takes
+    # about twice as long); importing compiles nothing.
+    def __eq__(self, other: object) -> bool:
+        return _compile_key_methods(self.__class__).__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return _compile_key_methods(self.__class__).__hash__(self)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self._fields, state):
+            _set(self, name, value)
+
+    def __replace__(self, **changes: object) -> _Frozen:
+        from dataclasses import replace
+
+        return replace(self, **changes)
+
+
+class Sample(_Frozen):
     """One (score, loss) observation; construction rejects invalid values.
 
     ``score`` may be +-inf but not NaN, ``target`` must be finite (else
@@ -52,10 +165,19 @@ class Sample:
     handle in ``payload``.
     """
 
+    __slots__ = ("score", "target", "weight", "payload")
     score: float
-    target: float = 0.0
-    weight: float = 1.0
-    payload: Any = None
+    target: float
+    weight: float
+    payload: Any
+
+    def __init__(self, score: float, target: float = 0.0, weight: float = 1.0,
+                 payload: Any = None) -> None:
+        _set(self, "score", score)
+        _set(self, "target", target)
+        _set(self, "weight", weight)
+        _set(self, "payload", payload)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if math.isnan(self.score):
@@ -101,8 +223,7 @@ class _Samples(Sequence):
         return iter(self[:])
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(_Frozen):
     """Score-sorted ``scores``, ``targets`` and ``weights`` columns, no score repeated.
 
     ``samples`` is the same rows as ``Sample`` objects: the given ones, as a
@@ -113,35 +234,46 @@ class Problem:
     the normalized samples equal the loss on the raw input.
     """
 
+    _hidden = ("scores", "targets", "weights")
     samples: Sequence[Sample]
     family: LossFamily
-    loss_offset: float = 0.0
-    scores: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    targets: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    loss_offset: float
+    scores: tuple[float, ...]
+    targets: tuple[float, ...]
+    weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        view = self.samples
+    def __init__(self, samples: Sequence[Sample], family: LossFamily,
+                 loss_offset: float = 0.0) -> None:
+        view = samples
         if not isinstance(view, _Samples):
             view = _Samples(_columns_of(items := tuple(view)), items)
         # Given samples are kept as a plain tuple; column-built ones stay lazy.
-        object.__setattr__(self, "samples", view if view.items is None else tuple(view.items))
-        for name, column in zip(("scores", "targets", "weights"), view.columns):
-            object.__setattr__(self, name, column)
+        _set(self, "samples", view if view.items is None else tuple(view.items))
+        _set(self, "family", family)
+        _set(self, "loss_offset", loss_offset)
+        for name, column in zip(self._hidden, view.columns):
+            _set(self, name, column)
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(_Frozen):
     """Contiguous sample range [first, last] sharing one fitted value.
 
     ``minimizer`` is the argmin of the block's summed loss and ``aux`` the
     family's auxiliary merge parameter (the weight sum for the built-ins).
     """
 
+    __slots__ = ("first", "last", "minimizer", "aux")
     first: int
     last: int
     minimizer: float
     aux: float
+
+    def __init__(self, first: int, last: int, minimizer: float, aux: float) -> None:
+        _set(self, "first", first)
+        _set(self, "last", last)
+        _set(self, "minimizer", minimizer)
+        _set(self, "aux", aux)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.first > self.last:
@@ -155,8 +287,7 @@ def evaluate(staircase: Staircase, x: float) -> float:
     return staircase.values[bisect_right(staircase.breakpoints, x)]
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(_Frozen):
     """Right-continuous nondecreasing step function.
 
     ``values`` are finite and strictly increasing; ``breakpoints`` are
@@ -166,6 +297,11 @@ class Staircase:
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
+
+    def __init__(self, breakpoints: tuple[float, ...], values: tuple[float, ...]) -> None:
+        _set(self, "breakpoints", breakpoints)
+        _set(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.values:

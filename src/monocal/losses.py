@@ -19,12 +19,11 @@ columns; rows (``monocal.core``) and pooling hold no loss knowledge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter, sub
 from typing import Callable, Iterable, Sequence
 
-from .core import Block, Problem, Sample
+from .core import Block, Problem, Sample, _Frozen, _set
 from .errors import InvalidConfig, InvalidLabel, InvalidWeight
 
 __all__ = [
@@ -41,8 +40,7 @@ __all__ = [
 MERGE_RULES = ("minimizer_of", "init_aux", "merge")
 
 
-@dataclass(frozen=True)
-class LossFamily:
+class LossFamily(_Frozen):
     """A strictly convex loss: ``loss`` plus the parts its solvers need.
 
     The module docstring says which entry point needs which part.
@@ -53,11 +51,29 @@ class LossFamily:
 
     name: str
     loss: Callable[[Sample, float], float]
-    minimizer_of: Callable[[Sample], float] | None = None
-    init_aux: Callable[[Sample], float] | None = None
-    merge: Callable[[float, float, float, float], tuple[float, float]] | None = None
-    neg_derivative: Callable[[Sample, float], float] | None = None
-    combine_ties: Callable[[Sample, Sample], tuple[Sample, float]] | None = None
+    minimizer_of: Callable[[Sample], float] | None
+    init_aux: Callable[[Sample], float] | None
+    merge: Callable[[float, float, float, float], tuple[float, float]] | None
+    neg_derivative: Callable[[Sample, float], float] | None
+    combine_ties: Callable[[Sample, Sample], tuple[Sample, float]] | None
+
+    def __init__(
+        self,
+        name: str,
+        loss: Callable[[Sample, float], float],
+        minimizer_of: Callable[[Sample], float] | None = None,
+        init_aux: Callable[[Sample], float] | None = None,
+        merge: Callable[[float, float, float, float], tuple[float, float]] | None = None,
+        neg_derivative: Callable[[Sample, float], float] | None = None,
+        combine_ties: Callable[[Sample, Sample], tuple[Sample, float]] | None = None,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "loss", loss)
+        _set(self, "minimizer_of", minimizer_of)
+        _set(self, "init_aux", init_aux)
+        _set(self, "merge", merge)
+        _set(self, "neg_derivative", neg_derivative)
+        _set(self, "combine_ties", combine_ties)
 
     def require(self, *rules: str) -> None:
         """Raise ``InvalidConfig`` naming each of ``rules`` this family lacks."""

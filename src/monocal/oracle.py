@@ -10,10 +10,9 @@ sample count; intended for tests and spot checks only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import Problem
+from .core import Problem, _Frozen, _set
 from .errors import InvalidConfig, TooLarge
 from .losses import WEIGHTED_SQUARE
 
@@ -25,8 +24,7 @@ _MAX_SAMPLES = 20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Frozen):
     """Best feasible partition found by exhaustive search.
 
     ``best_values`` holds the fitted value of every sample (nondecreasing).
@@ -38,7 +36,15 @@ class OracleResult:
     best_loss: float
     best_values: tuple[float, ...]
     n_partitions_checked: int
-    near_optimal_values: tuple[tuple[float, ...], ...] | None = None
+    near_optimal_values: tuple[tuple[float, ...], ...] | None
+
+    def __init__(self, best_loss: float, best_values: tuple[float, ...],
+                 n_partitions_checked: int,
+                 near_optimal_values: tuple[tuple[float, ...], ...] | None = None) -> None:
+        _set(self, "best_loss", best_loss)
+        _set(self, "best_values", best_values)
+        _set(self, "n_partitions_checked", n_partitions_checked)
+        _set(self, "near_optimal_values", near_optimal_values)
 
 
 def grid_minimize(loss: Callable[[float], float], lo: float, hi: float, steps: int) -> float:

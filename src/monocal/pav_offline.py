@@ -25,17 +25,15 @@ each sample's merge inputs (``_sample_groups``) and a partition's total loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Block, Problem
+from .core import Block, Problem, _Frozen, _set
 from .losses import _partition_loss, _sample_groups
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(_Frozen):
     """Fit outcome: final blocks plus merge accounting.
 
     ``merge_count`` is N - S (samples minus stairs) by definition. ``passes``
@@ -45,7 +43,14 @@ class FitReport:
     blocks: tuple[Block, ...]
     merge_count: int
     total_loss: float
-    passes: int | None = None
+    passes: int | None
+
+    def __init__(self, blocks: tuple[Block, ...], merge_count: int, total_loss: float,
+                 passes: int | None = None) -> None:
+        _set(self, "blocks", blocks)
+        _set(self, "merge_count", merge_count)
+        _set(self, "total_loss", total_loss)
+        _set(self, "passes", passes)
 
 
 def _pool(

@@ -28,7 +28,13 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal')))"
+# The monocal modules loaded, plus ``dataclasses`` and ``inspect`` if loaded:
+# no import or command needs them (``dataclasses`` imports ``inspect``, and
+# with it ``ast``, ``dis`` and ``tokenize``).
+LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal'"
+    " or m in ('dataclasses', 'inspect'))))"
+)
 
 
 def test_import_monocal_loads_no_submodule():
@@ -39,6 +45,22 @@ def test_core_import_loads_no_loss_module():
     # Imports run one way: core needs only errors, and losses builds on core.
     assert fresh(f"import json, sys, monocal.core; {LOADED}") == [
         "monocal", "monocal.core", "monocal.errors"]
+
+
+def test_solver_import_loads_its_closure_only():
+    assert fresh(f"import json, sys; from monocal import fit_stack; {LOADED}") == [
+        "monocal", "monocal.core", "monocal.errors", "monocal.losses", "monocal.pav_offline"]
+
+
+def test_value_types_are_dataclasses_when_dataclasses_loads_after_them():
+    code = (
+        "import json\n"
+        "from monocal import Sample\n"
+        "import dataclasses\n"
+        "sample = dataclasses.replace(Sample(1.0), target=2.0)\n"
+        "print(json.dumps([[f.name for f in dataclasses.fields(Sample)], sample.target]))"
+    )
+    assert fresh(code) == [["score", "target", "weight", "payload"], 2.0]
 
 
 def test_cli_import_loads_no_solver():
