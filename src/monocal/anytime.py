@@ -124,6 +124,10 @@ class AnytimeResult(_Frozen):
     once, so each is within ``width_bound / 2`` plus half an ulp of the value
     (``math.ulp(value) / 2``) of its group's exact minimizer. ``groups``
     exposes the per-block brackets.
+    Exact steps whose values lie inside one final bracket get one midpoint,
+    so they collapse into one step: rows ``(1, 0.1), (2, 0.1000001)`` with
+    bracket ``[0, 2]`` and ``delta=1e-6`` give one step at
+    ``0.09999990463256836``, where ``fit_stack`` gives two.
     ``total_loss`` is the loss of the midpoint fit by the rule
     ``FitReport.total_loss`` uses (``blocks_loss``, tie-merge offset included).
     """

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cached_property
 from itertools import compress, islice, pairwise
-from operator import itemgetter, le, lt, ne
+from operator import attrgetter, itemgetter, le, lt, ne
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import CalibrationError, EmptyProblem, InvalidValue, InvalidWeight, NotMonotone
@@ -74,26 +75,6 @@ class _DataclassFields:
         return fields
 
 
-def _compile_key_methods(cls: type) -> type:
-    """Give ``cls`` the ``__eq__`` and ``__hash__`` of a dataclass with its fields."""
-    key = "({},)".format
-    mine = key(", ".join(f"self.{name}" for name in cls.__match_args__))
-    theirs = key(", ".join(f"other.{name}" for name in cls.__match_args__))
-    namespace: dict[str, Any] = {}
-    exec(
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return {mine} == {theirs}\n"
-        "    return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"    return hash({mine})\n",
-        namespace,
-    )
-    cls.__eq__ = namespace["__eq__"]
-    cls.__hash__ = namespace["__hash__"]
-    return cls
-
-
 class _Frozen:
     """Base of the value types: what ``@dataclass(frozen=True)`` would generate.
 
@@ -103,9 +84,10 @@ class _Frozen:
     them), and writes its ``__init__``: set every field with ``_set``, then
     call ``__post_init__`` if it has one. ``_hidden`` fields are neither init
     arguments nor compared nor shown. From these the base gives the
-    dataclass's ``==``, ``hash``, ``repr``, ``__match_args__``, frozen
-    ``FrozenInstanceError``, pickling and ``copy.replace``, and
-    ``dataclasses`` is imported only for an error or a ``dataclasses`` call.
+    dataclass's ``repr``, ``__match_args__``, frozen ``FrozenInstanceError``,
+    pickling, ``copy.replace``, and ``==`` and ``hash`` on one tuple of the
+    compared fields (``__match_args__``); ``dataclasses`` is imported only
+    for an error or a ``dataclasses`` call.
     """
 
     __slots__ = ()
@@ -117,15 +99,17 @@ class _Frozen:
         if _Frozen in cls.__bases__:
             cls._fields = tuple(cls.__annotations__)
             cls.__match_args__ = tuple(name for name in cls._fields if name not in cls._hidden)
+            # The tuple of compared fields: ``attrgetter`` of two or more names
+            # returns a tuple, and every value type compares two or more.
+            cls._key = attrgetter(*cls.__match_args__)
 
-    # The first ``==`` or hash of a class compiles its own pair, which reads
-    # the compared fields in line as a dataclass's does (``attrgetter`` takes
-    # about twice as long); importing compiles nothing.
     def __eq__(self, other: object) -> bool:
-        return _compile_key_methods(self.__class__).__eq__(self, other)
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return _compile_key_methods(self.__class__).__hash__(self)
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -198,44 +182,19 @@ def _columns_of(samples: Sequence[Sample]) -> list[list[float]]:
     return [[s.score for s in samples], [s.target for s in samples], [s.weight for s in samples]]
 
 
-class _Samples(Sequence):
-    """Samples kept with their columns; with no ``items`` they are built on first use, once.
-
-    ``Problem`` unwraps given ``items`` into a tuple and keeps a column-built
-    view as it is (threads racing on its first use may each build equal samples).
-    """
-
-    __slots__ = ("columns", "items")
-
-    def __init__(self, columns: Iterable[Iterable[float]], items: Sequence[Sample] | None = None):
-        self.columns = tuple(map(tuple, columns))
-        self.items = items
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, index):
-        if self.items is None:
-            self.items = tuple(map(Sample, *self.columns))
-        return self.items[index]
-
-    def __iter__(self):
-        return iter(self[:])
-
-
 class Problem(_Frozen):
     """Score-sorted ``scores``, ``targets`` and ``weights`` columns, no score repeated.
 
-    ``samples`` is the same rows as ``Sample`` objects: the given ones, as a
-    tuple, or, for a problem built from columns, a read-only sequence that
-    builds them when first read. The built-in families' solvers read the
-    columns. ``loss_offset`` is the constant dropped when equal-score samples
-    were merged into composites; adding it back makes any loss computed on
-    the normalized samples equal the loss on the raw input.
+    ``samples`` is the same rows as a tuple of ``Sample`` objects: the given
+    ones or, for a problem built from columns, ones built on first read. The
+    built-in families' solvers read the columns. ``loss_offset`` is the
+    constant dropped when equal-score samples were merged into composites;
+    adding it back makes any loss computed on the normalized samples equal
+    the loss on the raw input.
     """
 
     _hidden = ("scores", "targets", "weights")
-    samples: Sequence[Sample]
+    samples: tuple[Sample, ...]
     family: LossFamily
     loss_offset: float
     scores: tuple[float, ...]
@@ -244,15 +203,25 @@ class Problem(_Frozen):
 
     def __init__(self, samples: Sequence[Sample], family: LossFamily,
                  loss_offset: float = 0.0) -> None:
-        view = samples
-        if not isinstance(view, _Samples):
-            view = _Samples(_columns_of(items := tuple(view)), items)
-        # Given samples are kept as a plain tuple; column-built ones stay lazy.
-        _set(self, "samples", view if view.items is None else tuple(view.items))
-        _set(self, "family", family)
-        _set(self, "loss_offset", loss_offset)
-        for name, column in zip(self._hidden, view.columns):
-            _set(self, name, column)
+        samples = tuple(samples)
+        _fill(self, [*_columns_of(samples), samples], family, loss_offset)
+
+    # Threads racing on the first read may each build equal samples.
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        return tuple(map(Sample, self.scores, self.targets, self.weights))
+
+
+def _fill(problem: Problem, columns: Sequence[Sequence], family: LossFamily,
+          loss_offset: float) -> Problem:
+    """Set ``problem``'s fields from ``[scores, targets, weights]`` and, if a fourth, its samples."""
+    if len(columns) > 3:
+        _set(problem, "samples", tuple(columns[3]))
+    _set(problem, "family", family)
+    _set(problem, "loss_offset", loss_offset)
+    for name, column in zip(Problem._hidden, columns):
+        _set(problem, name, tuple(column))
+    return problem
 
 
 class Block(_Frozen):
@@ -383,7 +352,7 @@ def _normalize(columns: Sequence[Sequence], family: LossFamily) -> Problem:
             for column, value in zip(columns, (merged.score, merged.target, merged.weight, merged)):
                 column[start] = value
         columns = [list(map(column.__getitem__, starts)) for column in columns]
-    return Problem(_Samples(columns[:3], *columns[3:]), family, offset)
+    return _fill(object.__new__(Problem), columns, family, offset)
 
 
 def _boundary(left_score: float, right_score: float) -> float:

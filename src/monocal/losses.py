@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from operator import attrgetter, sub
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .core import Block, Problem, Sample, _Frozen, _set
@@ -173,9 +173,15 @@ def check_label(sample: Sample) -> Sample:
 # Both built-ins start each group at its target with its weight and join
 # groups by weighted mean, so they share the merge data and the tie mean.
 # ``_sample_groups`` recognises these two parts and hands the merge solvers
-# the target and weight columns instead of calling them per sample.
-_target = attrgetter("target")
-_weight = attrgetter("weight")
+# the target and weight columns instead of calling them per sample. They are
+# module functions, so a pickled or deep-copied family keeps them.
+def _target(sample: Sample) -> float:
+    return sample.target
+
+
+def _weight(sample: Sample) -> float:
+    return sample.weight
+
 
 # w * (z - y)^2 per sample; group minimizer is the weighted mean.
 WEIGHTED_SQUARE = LossFamily(

@@ -159,7 +159,7 @@ def brute_force_fit(
         raise TooLarge(
             f"{n} samples means 2^{n - 1} partitions; the oracle caps at {_MAX_SAMPLES}"
         )
-    if problem.family is WEIGHTED_SQUARE:
+    if problem.family == WEIGHTED_SQUARE:
         minimizers, losses = _square_range_tables(problem)
     elif bounds is not None:
         minimizers, losses = _generic_range_tables(problem, bounds, steps)

@@ -320,6 +320,16 @@ class TestAnytimeRun:
             for g, b in zip(result.groups, stack.blocks):
                 assert abs(0.5 * (g.upper + g.lower) - b.minimizer) <= 5e-9
 
+    def test_steps_inside_one_final_bracket_collapse(self):
+        # The README and AnytimeResult example: two exact steps, one midpoint.
+        problem = normalize([Sample(1.0, 0.1), Sample(2.0, 0.1000001)], WEIGHTED_SQUARE)
+        result = anytime_run(problem, AnytimeConfig(init_upper=2.0, init_lower=0.0, delta=1e-6))
+        assert result.staircase.values == (0.09999990463256836,)
+        assert blocks_to_staircase(fit_stack(problem).blocks, problem.scores).values == (
+            0.1, 0.1000001)
+        for exact in (0.1, 0.1000001):
+            assert abs(result.staircase.values[0] - exact) <= result.width_bound / 2
+
     def test_doubling_trick_finds_bounds_then_converges(self):
         rng = random.Random(19)
         for _ in range(15):

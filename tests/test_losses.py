@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import struct
 
@@ -24,7 +26,7 @@ from monocal import (
 )
 from monocal.errors import InvalidConfig, InvalidLabel, InvalidWeight
 from monocal.losses import DerivativeOracle, LossFamily
-from monocal.oracle import grid_minimize
+from monocal.oracle import brute_force_fit, grid_minimize
 
 
 class TestWeightedSquareMerge:
@@ -279,6 +281,19 @@ class TestFamilyPlumbing:
         oracle = DerivativeOracle([Sample(0.0, 2.0, 1.0)], family)
         assert oracle.neg_derivative_at(0, 0, 2.0) == 0.0
         assert oracle.neg_derivative_at(0, 0, 3.0) == -4.0
+
+    @pytest.mark.parametrize("family", [WEIGHTED_SQUARE, LOG_LOSS], ids=["square", "logloss"])
+    def test_builtins_survive_pickle_and_deepcopy(self, family):
+        assert pickle.loads(pickle.dumps(family)) == family == copy.deepcopy(family)
+        problem = Problem([Sample(0.0, 1.0), Sample(1.0, 0.0)], family)
+        twin = copy.deepcopy(problem)
+        assert twin == problem
+        if family == WEIGHTED_SQUARE:
+            assert brute_force_fit(twin).best_values == (0.5, 0.5)
+        # A built-in's merge inputs come from the columns, so a target column
+        # the samples disagree with shows which one the solver read.
+        object.__setattr__(twin, "targets", (0.0, 1.0))
+        assert [b.minimizer for b in fit_stack(twin).blocks] == [0.0, 1.0]
 
 
 _TWO_SAMPLES = (Sample(0.0, 2.0), Sample(1.0, 1.0))

@@ -27,6 +27,7 @@ from monocal import (
     Staircase,
     WEIGHTED_SQUARE,
 )
+from monocal.core import _normalize
 from monocal.errors import InvalidConfig, InvalidValue
 from monocal.oracle import OracleResult
 
@@ -35,6 +36,15 @@ from monocal.oracle import OracleResult
 FAMILY = LossFamily("f", loss=math.copysign)
 STAIRCASE = Staircase((1.5,), (10.0, 25.0))
 GROUP = AnytimeGroup(0, 1, 3.0, 1.0, 2.0, -0.5)
+PROBLEM_FIELDS = [
+    ("samples", MISSING, True), ("family", MISSING, True), ("loss_offset", 0.0, True),
+    ("scores", MISSING, False), ("targets", MISSING, False), ("weights", MISSING, False),
+]
+
+
+def column_problem():
+    """A problem built from columns, as ``monocal fit`` builds it: its samples come on first read."""
+    return _normalize([[3.0, 1.0], [4.0, 2.0], [1.0, 0.5]], FAMILY)
 
 FAMILY_REPR = (
     "LossFamily(name='f', loss=<built-in function copysign>, minimizer_of=None, "
@@ -54,8 +64,14 @@ CASES = {
         Problem([Sample(1.0, 2.0)], FAMILY, 0.5),
         "Problem(samples=(Sample(score=1.0, target=2.0, weight=1.0, payload=None),), "
         f"family={FAMILY_REPR}, loss_offset=0.5)",
-        [("samples", MISSING, True), ("family", MISSING, True), ("loss_offset", 0.0, True),
-         ("scores", MISSING, False), ("targets", MISSING, False), ("weights", MISSING, False)],
+        PROBLEM_FIELDS,
+    ),
+    "ProblemFromColumns": (
+        column_problem(),
+        "Problem(samples=(Sample(score=1.0, target=2.0, weight=0.5, payload=None), "
+        "Sample(score=3.0, target=4.0, weight=1.0, payload=None)), "
+        f"family={FAMILY_REPR}, loss_offset=0.0)",
+        PROBLEM_FIELDS,
     ),
     "Block": (
         Block(0, 1, 2.5, 2.0),
@@ -115,6 +131,7 @@ NAMES = sorted(CASES)
 CHANGES = {
     "Sample": {"weight": 2.0},
     "Problem": {"loss_offset": 1.0},
+    "ProblemFromColumns": {"loss_offset": 1.0},
     "Block": {"aux": 3.0},
     "Staircase": {"values": (10.0, 26.0)},
     "LossFamily": {"name": "g"},
@@ -176,6 +193,16 @@ def test_problem_compares_without_its_columns():
     assert other == problem and hash(other) == hash(problem)
 
 
+def test_a_problem_built_from_columns_equals_its_twins():
+    built, again = column_problem(), column_problem()
+    given = Problem([Sample(1.0, 2.0, 0.5), Sample(3.0, 4.0)], FAMILY)
+    # == builds the samples of both sides; they are then kept as one tuple.
+    assert built == again == given and hash(built) == hash(again) == hash(given)
+    assert type(built.samples) is tuple and built.samples is built.samples
+    assert (built.scores, built.targets, built.weights) == ((1.0, 3.0), (2.0, 4.0), (0.5, 1.0))
+    assert vars(given)["samples"] is given.samples
+
+
 def test_loss_family_is_a_dict_key():
     families = {WEIGHTED_SQUARE: "square", FAMILY: "f"}
     assert families[dataclasses.replace(WEIGHTED_SQUARE)] == "square"
@@ -188,6 +215,10 @@ def test_slotted_types_have_no_dict_and_the_rest_keep_theirs(name):
     value = CASES[name][0]
     if name in ("Sample", "Block", "AnytimeGroup"):
         assert not hasattr(value, "__dict__")
+    elif name == "ProblemFromColumns":
+        # Its samples join its ``__dict__`` on first read, after the columns.
+        value.samples
+        assert list(vars(value)) == [f.name for f in dataclasses.fields(value)][1:] + ["samples"]
     else:
         assert list(vars(value)) == [f.name for f in dataclasses.fields(value)]
         assert weakref.ref(value)() is value
@@ -211,10 +242,11 @@ def test_match_args_are_the_init_fields(name):
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("round_trip", [
     lambda value: pickle.loads(pickle.dumps(value)),
+    lambda value: pickle.loads(pickle.dumps(value, protocol=1)),
     lambda value: pickle.loads(pickle.dumps(value, protocol=2)),
     copy.deepcopy,
     copy.copy,
-], ids=["pickle", "pickle-2", "deepcopy", "copy"])
+], ids=["pickle", "pickle-1", "pickle-2", "deepcopy", "copy"])
 def test_pickle_and_copy_round_trips(name, round_trip):
     value = CASES[name][0]
     twin = round_trip(value)
