@@ -34,11 +34,12 @@ sits at or above the probe while the right sits at or below it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .core import Problem, Staircase, _Frozen, _partition_staircase, _set
-from .errors import EmptyProblem, InvalidConfig, NoWidth, OracleFailure, Unbounded
-from .losses import DerivativeOracle, _partition_loss
+from .errors import EmptyProblem, InvalidConfig, NoWidth, Unbounded
+from .losses import DerivativeOracle, _checked, _derivative_probe, _partition_loss
 
 __all__ = [
     "AnytimeGroup",
@@ -186,26 +187,15 @@ def anytime_init(problem: Problem, config: AnytimeConfig) -> list[AnytimeGroup]:
     return [AnytimeGroup(*e) for e in _entries(problem, config)]
 
 
-def _neg_derivative(oracle: DerivativeOracle, first: int, last: int, z: float) -> float:
-    """``oracle``'s derivative for samples [first, last] at ``z``, or ``OracleFailure``."""
-    try:
-        d = oracle.neg_derivative_at(first, last, z)
-    except (ValueError, OverflowError) as exc:
-        # math.fsum's errors: terms of +inf and -inf, or an exact sum past the float range.
-        raise OracleFailure(f"derivative oracle failed at z={z!r} "
-                            f"for samples [{first}, {last}]: {exc}") from exc
-    if d != d:  # NaN
-        raise OracleFailure(f"derivative oracle returned NaN at z={z!r} "
-                            f"for samples [{first}, {last}]")
-    return d
-
-
-def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], float]:
+def _round(entries: list[list], derivative: Callable[[int, int, float], float]
+           ) -> tuple[list[list], float]:
     """One round on the list state: probe and join in one pass, then halve.
 
-    Updates ``entries`` in place and returns the joined entries with the
-    widest bracket that can still shrink: a bracket whose next probe rounds
-    onto one of its ends is as narrow as floats allow, so it does not count.
+    ``derivative(first, last, z)`` returns a number or raises
+    ``OracleFailure`` (see ``losses._checked``). Updates ``entries`` in place
+    and returns the joined entries with the widest bracket that can still
+    shrink: a bracket whose next probe rounds onto one of its ends is as
+    narrow as floats allow, so it does not count.
     """
     inf = math.inf
     # A join keeps the left entry (its first and probe), sums the
@@ -220,7 +210,7 @@ def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], f
                 probe = 0.5 * upper + 0.5 * lower
             else:
                 probe = probe_point(upper, lower)
-            e[4], e[5] = probe, _neg_derivative(oracle, e[0], e[1], probe)
+            e[4], e[5] = probe, derivative(e[0], e[1], probe)
         while stack:
             left = stack[-1]
             if left[2] != e[2] or left[3] != e[3] or not left[5] >= 0.0 >= e[5]:
@@ -228,7 +218,7 @@ def _round(entries: list[list], oracle: DerivativeOracle) -> tuple[list[list], f
             stack.pop()
             left[1], left[5] = e[1], left[5] + e[5]
             if left[5] != left[5]:  # +inf and -inf: the joined group's own sum names the cause
-                left[5] = _neg_derivative(oracle, left[0], left[1], left[4])
+                left[5] = derivative(left[0], left[1], left[4])
             e = left
         push(e)
 
@@ -255,7 +245,8 @@ def iterate(groups: Sequence[AnytimeGroup], oracle: DerivativeOracle) -> list[An
     round are independent of one another.
     """
     entries = [[g.first, g.last, g.upper, g.lower, g.probe, g.neg_deriv] for g in groups]
-    return [AnytimeGroup(*e) for e in _round(entries, oracle)[0]]
+    derivative = partial(_checked, oracle.neg_derivative_at)
+    return [AnytimeGroup(*e) for e in _round(entries, derivative)[0]]
 
 
 def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
@@ -266,11 +257,11 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
     finite bracket wider than the float range gives ``width_bound == inf``.
     """
     entries = _entries(problem, config)
-    oracle = DerivativeOracle(problem.samples, problem.family)
+    derivative = _derivative_probe(problem)
     iters = 0
     widest = config.init_upper - config.init_lower
     while iters < config.max_iters and widest > config.delta:
-        entries, widest = _round(entries, oracle)
+        entries, widest = _round(entries, derivative)
         iters += 1
     width_bound = max(upper - lower for _, _, upper, lower, _, _ in entries)
     if any(math.isinf(e[2]) or math.isinf(e[3]) for e in entries):

@@ -322,6 +322,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .online import OnlineState
 
     state = OnlineState(_FAMILIES[args.loss])
+    # Both built-ins take a sample's target and weight as its minimizer and
+    # auxiliary value, so the checked columns are pushed as they are.
+    push = state._push
     # Opens the input and checks its header, so a failure there writes nothing.
     chunks = _training_csv(args.input, args.loss)
     out = sys.stdout
@@ -330,10 +333,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # only the top step (see OnlineState), so a row costs one repr plus the
     # join of its output bytes instead of a rebuilt Staircase.
     reprs: list[str] = []
-    samples = (zip(rows, map(Sample, *columns)) for rows, columns in chunks)
-    for row, sample in chain.from_iterable(samples):
+    records = chain.from_iterable(zip(rows, *columns) for rows, columns in chunks)
+    for row, score, target, weight in records:
         try:
-            state.push(sample)
+            push(score, target, weight)
         except OutOfOrder as exc:
             raise _CliError(f"row {row}: {exc}", EXIT_OUT_OF_ORDER)
         steps = state.step_count

@@ -12,19 +12,21 @@ supplies both sides can be cross-validated: the z where the summed negative
 derivative crosses zero is the merge-rule minimizer.
 
 It owns every loss rule: the 0/1 label set, a partition's total loss, and
-which built-ins read their loss terms and merge inputs from a problem's
-columns; rows (``monocal.core``) and pooling hold no loss knowledge.
+which built-ins read their loss terms, merge inputs and anytime derivative
+probes from a problem's columns; rows (``monocal.core``) and pooling hold no
+loss knowledge.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain, repeat
-from operator import sub
+from operator import mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .core import Block, Problem, Sample, _Frozen, _set
-from .errors import InvalidConfig, InvalidLabel, InvalidWeight
+from .errors import InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure
 
 __all__ = [
     "LossFamily",
@@ -102,7 +104,8 @@ def _tie_mean(a: Sample, b: Sample) -> Sample:
 
 # Each built-in loss formula is one function of (z, target, weight), which
 # ``_partition_loss`` maps over a problem's columns; the family's ``loss``
-# applies it to one Sample.
+# applies it to one Sample. ``_derivative_probe`` does the same with the
+# derivatives.
 def _square_term(z: float, t: float, w: float) -> float:
     d = z - t
     return w * d * d
@@ -142,16 +145,19 @@ def _log_loss(sample: Sample, z: float) -> float:
     return _log_term(z, sample.target, sample.weight)
 
 
-def _log_neg_derivative(sample: Sample, z: float) -> float:
+def _log_derivative_term(z: float, t: float, w: float) -> float:
     # Domain is [0, 1]; the endpoints return the one-sided limits so a
     # bracket pinned at 0 or 1 still reads the right sign.
-    t, w = sample.target, sample.weight
     d = 0.0
     if t != 0.0:
         d += w * t / z if z != 0.0 else math.inf
     if t != 1.0:
         d -= w * (1.0 - t) / (1.0 - z) if z != 1.0 else math.inf
     return d
+
+
+def _log_neg_derivative(sample: Sample, z: float) -> float:
+    return _log_derivative_term(z, sample.target, sample.weight)
 
 
 def _log_combine_ties(a: Sample, b: Sample) -> tuple[Sample, float]:
@@ -241,8 +247,10 @@ def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:
 class DerivativeOracle:
     """Negative derivative of a contiguous group's summed loss.
 
-    Binds a family's per-sample derivative to a fixed sample sequence so the
-    anytime solver can probe groups by index range.
+    Binds a family's per-sample derivative to a fixed sample sequence so
+    groups can be probed by index range. ``anytime_run`` probes a custom
+    family through one; it probes the built-ins from the problem's target
+    and weight columns instead (``_derivative_probe``), to the same bits.
     """
 
     def __init__(self, samples: Sequence[Sample], family: LossFamily) -> None:
@@ -258,3 +266,55 @@ class DerivativeOracle:
             d = f(self._samples[first], z)
             return d or math.fsum([d])
         return math.fsum([f(s, z) for s in self._samples[first:last + 1]])
+
+
+def _checked(derivative: Callable[[int, int, float], float],
+             first: int, last: int, z: float) -> float:
+    """``derivative(first, last, z)`` for samples [first, last], or ``OracleFailure``."""
+    try:
+        d = derivative(first, last, z)
+    except (ValueError, OverflowError) as exc:
+        # math.fsum's errors: terms of +inf and -inf, or an exact sum past the float range.
+        raise OracleFailure(f"derivative oracle failed at z={z!r} "
+                            f"for samples [{first}, {last}]: {exc}") from exc
+    if d != d:  # NaN
+        raise OracleFailure(f"derivative oracle returned NaN at z={z!r} "
+                            f"for samples [{first}, {last}]")
+    return d
+
+
+def _derivative_probe(problem: Problem) -> Callable[[int, int, float], float]:
+    """``(first, last, z)`` to the checked ``neg_derivative_at`` of ``problem``'s samples.
+
+    The built-ins sum their derivative terms over the target and weight
+    columns and build no ``Sample``; a custom family goes through a
+    ``DerivativeOracle``.
+    """
+    family = problem.family
+    family.require("neg_derivative")
+    ts, ws = problem.targets, problem.weights
+    if family.neg_derivative is _log_neg_derivative:
+        def total(first: int, last: int, z: float) -> float:
+            end = last + 1
+            return math.fsum(map(_log_derivative_term, repeat(z), ts[first:end], ws[first:end]))
+
+        return partial(_checked, total)
+    if family.neg_derivative is not _square_neg_derivative:
+        return partial(_checked, DerivativeOracle(problem.samples, family).neg_derivative_at)
+    # -2.0 * w * (z - t) groups as (-2.0 * w) * (z - t): the same bits.
+    m2w = [-2.0 * w for w in ws]
+
+    def total(first: int, last: int, z: float) -> float:
+        end = last + 1
+        return math.fsum(map(mul, m2w[first:end], map(sub, repeat(z), ts[first:end])))
+
+    def probe(first: int, last: int, z: float) -> float:
+        if first == last:
+            # One term is its own sum, except that fsum sets the sign of a
+            # zero and _checked names a NaN, so those two go through both.
+            d = m2w[first] * (z - ts[first])
+            if d and d == d:
+                return d
+        return _checked(total, first, last, z)
+
+    return probe

@@ -82,21 +82,29 @@ class OnlineState:
     def push(self, sample: Sample) -> None:
         """Absorb one arrival; merges leftward until monotone again."""
         family = self._family
-        if self._scores and sample.score < self._scores[-1]:
+        self._push(sample.score, family.minimizer_of(sample), family.init_aux(sample))
+
+    def _push(self, score: float, y: float, aux: float) -> None:
+        """``push`` of a sample at ``score`` with minimizer ``y`` and auxiliary value ``aux``.
+
+        For the built-ins these are the sample's score, target and weight, so
+        a reader of valid columns (``monocal stream``) builds no ``Sample``.
+        """
+        scores = self._scores
+        if scores and score < scores[-1]:
             raise OutOfOrder(
-                f"score {sample.score!r} arrived after {self._scores[-1]!r}; "
+                f"score {score!r} arrived after {scores[-1]!r}; "
                 "sort the data and use an offline solver instead"
             )
-        y = family.minimizer_of(sample)
-        lam = family.init_aux(sample)
-        first = len(self._scores)
-        if self._scores and sample.score == self._scores[-1]:
+        merge = self._family.merge
+        first = len(scores)
+        if scores and score == scores[-1]:
             # Same score, same mapping: fold into the top block before any
             # violation checks.
-            y, lam = family.merge(self._ys.pop(), self._lams.pop(), y, lam)
+            y, aux = merge(self._ys.pop(), self._lams.pop(), y, aux)
             first = self._firsts.pop()
-        self._scores.append(sample.score)
-        _pool(self._firsts, self._ys, self._lams, ((first, y, lam),), family.merge)
+        scores.append(score)
+        _pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
 
     def blocks(self) -> tuple[Block, ...]:
         return _stack_blocks(self._firsts, self._ys, self._lams, len(self._scores))

@@ -966,9 +966,20 @@ class TestColumnFit:
         path = write_training_csv(tmp_path / "rows.csv", rows, header="score,target,weight")
         code, _, err = run_quietly(["fit", path, "--loss", loss, "--solver", solver, "--quiet"])
         assert (code, err) == (0, "")
-        # The anytime oracle reads samples, built once for it; the merge
-        # solvers read the target and weight columns.
-        assert len(built) == (len(rows) if solver == "anytime" else 0)
+        # The merge solvers read the target and weight columns, and the
+        # anytime probes sum derivative terms over them.
+        assert len(built) == 0
+
+    @pytest.mark.parametrize("loss", ["square", "logloss"])
+    def test_stream_builds_no_sample_per_row(self, tmp_path, built, loss):
+        rng = random.Random(f"stream-{loss}")
+        # Scores in order, each three times, so pushes fold ties and pool.
+        rows = [(i // 3, rng.choice([0.0, 1.0]) if loss == "logloss" else rng.uniform(-5, 5),
+                 rng.uniform(0.1, 3)) for i in range(2500)]
+        path = write_training_csv(tmp_path / "rows.csv", rows, header="score,target,weight")
+        code, out, err = run_quietly(["stream", path, "--loss", loss])
+        assert (code, err, out.count("\n")) == (0, "", len(rows) + 1)
+        assert len(built) == 0
 
     @pytest.mark.parametrize(
         "row, message",
@@ -1104,6 +1115,16 @@ def test_anytime_oracle_failure_exits_2(tmp_path):
                    "-inf + inf in fsum\n")
     code, out, _ = run_quietly(["fit", path, "--quiet"])
     assert code == 0 and json.loads(out)["values"] == [0.0]
+
+
+def test_anytime_one_sample_nan_exits_2(tmp_path):
+    # -2.0 * 1e308 overflows to -inf, and the first probe, 0.5, is the
+    # sample's own target: -inf * 0.0 is NaN for the one-sample group [1, 1].
+    path = write_training_csv(tmp_path / "nan.csv", [(1, 0, 1), (2, 0.5, 1e308), (3, 1, 1)],
+                              header="score,target,weight")
+    code, out, err = run_quietly(["fit", path, "--solver", "anytime"])
+    assert (code, out) == (2, "")
+    assert err == "monocal: derivative oracle returned NaN at z=0.5 for samples [1, 1]\n"
 
 
 def test_anytime_round_cap_keeps_the_real_cause(tmp_path):

@@ -24,8 +24,11 @@ from monocal import (
     normalize,
     weighted_square_merge,
 )
-from monocal.errors import InvalidConfig, InvalidLabel, InvalidWeight
-from monocal.losses import DerivativeOracle, LossFamily
+from monocal.core import _normalize
+from monocal.errors import (
+    CalibrationError, InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure,
+)
+from monocal.losses import DerivativeOracle, LossFamily, _derivative_probe
 from monocal.oracle import brute_force_fit, grid_minimize
 
 
@@ -256,6 +259,132 @@ class TestNegDerivative:
                 else:
                     hi = mid
             assert 0.5 * (lo + hi) == pytest.approx(y, abs=1e-9)
+
+
+class _Alias:
+    """Calls ``f`` and compares and hashes equal to it, but is not ``f``."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, *args):
+        return self.f(*args)
+
+    def __eq__(self, other):
+        return other == self.f
+
+    def __hash__(self):
+        return hash(self.f)
+
+
+def _aliased(family):
+    """An equal copy of ``family`` whose derivative no identity test recognises."""
+    copy = LossFamily(family.name, family.loss, family.minimizer_of, family.init_aux,
+                      family.merge, _Alias(family.neg_derivative), family.combine_ties)
+    assert copy == family and copy.neg_derivative is not family.neg_derivative
+    return copy
+
+
+def _oracle_outcome(oracle, first, last, z):
+    """``oracle``'s bits and zero sign, or the failure text the anytime solver gives for it."""
+    try:
+        d = oracle.neg_derivative_at(first, last, z)
+    except (ValueError, OverflowError) as exc:
+        return f"derivative oracle failed at z={z!r} for samples [{first}, {last}]: {exc}"
+    if d != d:
+        return f"derivative oracle returned NaN at z={z!r} for samples [{first}, {last}]"
+    return struct.pack("<d", d), math.copysign(1.0, d)
+
+
+def _probe_outcome(probe, first, last, z):
+    """A checked probe's bits and zero sign, or its ``OracleFailure`` text."""
+    try:
+        d = probe(first, last, z)
+    except OracleFailure as exc:
+        return str(exc)
+    return struct.pack("<d", d), math.copysign(1.0, d)
+
+
+def _run_outcome(problem, config):
+    try:
+        return anytime_run(problem, config)
+    except (CalibrationError, OverflowError) as exc:
+        # OverflowError: the total loss's fsum, past the float range.
+        return type(exc), str(exc)
+
+
+def _bits(x):
+    return x if x is None else struct.pack("<d", x)
+
+
+# Extreme magnitudes: targets to 1e300, weights to 1e308 (so -2.0 * w
+# overflows to -inf), and fractional log-loss labels, as tie folds leave them.
+_SQUARE_TARGETS = st.one_of(st.sampled_from([1e300, -1e300, 0.0, -0.0, 0.1, 1 / 3, 2.5]),
+                            st.floats(-1e300, 1e300))
+_LABELS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.25]), st.floats(0.0, 1.0))
+_WEIGHTS = st.one_of(st.sampled_from([1e308, 1.7976931348623157e308, 1.0, 0.5, 3.0]),
+                     st.floats(1e-300, 1e308))
+
+
+@st.composite
+def _probe_cases(draw):
+    family = draw(st.sampled_from([WEIGHTED_SQUARE, LOG_LOSS]))
+    n = draw(st.integers(1, 8))
+    targets = draw(st.lists(_LABELS if family is LOG_LOSS else _SQUARE_TARGETS,
+                            min_size=n, max_size=n))
+    weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    points = st.floats(0.0, 1.0) if family is LOG_LOSS else st.floats(allow_nan=False)
+    # A probe exactly at a target makes that sample's term zero (or NaN).
+    zs = st.one_of(st.sampled_from(targets), st.sampled_from([0.0, -0.0]), points)
+    ranges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+    probes = draw(st.lists(st.tuples(ranges, zs), min_size=1, max_size=12))
+    return family, targets, weights, probes
+
+
+class TestColumnProbe:
+    """The anytime probe reads the built-ins' columns, to ``DerivativeOracle``'s bits."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_probe_cases())
+    def test_probe_is_the_oracle_bit_for_bit(self, case):
+        family, targets, weights, probes = case
+        columns = [[float(i) for i in range(len(targets))], targets, weights]
+        problem = _normalize(columns, family)
+        reference = normalize(map(Sample, *columns), family)
+        probe = _derivative_probe(problem)
+        oracle = DerivativeOracle(reference.samples, family)
+        for (first, last), z in probes:
+            want = _oracle_outcome(oracle, first, last, z)
+            assert _probe_outcome(probe, first, last, z) == want, (first, last, z)
+        assert "samples" not in vars(problem)
+        assert problem == reference  # the same rows; == reads problem.samples
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_probe_cases())
+    def test_anytime_run_is_the_oracle_run(self, case):
+        family, targets, weights, _ = case
+        columns = [[float(i) for i in range(len(targets))], targets, weights]
+        problem = _normalize(columns, family)
+        copy = _normalize(columns, _aliased(family))
+        lower, upper = min(targets), max(targets)
+        if lower == upper:
+            upper = math.nextafter(upper, math.inf)
+        config = AnytimeConfig(init_upper=upper, init_lower=lower, max_iters=60)
+        got, want = _run_outcome(problem, config), _run_outcome(copy, config)
+        assert got == want
+        if isinstance(got, tuple):
+            return
+        assert repr(got) == repr(want)
+        got_bits, want_bits = ([_bits(g.neg_deriv) for g in r.groups] for r in (got, want))
+        assert got_bits == want_bits
+        assert "samples" not in vars(problem) and "samples" in vars(copy)
+
+    def test_one_sample_nan_is_named(self):
+        # -2.0 * 1e308 is -inf, and -inf * (0.5 - 0.5) is NaN: no fast return.
+        problem = _normalize([[1.0, 2.0], [0.5, 0.0], [1e308, 1.0]], WEIGHTED_SQUARE)
+        with pytest.raises(OracleFailure) as info:
+            _derivative_probe(problem)(0, 0, 0.5)
+        assert str(info.value) == "derivative oracle returned NaN at z=0.5 for samples [0, 0]"
 
 
 class TestFamilyPlumbing:
