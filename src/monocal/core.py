@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from functools import cached_property
-from itertools import compress, islice, pairwise
+from itertools import compress, islice, pairwise, repeat
 from operator import attrgetter, itemgetter, le, lt, ne
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -88,6 +89,11 @@ class _Frozen:
     pickling, ``copy.replace``, and ``==`` and ``hash`` on one tuple of the
     compared fields (``__match_args__``); ``dataclasses`` is imported only
     for an error or a ``dataclasses`` call.
+
+    ``_from_columns`` builds many instances of a slotted subclass at once,
+    without ``__init__`` or ``__post_init__``: its caller checks the type's
+    rule on the columns first, so every instance that exists is still valid
+    and equal to the one ``__init__`` would build.
     """
 
     __slots__ = ()
@@ -136,6 +142,19 @@ class _Frozen:
         from dataclasses import replace
 
         return replace(self, **changes)
+
+
+def _from_columns(cls: type[_Frozen], *columns: Sequence) -> tuple:
+    """Instances of the slotted value type ``cls``, one per row of its field columns.
+
+    No Python frame runs per instance: ``cls.__new__`` is mapped over the
+    row count, then each field's slot descriptor over its column. Nothing is
+    checked; the caller checks the type's rule on the columns.
+    """
+    objects = tuple(map(cls.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls._fields, columns):
+        deque(map(getattr(cls, name).__set__, objects, column), 0)
+    return objects
 
 
 class Sample(_Frozen):

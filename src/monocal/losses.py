@@ -227,16 +227,29 @@ def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
 
 
 def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
-    """Total loss of a partition given as in ``core._partition_staircase``, offset included."""
-    sizes = map(sub, [*firsts[1:], len(problem.scores)], firsts)
-    values = chain.from_iterable(map(repeat, ys, sizes))
+    """Total loss of a partition given as in ``core._partition_staircase``, offset included.
+
+    Each sample's term takes its block's value: ``ys`` itself when every
+    block holds one sample, else each ``ys[k]`` repeated over its block. The
+    built-ins' terms (and tie offsets) are nonnegative on their domain, so
+    an exact sum past the float range is ``inf``; a custom family's terms
+    may have either sign, so ``math.fsum``'s ``OverflowError`` reaches its
+    caller.
+    """
+    n = len(problem.scores)
+    if len(ys) == n:
+        values = ys
+    else:
+        values = chain.from_iterable(map(repeat, ys, map(sub, [*firsts[1:], n], firsts)))
     loss = problem.family.loss
     term = _square_term if loss is _square_loss else _log_term if loss is _log_loss else None
     if term is None:
-        terms = map(loss, problem.samples, values)
-    else:
-        terms = map(term, values, problem.targets, problem.weights)
-    return math.fsum(chain((problem.loss_offset,), terms))
+        return math.fsum(chain((problem.loss_offset,), map(loss, problem.samples, values)))
+    try:
+        return math.fsum(chain((problem.loss_offset,),
+                               map(term, values, problem.targets, problem.weights)))
+    except OverflowError:  # "intermediate overflow in fsum"
+        return math.inf
 
 
 def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:

@@ -18,16 +18,18 @@ nothing.
 The stack kernel (``_pool``) is the one pooling loop of the merge solvers:
 ``fit_stack`` drives it with every sample in one call, and the streaming
 solver (``monocal.online``) drives it with one group per arrival. A direct
-pass reads and writes the stack's lists too; ``Block``s are built from them
-only for a returned result. Pooling knows no loss: ``monocal.losses`` gives
-each sample's merge inputs (``_sample_groups``) and a partition's total loss.
+pass reads and writes the stack's lists too. ``Block``s are built from
+them only for a returned result, all at once (``_stack_blocks``). Pooling
+knows no loss: ``monocal.losses`` gives each sample's merge inputs
+(``_sample_groups``) and a partition's total loss.
 """
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Iterable, Iterator
 
-from .core import Block, Problem, _Frozen, _set
+from .core import Block, Problem, _Frozen, _from_columns, _set
 from .losses import _partition_loss, _sample_groups
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
@@ -79,10 +81,17 @@ def _pool(
 def _stack_blocks(
     firsts: list[int], ys: list[float], auxs: list[float], n: int
 ) -> tuple[Block, ...]:
-    """Blocks of a stack over ``n`` samples; each ends before the next begins."""
+    """Blocks of a stack over ``n`` samples; each ends before the next begins.
+
+    They are built in bulk (``core._from_columns``) once ``Block``'s rule,
+    ``first <= last``, holds on the columns.
+    """
     lasts = [first - 1 for first in firsts[1:]]
     lasts.append(n - 1)
-    return tuple(map(Block, firsts, lasts, ys, auxs))
+    if any(map(gt, firsts, lasts)):
+        # An empty range: build one at a time, so Block's own check raises.
+        return tuple(map(Block, firsts, lasts, ys, auxs))
+    return _from_columns(Block, firsts, lasts, ys, auxs)
 
 
 def _report(problem: Problem, firsts: list[int], ys: list[float], auxs: list[float],

@@ -1127,6 +1127,17 @@ def test_anytime_one_sample_nan_exits_2(tmp_path):
     assert err == "monocal: derivative oracle returned NaN at z=0.5 for samples [1, 1]\n"
 
 
+@pytest.mark.parametrize("solver", ["stack", "direct", "anytime"])
+def test_total_loss_past_the_float_range_is_infinite(tmp_path, solver):
+    # The fit is 0.0 and each row's loss 1e300 * 1e4 ** 2 = 1e308; their sum is no float.
+    path = write_training_csv(tmp_path / "over.csv", [(1, 1e4, 1e300), (2, -1e4, 1e300)],
+                              header="score,target,weight")
+    code, out, err = run_quietly(["fit", path, "--solver", solver])
+    assert (code, err) == (0, "fit: 2 samples -> 1 steps (1 merges, loss inf)\n")
+    doc = json.loads(out)
+    assert doc["values"] == [0.0] and doc["metadata"]["total_loss"] == math.inf
+
+
 def test_anytime_round_cap_keeps_the_real_cause(tmp_path):
     path = write_training_csv(tmp_path / "big.csv", [(1, 1e308), (2, -1e308)])
     # No round: the target range is a finite bracket, only wider than floats.

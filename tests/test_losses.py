@@ -28,7 +28,7 @@ from monocal.core import _normalize
 from monocal.errors import (
     CalibrationError, InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure,
 )
-from monocal.losses import DerivativeOracle, LossFamily, _derivative_probe
+from monocal.losses import DerivativeOracle, LossFamily, _derivative_probe, _partition_loss
 from monocal.oracle import brute_force_fit, grid_minimize
 
 
@@ -385,6 +385,66 @@ class TestColumnProbe:
         with pytest.raises(OracleFailure) as info:
             _derivative_probe(problem)(0, 0, 0.5)
         assert str(info.value) == "derivative oracle returned NaN at z=0.5 for samples [0, 0]"
+
+
+def _cubic_loss(sample, z):
+    # A custom family's terms may have either sign.
+    return sample.weight * (z - sample.target) ** 3
+
+
+_CUBIC = LossFamily("cubic", loss=_cubic_loss)
+
+
+@st.composite
+def _one_sample_partitions(draw):
+    """A family, target and weight columns, and per-sample values with a run of equal bits."""
+    family = draw(st.sampled_from([WEIGHTED_SQUARE, LOG_LOSS, _CUBIC]))
+    n = draw(st.integers(2, 10))
+    values = _LABELS if family is LOG_LOSS else _SQUARE_TARGETS
+    targets = draw(st.lists(st.one_of(st.just(-0.0), values), min_size=n, max_size=n))
+    weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    ys = draw(st.lists(st.one_of(st.sampled_from([*targets, 0.0, -0.0]), values),
+                       min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 2))
+    ys[k + 1] = ys[k]
+    return family, targets, weights, ys
+
+
+def _loss_outcome(problem, firsts, ys):
+    try:
+        return _bits(_partition_loss(problem, firsts, ys))
+    except (ValueError, OverflowError) as exc:
+        # math.fsum's errors: terms of +inf and -inf, or an exact sum past the float range.
+        return type(exc), str(exc)
+
+
+class TestPartitionLoss:
+    """A partition's total loss reads one-sample blocks' values as they are, to the same bits."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_one_sample_partitions())
+    def test_one_sample_blocks_match_the_expanded_values(self, case):
+        family, targets, weights, ys = case
+        n = len(ys)
+        problem = _normalize([[float(i) for i in range(n)], targets, weights], family)
+        # Each run of equal bits as one block: the same value per sample from fewer blocks.
+        firsts, joined = zip(*((k, y) for k, y in enumerate(ys)
+                               if not k or _bits(y) != _bits(ys[k - 1])))
+        assert len(joined) < n
+        one_sample = _loss_outcome(problem, list(range(n)), ys)
+        assert one_sample == _loss_outcome(problem, list(firsts), list(joined))
+        if family is not _CUBIC:
+            # Built-in terms are nonnegative: a sum past the float range is inf.
+            assert isinstance(one_sample, bytes)
+
+    def test_builtin_sum_past_the_float_range_is_inf(self):
+        # Each term is 1e300 * 1e4 ** 2 = 1e308, so fsum's exact sum is no float.
+        columns = [[1.0, 2.0], [1e4, -1e4], [1e300, 1e300]]
+        custom = LossFamily("custom", loss=lambda sample, z: WEIGHTED_SQUARE.loss(sample, z))
+        for firsts, ys in (([0, 1], [0.0, 0.0]), ([0], [0.0])):
+            assert _partition_loss(_normalize(columns, WEIGHTED_SQUARE), firsts, ys) == math.inf
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                _partition_loss(_normalize(columns, custom), firsts, ys)
 
 
 class TestFamilyPlumbing:

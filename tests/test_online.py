@@ -75,6 +75,21 @@ def _contract_stream(rng: random.Random) -> list[Sample]:
     return samples
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: a repeated score folds into the whole top block, "
+    "after that block pooled earlier scores",
+)
+def test_a_tie_after_a_pool_matches_the_offline_fit():
+    samples = [Sample(1.0, 5.0), Sample(2.0, 0.0), Sample(2.0, 100.0)]
+    state = OnlineState(WEIGHTED_SQUARE)
+    for sample in samples:
+        state.push(sample)
+    offline = fit_stack(normalize(samples, WEIGHTED_SQUARE))
+    assert tuple(b.minimizer for b in offline.blocks) == (5.0, 50.0)
+    assert state.values == (5.0, 50.0)
+
+
 def test_push_changes_only_the_top_step():
     # `monocal stream` re-renders only the top value after each push, so it
     # relies on this contract. A fix of the online tie fold (ROADMAP item 2)

@@ -15,7 +15,9 @@ from monocal import (
     fit_stack,
     normalize,
 )
+from monocal.errors import InvalidValue
 from monocal.oracle import brute_force_fit
+from monocal.pav_offline import _stack_blocks
 
 from conftest import GOLDEN_SIZES, GOLDEN_VALUES, make_square_instance
 
@@ -85,7 +87,6 @@ class TestSmallCases:
         report = fit_stack(problem)
         assert [b.minimizer for b in report.blocks] == [5.0, 9.0]
         assert report.merge_count == 1
-
 
     def test_empty_problem(self):
         # Built by hand: normalize refuses zero samples.
@@ -205,3 +206,47 @@ class TestRandomInstances:
             for values in relaxed.near_optimal_values:
                 for got, want in zip(values, fitted):
                     assert abs(got - want) <= 1e-9
+
+
+class TestStackBlocks:
+    @pytest.mark.parametrize("firsts, empty", [([0, 2, 1], (2, 0)), ([0, 0], (0, -1)),
+                                               ([1, 3], (3, 2))],
+                             ids=["unsorted", "repeated", "past-the-end"])
+    def test_an_empty_range_raises_blocks_own_error(self, firsts, empty):
+        with pytest.raises(InvalidValue) as constructed:
+            Block(*empty, 0.0, 1.0)
+        with pytest.raises(InvalidValue) as bulk:
+            _stack_blocks(firsts, [0.0] * len(firsts), [1.0] * len(firsts), 3)
+        assert str(bulk.value) == str(constructed.value) == "block range [%d, %d] is empty" % empty
+
+
+class TestTotalLoss:
+    def test_an_exact_sum_past_the_float_range_is_inf(self):
+        # Each term is 1e300 * 1e4 ** 2 = 1e308; their sum is not a float.
+        problem = normalize([Sample(1.0, 1e4, 1e300), Sample(2.0, -1e4, 1e300)], WEIGHTED_SQUARE)
+        for solver in (fit_stack, fit_direct):
+            report = solver(problem)
+            assert [b.minimizer for b in report.blocks] == [0.0]
+            assert report.total_loss == math.inf
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: merge-order rounding leaves fit_stack at 0.29999999999999993 "
+        "and fit_direct at 0.3, 0.30000000000000004",
+    )
+    def test_rounding_prone_targets_give_one_partition(self):
+        targets = [0.1, 0.3, 0.7, 0.2, 0.2, 1 / 3, 0.1, 0.3, 1 / 3, 1 / 3, 0.2, 0.7]
+        problem = normalize([Sample(float(i), t) for i, t in enumerate(targets)], WEIGHTED_SQUARE)
+        stack, direct = fit_stack(problem), fit_direct(problem)
+        assert [(b.first, b.last) for b in stack.blocks] == [(b.first, b.last) for b in direct.blocks]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: w * y overflows in the pairwise merge, so the mean is nan",
+    )
+    def test_a_finite_input_gives_a_finite_fit(self):
+        problem = normalize([Sample(1.0, 1e300, 1e10), Sample(2.0, -1e300, 1e10)],
+                            WEIGHTED_SQUARE)
+        assert [b.minimizer for b in fit_stack(problem).blocks] == [0.0]

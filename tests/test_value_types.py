@@ -27,7 +27,7 @@ from monocal import (
     Staircase,
     WEIGHTED_SQUARE,
 )
-from monocal.core import _normalize
+from monocal.core import _from_columns, _normalize
 from monocal.errors import InvalidConfig, InvalidValue
 from monocal.oracle import OracleResult
 
@@ -45,6 +45,13 @@ PROBLEM_FIELDS = [
 def column_problem():
     """A problem built from columns, as ``monocal fit`` builds it: its samples come on first read."""
     return _normalize([[3.0, 1.0], [4.0, 2.0], [1.0, 0.5]], FAMILY)
+
+
+def bulk_block():
+    """A ``Block`` built as solvers build their results' blocks: in bulk, with no ``__init__``."""
+    (block,) = _from_columns(Block, [0], [1], [2.5], [2.0])
+    return block
+
 
 FAMILY_REPR = (
     "LossFamily(name='f', loss=<built-in function copysign>, minimizer_of=None, "
@@ -75,6 +82,12 @@ CASES = {
     ),
     "Block": (
         Block(0, 1, 2.5, 2.0),
+        "Block(first=0, last=1, minimizer=2.5, aux=2.0)",
+        [("first", MISSING, True), ("last", MISSING, True), ("minimizer", MISSING, True),
+         ("aux", MISSING, True)],
+    ),
+    "BlockBulk": (
+        bulk_block(),
         "Block(first=0, last=1, minimizer=2.5, aux=2.0)",
         [("first", MISSING, True), ("last", MISSING, True), ("minimizer", MISSING, True),
          ("aux", MISSING, True)],
@@ -133,6 +146,7 @@ CHANGES = {
     "Problem": {"loss_offset": 1.0},
     "ProblemFromColumns": {"loss_offset": 1.0},
     "Block": {"aux": 3.0},
+    "BlockBulk": {"aux": 3.0},
     "Staircase": {"values": (10.0, 26.0)},
     "LossFamily": {"name": "g"},
     "FitReport": {"passes": None},
@@ -203,6 +217,13 @@ def test_a_problem_built_from_columns_equals_its_twins():
     assert vars(given)["samples"] is given.samples
 
 
+def test_a_bulk_built_block_is_a_constructed_one():
+    bulk, constructed = CASES["BlockBulk"][0], CASES["Block"][0]
+    assert type(bulk) is Block and bulk == constructed and hash(bulk) == hash(constructed)
+    assert {bulk: "block"}[constructed] == "block"
+    assert _from_columns(Block, [], [], [], []) == ()
+
+
 def test_loss_family_is_a_dict_key():
     families = {WEIGHTED_SQUARE: "square", FAMILY: "f"}
     assert families[dataclasses.replace(WEIGHTED_SQUARE)] == "square"
@@ -213,7 +234,7 @@ def test_loss_family_is_a_dict_key():
 @pytest.mark.parametrize("name", NAMES)
 def test_slotted_types_have_no_dict_and_the_rest_keep_theirs(name):
     value = CASES[name][0]
-    if name in ("Sample", "Block", "AnytimeGroup"):
+    if name in ("Sample", "Block", "BlockBulk", "AnytimeGroup"):
         assert not hasattr(value, "__dict__")
     elif name == "ProblemFromColumns":
         # Its samples join its ``__dict__`` on first read, after the columns.
@@ -263,10 +284,11 @@ def test_pickle_and_copy_round_trips(name, round_trip):
     [
         (Sample(1.0, 2.0), {"score": math.nan}, InvalidValue),
         (Block(0, 1, 2.5, 2.0), {"first": 2}, InvalidValue),
+        (bulk_block(), {"first": 2}, InvalidValue),
         (STAIRCASE, {"values": (25.0, 10.0)}, InvalidValue),
         (AnytimeConfig(), {"delta": 0}, InvalidConfig),
     ],
-    ids=["Sample", "Block", "Staircase", "AnytimeConfig"],
+    ids=["Sample", "Block", "BlockBulk", "Staircase", "AnytimeConfig"],
 )
 def test_replace_validates_again(value, changes, error):
     with pytest.raises(error):
