@@ -4,7 +4,8 @@ Input CSV needs a header with columns ``score,target[,weight]`` (``target``
 is the binary label for log loss); apply input needs a ``score`` column.
 Models are JSON documents with fields version/family/breakpoints/values/
 metadata; unknown fields are rejected on load. Exit codes: 0 success,
-2 input or usage error, 3 ordering violation in stream mode.
+2 input or usage error, 3 ordering violation in stream mode, 141 stdout
+closed by its reader (console script only).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from . import losses
-from .core import Sample, Staircase, _normalize, _partition_staircase, _valid_rows
+from .core import Sample, Staircase, _normalize, _partition_staircase, _steps_at, _valid_rows
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
 # Each command imports the solver module it runs, so a command loads no other
@@ -35,6 +36,8 @@ MAX_N_ENV = "MONOCAL_MAX_N"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OUT_OF_ORDER = 3
+# 128 + SIGPIPE: what a shell reports for a program that a closed pipe ends.
+EXIT_BROKEN_PIPE = 141
 
 _FAMILIES = {"square": losses.WEIGHTED_SQUARE, "logloss": losses.LOG_LOSS}
 
@@ -307,14 +310,23 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     staircase, _, _ = load_model(args.model)
+    values = staircase.values
 
-    def lines(scores: list[float]) -> list[str]:
-        return [f"{x!r},{y!r}\n" for x, y in zip(scores, map(staircase, scores))]
+    def text(scores: list[float]) -> str:
+        # A chunk's rows as one string, with no Python frame per row: the
+        # repr of each step value the chunk reaches is made once.
+        steps = _steps_at(staircase, scores)
+        reached = set(steps)
+        reprs = dict(zip(reached, map(repr, map(values.__getitem__, reached))))
+        return "".join(map("{!r},{}\n".format, scores, map(reprs.__getitem__, steps)))
 
-    chunks = _read_csv(args.scores, {"score": None}, lines)
-    sys.stdout.write("score,calibrated\n")
-    for _, text in chunks:
-        sys.stdout.writelines(text)
+    chunks = _read_csv(args.scores, {"score": None}, text)
+    out = sys.stdout
+    out.write("score,calibrated\n")
+    # One write per chunk: an unbuffered stdout (PYTHONUNBUFFERED) makes a
+    # system call per write. A chunk read again row by row writes per row.
+    for _, chunk in chunks:
+        out.write(chunk)
     return EXIT_OK
 
 
@@ -403,7 +415,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. Point stdout at
+        # devnull so that the flush at exit writes nothing, as the SIGPIPE
+        # note in Python's `signal` docs does, and exit as a program that
+        # SIGPIPE ends is reported. `main` leaves fd 1 alone for in-process
+        # callers.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

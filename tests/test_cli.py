@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from unittest import mock
@@ -548,6 +549,38 @@ class TestApply:
         code, _, stderr = run(capsys, "apply", model_path, str(scores))
         assert code == 2
         assert "row 3:" in stderr and "NaN" in stderr
+        # A NaN in the second chunk: every row of the first chunk, and the
+        # rows of the second before the NaN, are written first.
+        good = [f"{i * 0.01!r}" for i in range(cli._CHUNK_ROWS + 100)]
+        scores.write_text("score\n" + "\n".join([*good, "nan", "1"]) + "\n")
+        code, stdout, stderr = run(capsys, "apply", model_path, str(scores))
+        assert code == 2
+        assert stderr == f"monocal: row {len(good) + 2}: cannot evaluate a staircase at NaN\n"
+        lines = stdout.splitlines()
+        assert lines[0] == "score,calibrated"
+        assert [line.split(",")[0] for line in lines[1:]] == good
+
+    def test_writes_one_chunk_per_call(self, model_path, tmp_path):
+        rng = random.Random(19)
+        xs = [rng.uniform(-5.0, 20.0) for _ in range(2500)]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score\n" + "".join(f"{x!r}\n" for x in xs))
+        staircase = cli.load_model(model_path)[0]
+        want = "score,calibrated\n" + "".join(f"{x!r},{staircase(x)!r}\n" for x in xs)
+
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = Counting()
+        with mock.patch.object(sys, "stdout", out):
+            assert main(["apply", model_path, str(scores)]) == 0
+        # The header, then one write per 1,024-row chunk.
+        assert out.writes == 1 + 3
+        assert out.getvalue() == want
 
     def test_missing_model(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -1211,3 +1244,66 @@ def test_chunked_reader_matches_the_row_reader(case):
     text, loss, env = case
     with tempfile.TemporaryDirectory() as directory:
         assert_reads_like_reference(directory, text, loss, env)
+
+
+@pytest.fixture(scope="module")
+def pipe_inputs(tmp_path_factory):
+    """Each command's arguments, on inputs that give it over 1 MiB of output."""
+    directory = tmp_path_factory.mktemp("pipe")
+    # Increasing targets give one step per row, so a large model.
+    rows = directory / "rows.csv"
+    rows.write_text("score,target\n" + "".join(f"{i / 7!r},{i / 3!r}\n" for i in range(40000)))
+    model = directory / "model.json"
+    model.write_text(json.dumps(GOLDEN_MODEL))
+    scores = directory / "scores.csv"
+    scores.write_text("score\n" + "".join(f"{i / 7!r}\n" for i in range(60000)))
+    # One target value keeps one step, so each streamed row stays short.
+    ordered = directory / "ordered.csv"
+    ordered.write_text("score,target\n" + "".join(f"{i},1\n" for i in range(100000)))
+    return {"fit": ["fit", str(rows)], "apply": ["apply", str(model), str(scores)],
+            "stream": ["stream", str(ordered)]}
+
+
+def cli_process_env(unbuffered):
+    """The environment of a ``python -m monocal.cli`` child that imports this monocal."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (package, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["fit", "apply", "stream"])
+def test_closed_reader_exits_quietly(pipe_inputs, command, unbuffered):
+    # As `monocal ... | head -n 1`: the reader closes stdout after one line.
+    proc = subprocess.Popen([sys.executable, "-m", "monocal.cli", *pipe_inputs[command]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=cli_process_env(unbuffered))
+    with proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first
+    assert stderr == b""
+    assert code == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["fit", "apply", "stream"])
+def test_pipe_closed_before_the_first_write_exits_quietly(golden_csv, tmp_path, command,
+                                                          unbuffered):
+    # Output small enough to sit in stdout's buffer until the flush at exit.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(GOLDEN_MODEL))
+    argv = {"fit": ["fit", golden_csv, "--quiet"], "apply": ["apply", str(model), golden_csv],
+            "stream": ["stream", golden_csv]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "monocal.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=cli_process_env(unbuffered),
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE

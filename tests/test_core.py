@@ -1,9 +1,10 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monocal import (
@@ -26,7 +27,7 @@ from monocal.errors import (
     InvalidWeight,
     NotMonotone,
 )
-from monocal.core import _normalize, _valid_rows
+from monocal.core import _normalize, _steps_at, _valid_rows
 from monocal.losses import _LABELS, check_label
 from monocal.oracle import brute_force_fit
 
@@ -237,6 +238,42 @@ class TestEvaluate:
             xs = sorted(rng.uniform(-20, 20) for _ in range(30))
             ys = [evaluate(staircase, x) for x in xs]
             assert all(a <= b for a, b in zip(ys, ys[1:]))
+
+
+@st.composite
+def staircases_and_scores(draw):
+    """A staircase with step values 0, 1, ... and scores on and next to its breakpoints."""
+    breakpoints = sorted(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=6, unique=True)))
+    staircase = Staircase(tuple(breakpoints), tuple(map(float, range(len(breakpoints) + 1))))
+    near = [y for b in breakpoints
+            for y in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+    edges = [0.0, -0.0, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max]
+    scores = draw(st.lists(
+        st.sampled_from(near + edges) | st.floats(allow_nan=False), max_size=40))
+    return staircase, near + edges + scores
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(staircases_and_scores())
+@example((Staircase((), (3.25,)), [-math.inf, -0.0, 0.0, 1e300, math.inf]))
+@example((Staircase((-0.0,), (1.0, 2.0)), [-0.0, 0.0, -5e-324, 5e-324]))
+def test_steps_at_is_evaluate_on_a_column(case):
+    staircase, scores = case
+    steps = _steps_at(staircase, scores)
+    assert [staircase.values[i] for i in steps] == [evaluate(staircase, x) for x in scores]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(staircases_and_scores(), st.data())
+def test_steps_at_raises_evaluates_nan_error(case, data):
+    staircase, scores = case
+    scores.insert(data.draw(st.integers(0, len(scores))), math.nan)
+    with pytest.raises(InvalidValue) as want:
+        evaluate(staircase, math.nan)
+    with pytest.raises(InvalidValue) as got:
+        _steps_at(staircase, scores)
+    assert str(got.value) == str(want.value)
 
 
 class TestStaircaseInvariants:
