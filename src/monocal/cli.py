@@ -274,6 +274,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         result = anytime_run(problem, config)
         staircase, total_loss = result.staircase, result.total_loss
         extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
+        del result
     else:
         from .pav_offline import _fit_direct, _fit_stack
 
@@ -282,23 +283,30 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         firsts, ys = solve(problem)[:2]
         staircase = _partition_staircase(problem.scores, firsts, ys)
         total_loss, extra = losses._partition_loss(problem, firsts, ys), {}
+        del firsts, ys
+    # The staircase and the metadata are all the model needs: free the columns
+    # and the solver's state before the model text is made.
+    del problem
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
-    doc = model_to_dict(staircase, args.loss, metadata)
-    # One line per top-level field. json.dumps without indent runs the C
-    # encoder; indent=2 would fall back to the pure-Python one.
-    fields = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
-                         for key, value in doc.items())
-    text = f"{{\n{fields}\n}}"
+    # One line per top-level field. Every field is encoded before the output
+    # is opened, so a failed fit writes nothing, and the pieces are written
+    # one by one: no string of a whole line or of the model is built.
+    # json.dumps without indent runs the C encoder; indent=2 would fall back
+    # to the pure-Python one.
+    pieces = ["{\n"]
+    for key, value in model_to_dict(staircase, args.loss, metadata).items():
+        pieces += (f"  {json.dumps(key)}: ", json.dumps(value), ",\n")
+    pieces[-1] = "\n}\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.writelines(pieces)
         except OSError as exc:
             raise _CliError(f"cannot write {args.out}: {exc}")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
     if not args.quiet:
         print(
             f"fit: {n} samples -> {staircase.step_count} steps "

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 import pytest
@@ -28,7 +29,7 @@ from monocal import (
     fit_stack,
     normalize,
 )
-from monocal import cli, core
+from monocal import anytime, cli, core
 from monocal.cli import main, model_from_dict
 from monocal.errors import CalibrationError
 
@@ -52,6 +53,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class WriteLog(io.StringIO):
+    """A text stream that keeps each write; ``before_first()`` runs before the first."""
+
+    def __init__(self, before_first=lambda: None):
+        super().__init__()
+        self.writes = []
+        self.before_first = before_first
+
+    def write(self, text):
+        if not self.writes:
+            self.before_first()
+        self.writes.append(text)
+        return super().write(text)
 
 
 @pytest.mark.parametrize("command", ["fit", "stream"])
@@ -477,6 +493,75 @@ class TestFit:
             '"total_loss": 13000.0}\n'
             '}\n'
         )
+
+    @pytest.mark.parametrize(
+        "rows, breakpoints, values, metadata",
+        [
+            # 2,000 steps: each breakpoint is halfway between two scores.
+            ([(i + 0.5, i / 3, 1) for i in range(2000)],
+             [float(i) for i in range(1, 2000)], [i / 3 for i in range(2000)],
+             '{"solver": "stack", "n_samples": 2000, "merge_count": 0, "total_loss": 0.0}'),
+            # The total loss passes the float range and is written as Infinity.
+            ([(1, 1e4, 1e300), (2, -1e4, 1e300)], [], [0.0],
+             '{"solver": "stack", "n_samples": 2, "merge_count": 1, "total_loss": Infinity}'),
+        ],
+        ids=["increasing", "overflow"],
+    )
+    def test_model_is_never_one_string(self, tmp_path, monkeypatch, rows, breakpoints, values,
+                                       metadata):
+        # The layout of test_model_text_is_one_line_per_field, written piece by
+        # piece: no write holds the whole model, or even a whole field line.
+        path = write_training_csv(tmp_path / "train.csv", rows, header="score,target,weight")
+        log = WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert main(["fit", path, "--quiet"]) == 0
+        lines = [
+            '{\n',
+            '  "version": 1,\n',
+            '  "family": "square",\n',
+            f'  "breakpoints": [{", ".join(map(repr, breakpoints))}],\n',
+            f'  "values": [{", ".join(map(repr, values))}],\n',
+            f'  "metadata": {metadata}\n',
+            '}\n',
+        ]
+        assert "".join(log.writes) == "".join(lines)
+        assert len(log.writes) > len(lines)
+        assert max(map(len, log.writes)) <= max(map(len, lines))
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("solver", ["stack", "direct", "anytime"])
+    def test_fit_state_is_released_before_the_model_is_written(
+            self, golden_csv, tmp_path, monkeypatch, solver, out):
+        # Weak references to the Problem and, for anytime, to the solver's result.
+        states = []
+
+        def keep_a_weakref(module, name):
+            function = getattr(module, name)
+
+            def call(*args, **kwargs):
+                state = function(*args, **kwargs)
+                states.append(weakref.ref(state))
+                return state
+
+            monkeypatch.setattr(module, name, call)
+
+        keep_a_weakref(cli, "_normalize")
+        keep_a_weakref(anytime, "anytime_run")
+        alive = []
+        log = WriteLog(lambda: alive.append([ref() is not None for ref in states]))
+        argv = ["fit", golden_csv, "--solver", solver, "--quiet"]
+        if out:
+            # The --out file is the log; the check that it is writable opens
+            # the real path.
+            argv += ["--out", str(tmp_path / "model.json")]
+            monkeypatch.setattr(cli, "open", lambda path, mode="r", **kwargs:
+                                log if mode == "w" else open(path, mode, **kwargs),
+                                raising=False)
+        else:
+            monkeypatch.setattr(sys, "stdout", log)
+        assert main(argv) == 0
+        assert alive == [[False] * (2 if solver == "anytime" else 1)]
+        assert json.loads("".join(log.writes))["metadata"]["solver"] == solver
 
     def test_failed_tie_merge_names_the_score(self, tmp_path, capsys):
         # The pooled target of the two rows overflows; neither row is at fault.
@@ -1244,6 +1329,23 @@ def test_chunked_reader_matches_the_row_reader(case):
     text, loss, env = case
     with tempfile.TemporaryDirectory() as directory:
         assert_reads_like_reference(directory, text, loss, env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("steps", [4, 2000])
+def test_model_write_error_exits_2(golden_csv, tmp_path, steps):
+    # Every write to /dev/full fails: the golden 4-step model at the flush on
+    # close, a 2,000-step one while its pieces are written.
+    path = golden_csv if steps == 4 else write_training_csv(
+        tmp_path / "rows.csv", [(i + 0.5, i / 3) for i in range(steps)])
+    proc = subprocess.run([sys.executable, "-m", "monocal.cli", "fit", path, "--quiet",
+                           "--out", "/dev/full"], capture_output=True, text=True,
+                          env=cli_process_env(""), timeout=120)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+    assert proc.stderr.startswith("monocal: cannot write /dev/full: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    # Only a path that the check for --out created is removed.
+    assert os.path.exists("/dev/full")
 
 
 @pytest.fixture(scope="module")
