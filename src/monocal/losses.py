@@ -11,9 +11,10 @@ entry points calls ``LossFamily.require`` before it uses a part. A family that
 supplies both sides can be cross-validated: the z where the summed negative
 derivative crosses zero is the merge-rule minimizer.
 
-It owns every loss rule: the 0/1 label set, a partition's total loss, and
+It owns every loss rule: the 0/1 label set, a partition's total loss,
 which built-ins read their loss terms, merge inputs and anytime derivative
-probes from a problem's columns; rows (``monocal.core``) and pooling hold no
+probes from a problem's columns, and which families pool by weighted mean
+(``_pools_by_weighted_mean``); rows (``monocal.core``) and pooling hold no
 loss knowledge.
 """
 
@@ -212,6 +213,16 @@ LOG_LOSS = LossFamily(
     neg_derivative=_log_neg_derivative,
     combine_ties=_log_combine_ties,
 )
+
+
+def _pools_by_weighted_mean(family: LossFamily) -> bool:
+    """Whether ``family``'s merge rules are the built-ins' own: target, weight, weighted mean.
+
+    The merge solvers pool such a family with their built-in kernel
+    (``pav_offline._pool_means``), which calls no ``merge`` while it pools.
+    """
+    return (family.minimizer_of is _target and family.init_aux is _weight
+            and family.merge is weighted_square_merge)
 
 
 def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:

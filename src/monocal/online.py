@@ -3,9 +3,12 @@
 Each arrival becomes a new top block, which is then merged leftward while it
 violates monotonicity, so the stack is the optimal partition of everything
 seen so far after every push (it matches the offline stack solver on each
-prefix). The pooling is the stack kernel of ``monocal.pav_offline``, the same
-loop ``fit_stack`` drives; this module adds the order check and the fold of a
-repeated score into the top block. Out-of-order arrivals are rejected:
+prefix). The pooling is the stack loop that ``pav_offline._pooler`` picks for
+the family, the same one ``fit_stack`` drives: the built-in kernel
+(``_pool_means``) when the family's merge rules are the built-ins' own
+functions, else the generic loop (``_pool``) calling its ``merge``. This
+module adds the order check and the fold of a repeated score into the top
+block. Out-of-order arrivals are rejected:
 general unordered updates can force a full refit per sample, so the honest
 contract is an explicit error and the offline path.
 
@@ -26,7 +29,7 @@ import math
 from .core import Block, Sample, Staircase, _partition_staircase
 from .errors import EmptyProblem, OutOfOrder
 from .losses import MERGE_RULES, LossFamily
-from .pav_offline import _pool, _stack_blocks
+from .pav_offline import _pooler, _stack_blocks
 
 __all__ = ["OnlineState"]
 
@@ -42,6 +45,7 @@ class OnlineState:
     def __init__(self, family: LossFamily) -> None:
         family.require(*MERGE_RULES)
         self._family = family
+        self._pool = _pooler(family)
         self._scores: list[float] = []
         self._firsts: list[int] = []
         self._ys: list[float] = []
@@ -104,7 +108,7 @@ class OnlineState:
             y, aux = merge(self._ys.pop(), self._lams.pop(), y, aux)
             first = self._firsts.pop()
         scores.append(score)
-        _pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
+        self._pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
 
     def blocks(self) -> tuple[Block, ...]:
         return _stack_blocks(self._firsts, self._ys, self._lams, len(self._scores))

@@ -15,22 +15,28 @@ between input groups, not against the merged block, so a pass joins exactly
 the maximal violating runs of its input; passes repeat until one joins
 nothing.
 
-The stack kernel (``_pool``) is the one pooling loop of the merge solvers:
-``fit_stack`` drives it with every sample in one call, and the streaming
-solver (``monocal.online``) drives it with one group per arrival. A direct
-pass reads and writes the stack's lists too. ``Block``s are built from
-them only for a returned result, all at once (``_stack_blocks``). Pooling
-knows no loss: ``monocal.losses`` gives each sample's merge inputs
-(``_sample_groups``) and a partition's total loss.
+The stack solvers pool through one of two loops, and ``_pooler`` is the one
+place that picks: ``_pool_means``, the built-in kernel, when
+``losses._pools_by_weighted_mean`` recognises the family's merge rules as
+the built-ins' own functions (by identity); else ``_pool``, the generic
+loop, which calls the family's ``merge``. On the built-ins both leave the
+same lists, bit for bit. ``fit_stack`` drives its loop with every sample in
+one call, and the streaming solver (``monocal.online``) drives it with one
+group per arrival. ``fit_direct``, the reference solver, always calls the
+family's ``merge``. A direct pass reads and writes the stack's lists too.
+``Block``s are built from them only for a returned result, all at once
+(``_stack_blocks``). Pooling knows no loss: ``monocal.losses`` gives each
+sample's merge inputs (``_sample_groups``), says which families pool by
+weighted mean, and gives a partition's total loss.
 """
 
 from __future__ import annotations
 
 from operator import gt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import Block, Problem, _Frozen, _from_columns, _set
-from .losses import _partition_loss, _sample_groups
+from .losses import LossFamily, _partition_loss, _pools_by_weighted_mean, _sample_groups
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 
@@ -76,6 +82,66 @@ def _pool(
         firsts.append(first)
         ys.append(y)
         auxs.append(aux)
+
+
+def _pool_means(
+    firsts: list[int],
+    ys: list[float],
+    lams: list[float],
+    groups: Iterable[tuple[int, float, float]],
+    merge,
+) -> None:
+    """``_pool`` with the built-ins' merge, the weighted mean, computed inline.
+
+    The arithmetic is ``weighted_square_merge``'s, ``(lam_i*y_i + lam_j*y_j) /
+    (lam_i + lam_j)`` with the stack side as ``i``, so the lists end bit for
+    bit as ``_pool`` leaves them. Its weight checks are left out: a
+    ``Sample``'s weight is positive, and so is a sum of such weights. Groups
+    are appended as they come until one violates the top; from then on the
+    top block lives in locals, so pooling into it pops and appends nothing.
+    It takes ``merge`` only to share ``_pool``'s signature, and never calls it.
+    """
+    groups = iter(groups)
+    for first, y, lam in groups:
+        if ys and ys[-1] >= y:
+            break
+        firsts.append(first)
+        ys.append(y)
+        lams.append(lam)
+    else:
+        return
+    top_first, top_y, top_lam = firsts.pop(), ys.pop(), lams.pop()
+    while True:
+        # The group (first, y, lam) violates the top: pool it in, then leftward.
+        lam_sum = top_lam + lam
+        top_y = (top_lam * top_y + lam * y) / lam_sum
+        top_lam = lam_sum
+        while ys and ys[-1] >= top_y:
+            lam = lams.pop()
+            lam_sum = lam + top_lam
+            top_y = (lam * ys.pop() + top_lam * top_y) / lam_sum
+            top_lam = lam_sum
+            top_first = firsts.pop()
+        for first, y, lam in groups:
+            if top_y >= y:
+                break
+            firsts.append(top_first)
+            ys.append(top_y)
+            lams.append(top_lam)
+            top_first, top_y, top_lam = first, y, lam
+        else:
+            break
+    firsts.append(top_first)
+    ys.append(top_y)
+    lams.append(top_lam)
+
+
+def _pooler(family: LossFamily) -> Callable[..., None]:
+    """The stack loop for ``family``: ``_pool_means`` if its merge rules are the built-ins' own.
+
+    Both loops are called as ``loop(firsts, ys, auxs, groups, family.merge)``.
+    """
+    return _pool_means if _pools_by_weighted_mean(family) else _pool
 
 
 def _stack_blocks(
@@ -162,7 +228,8 @@ def _fit_stack(problem: Problem) -> tuple[list[int], list[float], list[float]]:
     firsts: list[int] = []
     ys: list[float] = []
     auxs: list[float] = []
-    _pool(firsts, ys, auxs, groups, problem.family.merge)
+    family = problem.family
+    _pooler(family)(firsts, ys, auxs, groups, family.merge)
     return firsts, ys, auxs
 
 

@@ -573,7 +573,7 @@ class TestFit:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1, related defect (core._boundary): no finite breakpoint "
+        reason="ROADMAP item 6, related defect (core._boundary): no finite breakpoint "
         "separates the largest float from +inf, so fit exits 2",
     )
     def test_step_next_to_infinite_score_is_fitted(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monocal import (
@@ -436,6 +436,23 @@ class TestPartitionLoss:
         if family is not _CUBIC:
             # Built-in terms are nonnegative: a sum past the float range is inf.
             assert isinstance(one_sample, bytes)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_one_sample_partitions().filter(lambda case: case[0] is not _CUBIC))
+    # w * (d * d) rounds differently in the first, and overflows in the second.
+    @example((WEIGHTED_SQUARE, [0.1, 2.5], [3.0, 0.1], [0.7, 1 / 3]))
+    @example((WEIGHTED_SQUARE, [0.0], [1e-300], [1e300]))
+    def test_builtin_columns_give_the_family_loss_bits(self, case):
+        # A built-in's terms come from its columns; a custom family wrapping
+        # its ``loss`` sums that function per Sample.
+        family, targets, weights, ys = case
+        columns = [[float(i) for i in range(len(ys))], targets, weights]
+        per_sample = LossFamily("per-sample", loss=lambda sample, z: family.loss(sample, z))
+        firsts = list(range(len(ys)))
+        want = _loss_outcome(_normalize(columns, per_sample), firsts, ys)
+        if want == (OverflowError, "intermediate overflow in fsum"):
+            want = _bits(math.inf)
+        assert _loss_outcome(_normalize(columns, family), firsts, ys) == want
 
     def test_builtin_sum_past_the_float_range_is_inf(self):
         # Each term is 1e300 * 1e4 ** 2 = 1e308, so fsum's exact sum is no float.

@@ -92,7 +92,7 @@ def test_a_tie_after_a_pool_matches_the_offline_fit():
 
 def test_push_changes_only_the_top_step():
     # `monocal stream` re-renders only the top value after each push, so it
-    # relies on this contract. A fix of the online tie fold (ROADMAP item 2)
+    # relies on this contract. A fix of the online tie fold (ROADMAP item 3)
     # can restore popped steps on a repeated score; that fix must keep the
     # contract or give `stream` the index of the first changed step.
     rng = random.Random(44)

@@ -1,12 +1,16 @@
 import dataclasses
 import math
 import random
+import struct
 
 import pytest
 
 from monocal import (
+    LOG_LOSS,
     Block,
     FitReport,
+    LossFamily,
+    OnlineState,
     Problem,
     Sample,
     WEIGHTED_SQUARE,
@@ -15,9 +19,10 @@ from monocal import (
     fit_stack,
     normalize,
 )
-from monocal.errors import InvalidValue
+from monocal.errors import InvalidValue, InvalidWeight
+from monocal.losses import weighted_square_merge
 from monocal.oracle import brute_force_fit
-from monocal.pav_offline import _stack_blocks
+from monocal.pav_offline import _pool, _pool_means, _pooler, _stack_blocks
 
 from conftest import GOLDEN_SIZES, GOLDEN_VALUES, make_square_instance
 
@@ -250,3 +255,102 @@ class TestKnownDefects:
         problem = normalize([Sample(1.0, 1e300, 1e10), Sample(2.0, -1e300, 1e10)],
                             WEIGHTED_SQUARE)
         assert [b.minimizer for b in fit_stack(problem).blocks] == [0.0]
+
+
+def _bit_keys(xs):
+    """Each float's bits, with every NaN as one key."""
+    return ["nan" if x != x else struct.pack("<d", x) for x in xs]
+
+
+def _kernel_inputs(rng: random.Random, shape: str) -> list[tuple[float, float]]:
+    """``(target, weight)`` rows of one shape; targets and weights as ``Sample`` accepts them."""
+    n = rng.randint(1, 60)
+
+    def weight():
+        return 3.0 * (1.0 - rng.random())
+
+    if shape == "random-weighted":
+        return [(rng.uniform(0.0, 100.0), weight()) for _ in range(n)]
+    if shape == "increasing":
+        return [(i / 3, weight()) for i in range(n)]
+    if shape == "decreasing":
+        return [(-i / 3, weight()) for i in range(n)]
+    if shape == "sawtooth":
+        period = rng.randint(2, 7)
+        return [(float(period - i % period), weight()) for i in range(n)]
+    if shape == "adjacent-floats":
+        chain = [rng.uniform(-1.0, 1.0)]
+        for _ in range(n - 1):
+            chain.append(math.nextafter(chain[-1], rng.choice([-math.inf, math.inf])))
+        return [(t, rng.choice([1.0, weight()])) for t in chain]
+    if shape == "rounding-prone":
+        return [(rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7]), rng.choice([0.1, 1.0, 3.0]))
+                for _ in range(n)]
+    assert shape == "overflow"
+    return [(1e300, 1e10), (-1e300, 1e10)]
+
+
+def _both_loops(stack, calls):
+    """The lists the generic loop and the kernel leave after the same calls on ``stack``."""
+    ends = []
+    for pool in (_pool, _pool_means):
+        lists = tuple(list(column) for column in stack)
+        for groups in calls:
+            pool(*lists, groups, weighted_square_merge)
+        ends.append(tuple(_bit_keys(column) for column in lists))
+    return ends
+
+
+class TestBuiltinKernel:
+    """``_pool_means`` leaves the lists that ``_pool`` with ``weighted_square_merge`` leaves."""
+
+    SHAPES = ("random-weighted", "increasing", "decreasing", "sawtooth", "adjacent-floats",
+              "rounding-prone", "overflow")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_generic_loop_bit_for_bit(self, shape):
+        rng = random.Random(f"kernel/{shape}")
+        for _ in range(1 if shape == "overflow" else 200):
+            rows = _kernel_inputs(rng, shape)
+            groups = [(i, t, w) for i, (t, w) in enumerate(rows)]
+            below = rng.randint(0, 3)
+            base = [(-below + k, -1e3 + k, 1.0) for k in range(below)]
+            stack = tuple(map(list, zip(*base))) if base else ([], [], [])
+            cuts = sorted(rng.sample(range(1, len(groups)), min(3, len(groups) - 1)))
+            for calls in (
+                [groups],  # every group in one call, as fit_stack drives it
+                [(group,) for group in groups],  # one group per call, as OnlineState does
+                [groups[a:b] for a, b in zip([0, *cuts], [*cuts, len(groups)])],
+            ):
+                generic, kernel = _both_loops(stack, calls)
+                assert kernel == generic
+
+    def test_overflow_pair_is_the_same_nan(self):
+        for calls in ([[(0, 1e300, 1e10), (1, -1e300, 1e10)]],
+                      [[(0, 1e300, 1e10)], [(1, -1e300, 1e10)]]):
+            generic, kernel = _both_loops(([], [], []), calls)
+            assert kernel == generic == ([struct.pack("<d", 0.0)], ["nan"],
+                                         [struct.pack("<d", 2e10)])
+
+    def test_solvers_take_the_kernel_for_the_builtins_only(self):
+        assert _pooler(WEIGHTED_SQUARE) is _pooler(LOG_LOSS) is _pool_means
+        custom = dataclasses.replace(WEIGHTED_SQUARE, name="custom",
+                                     merge=lambda *args: weighted_square_merge(*args))
+        assert _pooler(custom) is _pool
+
+    def test_a_custom_aux_keeps_the_merge_checks(self):
+        # The merge is the built-ins' own, the init_aux is not: the merge's
+        # weight checks must still run, so a zero aux raises.
+        def aux(sample):
+            return 0.0 if sample.score == 2.0 else sample.weight
+
+        family = LossFamily("zero-aux", loss=WEIGHTED_SQUARE.loss,
+                            minimizer_of=WEIGHTED_SQUARE.minimizer_of, init_aux=aux,
+                            merge=weighted_square_merge)
+        samples = [Sample(1.0, 5.0), Sample(2.0, 3.0), Sample(3.0, 9.0)]
+        with pytest.raises(InvalidWeight, match="got 0.0"):
+            fit_stack(normalize(samples, family))
+        state = OnlineState(family)
+        state.push(samples[0])
+        with pytest.raises(InvalidWeight, match="got 0.0"):
+            state.push(samples[1])
