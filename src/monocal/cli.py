@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from itertools import chain, count, islice
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from . import losses
 from .core import Sample, Staircase, _normalize, _partition_staircase, _steps_at, _valid_rows
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
-# Each command imports the solver module it runs, so a command loads no other
-# solver (`monocal.cli` itself loads core, errors and losses only).
+if TYPE_CHECKING:
+    from .losses import LossFamily
+
+# Each command imports what it runs: its solver module, `losses` (fit and
+# stream) and `json` (fit and apply). `monocal.cli` itself loads core and
+# errors only.
 
 MODEL_VERSION = 1
 # Records read from a CSV at a time; a larger chunk saves little time and
@@ -39,13 +41,22 @@ EXIT_OUT_OF_ORDER = 3
 # 128 + SIGPIPE: what a shell reports for a program that a closed pipe ends.
 EXIT_BROKEN_PIPE = 141
 
-_FAMILIES = {"square": losses.WEIGHTED_SQUARE, "logloss": losses.LOG_LOSS}
+# The --loss tags, also a model file's family tags; _family maps each to its
+# built-in LossFamily.
+_FAMILIES = ("square", "logloss")
 
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
         super().__init__(message)
         self.code = code
+
+
+def _family(tag: str) -> LossFamily:
+    """The built-in ``LossFamily`` of a loss tag."""
+    from .losses import LOG_LOSS, WEIGHTED_SQUARE
+
+    return {"square": WEIGHTED_SQUARE, "logloss": LOG_LOSS}[tag]
 
 
 def _read_csv(
@@ -156,14 +167,16 @@ def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[list[int], Any]]:
     0/1 label. The rules run on whole columns; only a chunk that fails them
     builds samples, to raise its first bad row's error.
     """
+    from .losses import _LABELS, check_label
+
     logloss = loss_tag == "logloss"
 
     def checked(scores: list[float], targets: list[float], weights: list[float]) -> tuple:
         if (not _valid_rows(scores, targets, weights)
-                or logloss and not losses._LABELS.issuperset(targets)):
+                or logloss and not _LABELS.issuperset(targets)):
             for sample in map(Sample, scores, targets, weights):
                 if logloss:
-                    losses.check_label(sample)
+                    check_label(sample)
         return scores, targets, weights
 
     return _read_csv(path, {"score": None, "target": None, "weight": 1.0}, checked)
@@ -221,6 +234,8 @@ def _model_floats(doc: dict, field: str) -> tuple[float, ...]:
 
 
 def load_model(path: str) -> tuple[Staircase, str, dict[str, Any]]:
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -245,14 +260,16 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    # The loss module loads before anything else the fit allocates: loaded
+    # after the --out check, it left the fit's peak RSS about 0.3 MB higher.
+    family = _family(args.loss)
     flags = ("delta", "max_iters")
     given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     if given and args.solver != "anytime":
         flag = next(iter(given)).replace("_", "-")
         raise _CliError(f"--{flag} only applies to --solver anytime")
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
-    family = _FAMILIES[args.loss]
     # Rows go from the reader to the problem as columns, no Sample each. Only
     # _normalize holds the columns, so its sort can free each one it replaces.
     problem = _normalize(_training_columns(args.input, args.loss), family)
@@ -276,19 +293,22 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
         del result
     else:
+        from .losses import _partition_loss
         from .pav_offline import _fit_direct, _fit_stack
 
         # The solver's own lists, so no Block is built.
         solve = _fit_direct if args.solver == "direct" else _fit_stack
         firsts, ys = solve(problem)[:2]
         staircase = _partition_staircase(problem.scores, firsts, ys)
-        total_loss, extra = losses._partition_loss(problem, firsts, ys), {}
+        total_loss, extra = _partition_loss(problem, firsts, ys), {}
         del firsts, ys
     # The staircase and the metadata are all the model needs: free the columns
     # and the solver's state before the model text is made.
     del problem
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
+
+    import json
 
     # One line per top-level field. Every field is encoded before the output
     # is opened, so a failed fit writes nothing, and the pieces are written
@@ -299,7 +319,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for key, value in model_to_dict(staircase, args.loss, metadata).items():
         pieces += (f"  {json.dumps(key)}: ", json.dumps(value), ",\n")
     pieces[-1] = "\n}\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.writelines(pieces)
@@ -341,7 +361,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .online import OnlineState
 
-    state = OnlineState(_FAMILIES[args.loss])
+    state = OnlineState(_family(args.loss))
     # Both built-ins take a sample's target and weight as its minimizer and
     # auxiliary value, so the checked columns are pushed as they are.
     push = state._push
@@ -383,8 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a calibration model from a training CSV")
     fit.add_argument("input", help="CSV with columns score,target[,weight]")
-    fit.add_argument("--loss", choices=tuple(_FAMILIES), default="square")
-    fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack")
+    fit.add_argument("--loss", choices=_FAMILIES, default="square")
+    fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack",
+                     help="direct is the reference solver, quadratic in the worst case")
     # AnytimeConfig()'s defaults, copied so that building the parser loads no
     # solver; tests/test_cli.py fails when the two drift.
     fit.add_argument("--delta", type=float, default=None,
@@ -403,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stream = sub.add_parser("stream", help="drive the online solver over ordered rows")
     stream.add_argument("input", help="CSV with columns score,target[,weight], score-ordered")
-    stream.add_argument("--loss", choices=tuple(_FAMILIES), default="square")
+    stream.add_argument("--loss", choices=_FAMILIES, default="square")
     stream.add_argument("--quiet", action="store_true", help="suppress diagnostics")
     stream.set_defaults(func=_cmd_stream)
     return parser

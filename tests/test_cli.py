@@ -213,6 +213,13 @@ class TestFit:
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert not out.exists()
 
+    def test_empty_out_path_exits_2_and_writes_nothing(self, golden_csv, capsys):
+        # An empty --out is a path that cannot be opened, not a missing --out.
+        code, stdout, stderr = run(capsys, "fit", golden_csv, "--out", "")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("monocal: cannot write : ")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
     def test_failed_fit_changes_no_out_file(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("score,target\n1,44\nnope,52\n")

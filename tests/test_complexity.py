@@ -1,18 +1,30 @@
-"""The stack solvers' linear merge counts, checked by counting calls; no clock is read.
+"""The solvers' operation counts, checked by counting calls or passes; no clock is read.
 
 Each pool joins two blocks into one, so a sweep over n samples that ends
 with S steps makes exactly n - S merges, however the input is built. A
 family that wraps ``merge`` is a custom family, so the solvers call it on
 their generic loop (``pav_offline._pool``); its ``minimizer_of`` and
 ``init_aux`` stay the built-ins', so the groups still come from the columns.
+The direct solver's passes and the anytime solver's rounds and derivative
+calls are pinned on the shapes that drive them up.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
 
-from monocal import OnlineState, Sample, WEIGHTED_SQUARE, fit_stack, normalize
+from monocal import (
+    AnytimeConfig,
+    OnlineState,
+    Sample,
+    WEIGHTED_SQUARE,
+    anytime_run,
+    fit_direct,
+    fit_stack,
+    normalize,
+)
 from monocal.losses import weighted_square_merge
 
 
@@ -66,3 +78,33 @@ def test_online_merges_once_per_lost_step_after_every_push(shape):
         state.push(sample)
         assert calls[0] == state.n_seen - state.step_count == state.cumulative_merges
     assert calls[0] > 0
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_fit_direct_is_quadratic_on_a_rise_then_drop(n):
+    # A pass joins only the pairs that violate in its input, so the low last
+    # target moves one group left per pass: n - 1 passes over n - 1, n - 2,
+    # ... groups, the reference solver's quadratic worst case.
+    report = fit_direct(normalize(_samples("rising-then-drop", n), WEIGHTED_SQUARE))
+    assert report.passes == n - 1
+    assert len(report.blocks) == 1
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_anytime_rounds_and_derivative_calls(n):
+    # A wrapped neg_derivative is a custom family's, so anytime probes it
+    # through a DerivativeOracle, one call per sample of each probed group.
+    calls = [0]
+
+    def neg_derivative(sample, z):
+        calls[0] += 1
+        return WEIGHTED_SQUARE.neg_derivative(sample, z)
+
+    family = dataclasses.replace(WEIGHTED_SQUARE, name="counted", neg_derivative=neg_derivative)
+    config = AnytimeConfig(init_upper=100.0, init_lower=0.0, delta=1e-6)
+    result = anytime_run(normalize(_samples("random-weighted", n), family), config)
+    # Each round halves every bracket, starting from the width 100.
+    assert result.iters == math.ceil(math.log2(100.0 / 1e-6)) == 27
+    # At most one call per sample per round. Every bracket here still
+    # shrinks in every round, so every group is probed and the bound is met.
+    assert calls[0] == n * result.iters

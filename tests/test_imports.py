@@ -14,7 +14,7 @@ import pytest
 import monocal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(monocal.__file__)))
-CLI_MODULES = ["monocal", "monocal.cli", "monocal.core", "monocal.errors", "monocal.losses"]
+CLI_MODULES = ["monocal", "monocal.cli", "monocal.core", "monocal.errors"]
 SUBMODULES = ("core", "losses", "pav_offline", "online", "anytime", "oracle")
 
 
@@ -28,27 +28,29 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# The monocal modules loaded, plus ``dataclasses`` and ``inspect`` if loaded:
-# no import or command needs them (``dataclasses`` imports ``inspect``, and
-# with it ``ast``, ``dis`` and ``tokenize``).
+# The monocal modules loaded, plus ``dataclasses``, ``inspect`` and ``json`` if
+# loaded: no import or command needs the first two (``dataclasses`` imports
+# ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``), and only the
+# commands that read or write a model need ``json``. The list is taken before
+# ``json`` is imported to print it, so the code before it must not import json.
 LOADED = (
-    "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal'"
-    " or m in ('dataclasses', 'inspect'))))"
+    "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal'"
+    " or m in ('dataclasses', 'inspect', 'json')); import json; print(json.dumps(loaded))"
 )
 
 
 def test_import_monocal_loads_no_submodule():
-    assert fresh(f"import json, sys, monocal; {LOADED}") == ["monocal"]
+    assert fresh(f"import sys, monocal; {LOADED}") == ["monocal"]
 
 
 def test_core_import_loads_no_loss_module():
     # Imports run one way: core needs only errors, and losses builds on core.
-    assert fresh(f"import json, sys, monocal.core; {LOADED}") == [
+    assert fresh(f"import sys, monocal.core; {LOADED}") == [
         "monocal", "monocal.core", "monocal.errors"]
 
 
 def test_solver_import_loads_its_closure_only():
-    assert fresh(f"import json, sys; from monocal import fit_stack; {LOADED}") == [
+    assert fresh(f"import sys; from monocal import fit_stack; {LOADED}") == [
         "monocal", "monocal.core", "monocal.errors", "monocal.losses", "monocal.pav_offline"]
 
 
@@ -64,21 +66,25 @@ def test_value_types_are_dataclasses_when_dataclasses_loads_after_them():
 
 
 def test_cli_import_loads_no_solver():
-    assert fresh(f"import json, sys; from monocal import cli; {LOADED}") == CLI_MODULES
+    assert fresh(f"import sys; from monocal import cli; {LOADED}") == CLI_MODULES
+
+
+FIT_LOADS = ["json", "monocal.losses"]
 
 
 @pytest.mark.parametrize(
-    "argv, solvers",
+    "argv, loads",
     [
-        (["apply", "{model}", "{rows}"], []),
-        (["fit", "{rows}", "--quiet"], ["monocal.pav_offline"]),
-        (["fit", "{rows}", "--solver", "direct", "--quiet"], ["monocal.pav_offline"]),
-        (["fit", "{rows}", "--solver", "anytime", "--quiet"], ["monocal.anytime"]),
-        (["stream", "{rows}"], ["monocal.online", "monocal.pav_offline"]),
+        (["apply", "{model}", "{rows}"], ["json"]),
+        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "direct", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "anytime", "--quiet"], [*FIT_LOADS, "monocal.anytime"]),
+        (["stream", "{rows}"], ["monocal.losses", "monocal.online", "monocal.pav_offline"]),
+        (["--help"], []),
     ],
-    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream"],
+    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help"],
 )
-def test_each_command_loads_only_its_solver(tmp_path, argv, solvers):
+def test_each_command_loads_only_its_solver(tmp_path, argv, loads):
     rows = tmp_path / "rows.csv"
     rows.write_text("score,target\n1,10\n2,30\n3,20\n")
     model = tmp_path / "model.json"
@@ -86,14 +92,17 @@ def test_each_command_loads_only_its_solver(tmp_path, argv, solvers):
                                  "values": [10.0, 25.0], "metadata": {}}))
     argv = [arg.format(rows=rows, model=model) for arg in argv]
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from monocal import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
+        "    try:\n"
+        f"        code = cli.main({argv!r})\n"
+        "    except SystemExit as exc:  # --help\n"
+        "        code = exc.code\n"
         "assert code == 0, code\n"
         + LOADED
     )
-    assert fresh(code) == sorted(CLI_MODULES + solvers)
+    assert fresh(code) == sorted(CLI_MODULES + loads)
 
 
 def test_every_public_name_is_its_home_modules_object():
