@@ -11,14 +11,16 @@ round the rounded bracket midpoints are a valid answer (see
 ``AnytimeResult`` for the error bound).
 
 Between rounds the state is a plain list of mutable
-``[first, last, upper, lower, probe, neg_deriv]`` entries. ``anytime_run``
-keeps it for the whole run and builds one ``AnytimeGroup`` per final group,
-once, for ``AnytimeResult.groups``; ``iterate`` is the public one-round view
-of the same round, from groups to groups. ``anytime_run`` stops when no
-bracket that can still shrink is wider than ``delta``. A bracket whose next
-probe rounds onto one of its ends is as narrow as floats allow: another
-round could settle it on that end, which is already its midpoint, but never
-move its value, so it does not hold the run open.
+``[first, last, upper, lower, probe, neg_deriv]`` entries. ``_fit_anytime``
+keeps it for the whole run and ends, as the merge solvers do, in the stack's
+``firsts`` list and one value per group; ``anytime_run`` wraps it and builds
+one ``AnytimeGroup`` per final group, once, for ``AnytimeResult.groups``.
+``iterate`` is the public one-round view of the same round, from groups to
+groups. A run stops when no bracket that can still shrink is wider than
+``delta``. A bracket whose next probe rounds onto one of its ends is as
+narrow as floats allow: another round could settle it on that end, which is
+already its midpoint, but never move its value, so it does not hold the run
+open.
 
 Groups start bound-synchronized, so brackets only ever diverge between
 groups whose fitted values are already correctly ordered; a pair that must
@@ -249,12 +251,13 @@ def iterate(groups: Sequence[AnytimeGroup], oracle: DerivativeOracle) -> list[An
     return [AnytimeGroup(*e) for e in _round(entries, derivative)[0]]
 
 
-def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
-    """Iterate rounds until no bracket that can still shrink is over ``delta``.
+def _fit_anytime(problem: Problem, config: AnytimeConfig
+                 ) -> tuple[list[int], list[float], float, int, list[list]]:
+    """``anytime_run``'s rounds on the list state: ``(firsts, mids, width_bound, iters, entries)``.
 
-    Stops early at ``max_iters``; if any bracket end is still infinite at
-    that point the loss has no finite minimizer to find and the run fails. A
-    finite bracket wider than the float range gives ``width_bound == inf``.
+    ``firsts`` and ``mids`` are the partition in ``core._partition_staircase``'s
+    shape, each group's value its bracket midpoint; ``entries`` is the final
+    round state, which only ``anytime_run`` turns into groups.
     """
     entries = _entries(problem, config)
     derivative = _derivative_probe(problem)
@@ -265,16 +268,22 @@ def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
         iters += 1
     width_bound = max(upper - lower for _, _, upper, lower, _, _ in entries)
     if any(math.isinf(e[2]) or math.isinf(e[3]) for e in entries):
-        raise Unbounded(
-            f"no finite bracket after {iters} rounds; "
-            "the loss appears to have no finite minimizer"
-        )
+        raise Unbounded(f"no finite bracket after {iters} rounds; "
+                        "the loss appears to have no finite minimizer")
     firsts = [e[0] for e in entries]
     mids = [0.5 * upper + 0.5 * lower for _, _, upper, lower, _, _ in entries]
-    return AnytimeResult(
-        staircase=_partition_staircase(problem.scores, firsts, mids),
-        width_bound=width_bound,
-        iters=iters,
-        groups=tuple(AnytimeGroup(*e) for e in entries),
-        total_loss=_partition_loss(problem, firsts, mids),
-    )
+    return firsts, mids, width_bound, iters, entries
+
+
+def anytime_run(problem: Problem, config: AnytimeConfig) -> AnytimeResult:
+    """Iterate rounds until no bracket that can still shrink is over ``delta``.
+
+    Stops early at ``max_iters``; if any bracket end is still infinite at
+    that point the loss has no finite minimizer to find and the run fails. A
+    finite bracket wider than the float range gives ``width_bound == inf``.
+    """
+    firsts, mids, width_bound, iters, entries = _fit_anytime(problem, config)
+    staircase = _partition_staircase(problem.scores, firsts, mids)
+    groups = tuple(AnytimeGroup(*e) for e in entries)
+    total_loss = _partition_loss(problem, firsts, mids)
+    return AnytimeResult(staircase, width_bound, iters, groups, total_loss)

@@ -263,8 +263,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # The loss module loads before anything else the fit allocates: loaded
     # after the --out check, it left the fit's peak RSS about 0.3 MB higher.
     family = _family(args.loss)
-    flags = ("delta", "max_iters")
-    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    given = {f: getattr(args, f) for f in ("delta", "max_iters") if getattr(args, f) is not None}
     if given and args.solver != "anytime":
         flag = next(iter(given)).replace("_", "-")
         raise _CliError(f"--{flag} only applies to --solver anytime")
@@ -275,36 +274,26 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     problem = _normalize(_training_columns(args.input, args.loss), family)
     n = len(problem.scores)
 
-    if args.solver == "anytime":
-        # Every block minimizer of both CLI losses is a weighted mean of
-        # targets, so the target range brackets it. Nothing narrower does:
-        # each single-sample group starts at its own target.
-        lower, upper = min(problem.targets), max(problem.targets)
-        if lower == upper:
-            # One target value. Widen by one float toward zero: upward could
-            # leave [0, 1] for log loss or overflow at the largest float.
-            near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
-            lower, upper = sorted((lower, near))
-        from .anytime import AnytimeConfig, anytime_run
+    from .losses import _minimizer_bracket, _partition_loss
 
+    # Each solver ends in the stack's lists, so no Block or AnytimeGroup is built.
+    if args.solver == "anytime":
+        from .anytime import AnytimeConfig, _fit_anytime
+
+        upper, lower = _minimizer_bracket(problem)
         config = AnytimeConfig(init_upper=upper, init_lower=lower, **given)
-        result = anytime_run(problem, config)
-        staircase, total_loss = result.staircase, result.total_loss
-        extra = {"delta": config.delta, "width_bound": result.width_bound, "rounds": result.iters}
-        del result
+        firsts, ys, width_bound, rounds = _fit_anytime(problem, config)[:4]
+        extra = {"delta": config.delta, "width_bound": width_bound, "rounds": rounds}
     else:
-        from .losses import _partition_loss
         from .pav_offline import _fit_direct, _fit_stack
 
-        # The solver's own lists, so no Block is built.
-        solve = _fit_direct if args.solver == "direct" else _fit_stack
-        firsts, ys = solve(problem)[:2]
-        staircase = _partition_staircase(problem.scores, firsts, ys)
-        total_loss, extra = _partition_loss(problem, firsts, ys), {}
-        del firsts, ys
+        firsts, ys = (_fit_direct if args.solver == "direct" else _fit_stack)(problem)[:2]
+        extra = {}
+    staircase = _partition_staircase(problem.scores, firsts, ys)
+    total_loss = _partition_loss(problem, firsts, ys)
     # The staircase and the metadata are all the model needs: free the columns
     # and the solver's state before the model text is made.
-    del problem
+    del problem, firsts, ys
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
@@ -394,6 +383,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# apply and stream write no diagnostics, so their --quiet does nothing.
+_QUIET_NO_EFFECT = "no effect here; accepted so that scripts can pass --quiet to every command"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monocal",
@@ -419,13 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
     apply_ = sub.add_parser("apply", help="calibrate scores with a fitted model")
     apply_.add_argument("model", help="model JSON written by 'fit'")
     apply_.add_argument("scores", help="CSV with a 'score' column")
-    apply_.add_argument("--quiet", action="store_true", help="suppress diagnostics")
+    apply_.add_argument("--quiet", action="store_true", help=_QUIET_NO_EFFECT)
     apply_.set_defaults(func=_cmd_apply)
 
     stream = sub.add_parser("stream", help="drive the online solver over ordered rows")
     stream.add_argument("input", help="CSV with columns score,target[,weight], score-ordered")
     stream.add_argument("--loss", choices=_FAMILIES, default="square")
-    stream.add_argument("--quiet", action="store_true", help="suppress diagnostics")
+    stream.add_argument("--quiet", action="store_true", help=_QUIET_NO_EFFECT)
     stream.set_defaults(func=_cmd_stream)
     return parser
 

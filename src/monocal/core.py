@@ -204,6 +204,10 @@ def _columns_of(samples: Sequence[Sample]) -> list[list[float]]:
 class Problem(_Frozen):
     """Score-sorted ``scores``, ``targets`` and ``weights`` columns, no score repeated.
 
+    ``normalize`` builds one from any rows; ``Problem(...)`` takes rows
+    already in that form and raises ``InvalidValue`` unless their scores
+    strictly increase.
+
     ``samples`` is the same rows as a tuple of ``Sample`` objects: the given
     ones or, for a problem built from columns, ones built on first read. The
     built-in families' solvers read the columns. ``loss_offset`` is the
@@ -223,7 +227,10 @@ class Problem(_Frozen):
     def __init__(self, samples: Sequence[Sample], family: LossFamily,
                  loss_offset: float = 0.0) -> None:
         samples = tuple(samples)
-        _fill(self, [*_columns_of(samples), samples], family, loss_offset)
+        columns = _columns_of(samples)
+        if not all(map(lt, columns[0], islice(columns[0], 1, None))):
+            raise InvalidValue("scores must strictly increase; normalize sorts and folds ties")
+        _fill(self, [*columns, samples], family, loss_offset)
 
     # Threads racing on the first read may each build equal samples.
     @cached_property

@@ -13,9 +13,10 @@ derivative crosses zero is the merge-rule minimizer.
 
 It owns every loss rule: the 0/1 label set, a partition's total loss,
 which built-ins read their loss terms, merge inputs and anytime derivative
-probes from a problem's columns, and which families pool by weighted mean
-(``_pools_by_weighted_mean``); rows (``monocal.core``) and pooling hold no
-loss knowledge.
+probes from a problem's columns, which families pool by weighted mean
+(``_pools_by_weighted_mean``) and the bracket around such a family's
+minimizers (``_minimizer_bracket``); rows (``monocal.core``) and pooling
+hold no loss knowledge.
 """
 
 from __future__ import annotations
@@ -225,6 +226,23 @@ def _pools_by_weighted_mean(family: LossFamily) -> bool:
             and family.merge is weighted_square_merge)
 
 
+def _minimizer_bracket(problem: Problem) -> tuple[float, float]:
+    """``(upper, lower)`` around every group minimizer of a nonempty ``problem``.
+
+    Valid for a family that pools by weighted mean, as both built-ins do:
+    every group minimizer is a weighted mean of targets, so the target range
+    brackets it. Nothing narrower does: each single-sample group starts at
+    its own target.
+    """
+    lower, upper = min(problem.targets), max(problem.targets)
+    if lower == upper:
+        # One target value. Widen by one float toward zero: upward could
+        # leave [0, 1] for log loss or overflow at the largest float.
+        near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
+        lower, upper = sorted((lower, near))
+    return upper, lower
+
+
 def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
     """``(index, minimizer, aux)`` per sample; the built-ins' are the target and weight columns."""
     family = problem.family
@@ -284,11 +302,6 @@ class DerivativeOracle:
 
     def neg_derivative_at(self, first: int, last: int, z: float) -> float:
         f = self._neg_derivative
-        if first == last:
-            # One term is its own fsum, except that fsum sets the sign of a
-            # zero, so a zero still goes through it.
-            d = f(self._samples[first], z)
-            return d or math.fsum([d])
         return math.fsum([f(s, z) for s in self._samples[first:last + 1]])
 
 

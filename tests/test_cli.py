@@ -29,11 +29,12 @@ from monocal import (
     fit_stack,
     normalize,
 )
-from monocal import anytime, cli, core
+from monocal import anytime, cli, core, pav_offline
 from monocal.cli import main, model_from_dict
 from monocal.errors import CalibrationError
+from monocal.losses import _minimizer_bracket
 
-from conftest import GOLDEN_TARGETS, golden_samples
+from conftest import GOLDEN_SIZES, GOLDEN_TARGETS, golden_samples
 
 
 def write_training_csv(path, rows, header="score,target"):
@@ -539,21 +540,31 @@ class TestFit:
     @pytest.mark.parametrize("solver", ["stack", "direct", "anytime"])
     def test_fit_state_is_released_before_the_model_is_written(
             self, golden_csv, tmp_path, monkeypatch, solver, out):
-        # Weak references to the Problem and, for anytime, to the solver's result.
+        # Weak references to the Problem and to every list the solver's list
+        # core returns.
         states = []
+
+        class Tracked(list):
+            """A list that takes weak references, as a plain list does not."""
 
         def keep_a_weakref(module, name):
             function = getattr(module, name)
 
             def call(*args, **kwargs):
                 state = function(*args, **kwargs)
-                states.append(weakref.ref(state))
+                if isinstance(state, tuple):
+                    state = tuple(Tracked(item) if type(item) is list else item for item in state)
+                    states.extend(weakref.ref(item) for item in state if type(item) is Tracked)
+                else:
+                    states.append(weakref.ref(state))
                 return state
 
             monkeypatch.setattr(module, name, call)
 
         keep_a_weakref(cli, "_normalize")
-        keep_a_weakref(anytime, "anytime_run")
+        keep_a_weakref(anytime, "_fit_anytime")
+        keep_a_weakref(pav_offline, "_fit_stack")
+        keep_a_weakref(pav_offline, "_fit_direct")
         alive = []
         log = WriteLog(lambda: alive.append([ref() is not None for ref in states]))
         argv = ["fit", golden_csv, "--solver", solver, "--quiet"]
@@ -567,8 +578,26 @@ class TestFit:
         else:
             monkeypatch.setattr(sys, "stdout", log)
         assert main(argv) == 0
-        assert alive == [[False] * (2 if solver == "anytime" else 1)]
+        # The Problem and three lists: firsts, values and the solver's third
+        # (auxs for stack and direct, the round state for anytime).
+        assert alive == [[False] * 4]
         assert json.loads("".join(log.writes))["metadata"]["solver"] == solver
+
+    def test_anytime_fit_builds_no_group_or_result(self, golden_csv, capsys, monkeypatch):
+        built = []
+        for cls in (anytime.AnytimeGroup, anytime.AnytimeResult):
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        code, stdout, stderr = run(capsys, "fit", golden_csv, "--solver", "anytime", "--quiet")
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout)["metadata"]["rounds"] > 0
+        assert built == []
+        # The counter does see the library's run build them.
+        anytime_run(normalize(golden_samples(), WEIGHTED_SQUARE), AnytimeConfig(100.0, 0.0))
+        assert built == ["AnytimeGroup"] * len(GOLDEN_SIZES) + ["AnytimeResult"]
 
     def test_failed_tie_merge_names_the_score(self, tmp_path, capsys):
         # The pooled target of the two rows overflows; neither row is at fault.
@@ -1168,11 +1197,7 @@ def reference_normalize(samples, family):
 def library_fit(problem, solver):
     """``(breakpoints, values, total_loss)`` as reprs: the library fit ``monocal fit`` runs."""
     if solver == "anytime":
-        targets = [s.target for s in problem.samples]
-        lower, upper = min(targets), max(targets)
-        if lower == upper:
-            near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
-            lower, upper = sorted((lower, near))
+        upper, lower = _minimizer_bracket(problem)
         result = anytime_run(problem, AnytimeConfig(init_upper=upper, init_lower=lower))
         staircase, total_loss = result.staircase, result.total_loss
     else:

@@ -6,7 +6,8 @@ family that wraps ``merge`` is a custom family, so the solvers call it on
 their generic loop (``pav_offline._pool``); its ``minimizer_of`` and
 ``init_aux`` stay the built-ins', so the groups still come from the columns.
 The direct solver's passes and the anytime solver's rounds and derivative
-calls are pinned on the shapes that drive them up.
+calls are pinned on the shapes that drive them up, brackets that must double
+out from infinite bounds included.
 """
 
 import dataclasses
@@ -17,14 +18,17 @@ import pytest
 
 from monocal import (
     AnytimeConfig,
+    DerivativeOracle,
     OnlineState,
     Sample,
     WEIGHTED_SQUARE,
+    anytime_init,
     anytime_run,
     fit_direct,
     fit_stack,
     normalize,
 )
+from monocal.anytime import iterate
 from monocal.losses import weighted_square_merge
 
 
@@ -45,14 +49,18 @@ def _targets(shape: str, n: int) -> list[float]:
         return [float(i % 10) for i in range(n)]
     if shape == "rising-then-drop":
         return [*map(float, range(n - 1)), -1e6]
-    assert shape == "random-weighted"
+    if shape == "rising":
+        return [1.0 + 99.0 * i / (n - 1) for i in range(n)]
+    assert shape in ("random-weighted", "tie-heavy")
     rng = random.Random(n)
     return [rng.uniform(0.0, 100.0) for _ in range(n)]
 
 
 def _samples(shape: str, n: int) -> list[Sample]:
+    """Rows at scores 0, 1, 2, ...; four rows share each score on ``tie-heavy``."""
     rng = random.Random(f"{shape}/{n}")
-    return [Sample(float(i), t, 3.0 * (1.0 - rng.random()))
+    per_score = 4 if shape == "tie-heavy" else 1
+    return [Sample(float(i // per_score), t, 3.0 * (1.0 - rng.random()))
             for i, t in enumerate(_targets(shape, n))]
 
 
@@ -70,8 +78,9 @@ def test_fit_stack_merges_once_per_lost_step(shape, n):
         assert calls[0] > 0
 
 
-@pytest.mark.parametrize("shape", [*SHAPES, "random-weighted"])
+@pytest.mark.parametrize("shape", [*SHAPES, "random-weighted", "tie-heavy"])
 def test_online_merges_once_per_lost_step_after_every_push(shape):
+    # On tie-heavy rows the fold of each repeated score is a merge too.
     family, calls = _counting_family()
     state = OnlineState(family)
     for sample in _samples(shape, 2000):
@@ -108,3 +117,36 @@ def test_anytime_rounds_and_derivative_calls(n):
     # At most one call per sample per round. Every bracket here still
     # shrinks in every round, so every group is probed and the bound is met.
     assert calls[0] == n * result.iters
+
+
+@pytest.mark.parametrize("n, rounds", [(100, 15), (1000, 35)])
+def test_anytime_doubles_out_from_infinite_bounds(n, rounds):
+    # AnytimeConfig() has infinite bounds, so every group probes 0, 1, 2, 4,
+    # ... until a probe passes its target in [1, 100]: 9 rounds take the
+    # highest targets to [64, 128], and halving 64 down to delta = 1e-6 takes
+    # ceil(log2(64 / 1e-6)) = 26 more. At n = 100 the targets are the
+    # integers 1..100, which the dyadic probes hit exactly within 6 rounds of
+    # [64, 128], so every group settles and the run stops after 15.
+    calls = [0]
+
+    def neg_derivative(sample, z):
+        calls[0] += 1
+        return WEIGHTED_SQUARE.neg_derivative(sample, z)
+
+    family = dataclasses.replace(WEIGHTED_SQUARE, name="counted", neg_derivative=neg_derivative)
+    problem = normalize(_samples("rising", n), family)
+    result = anytime_run(problem, AnytimeConfig())
+    assert result.iters == rounds
+    if n == 1000:
+        assert rounds == 9 + math.ceil(math.log2(64 / 1e-6))
+    else:
+        assert result.width_bound == 0.0
+    # One call per sample of each group probed in a round: replay the rounds
+    # with an uncounted oracle and sum the sizes of the unsettled groups.
+    oracle = DerivativeOracle(problem.samples, WEIGHTED_SQUARE)
+    groups, probed = anytime_init(problem, AnytimeConfig()), 0
+    for _ in range(rounds):
+        probed += sum(g.last - g.first + 1 for g in groups if not g.settled)
+        groups = iterate(groups, oracle)
+    assert tuple(groups) == result.groups
+    assert calls[0] == probed <= n * rounds

@@ -153,6 +153,23 @@ class TestProblemColumns:
         assert problem.samples == samples and problem.samples[0] is samples[0]
         assert problem.loss_offset == 0.5
 
+    @pytest.mark.parametrize("scores", [(2.0, 1.0), (1.0, 1.0), (0.0, -0.0), (1.0, 3.0, 2.0)],
+                             ids=["descending", "repeated", "signed-zeros", "one-out-of-order"])
+    def test_problem_needs_strictly_increasing_scores(self, scores):
+        # Out of order, a score would evaluate to another block's value; repeated,
+        # one score would get two fitted values.
+        samples = [Sample(score, 5.0 * i) for i, score in enumerate(scores)]
+        with pytest.raises(InvalidValue, match="scores must strictly increase"):
+            Problem(samples, WEIGHTED_SQUARE)
+        problem = normalize(samples, WEIGHTED_SQUARE)
+        with pytest.raises(InvalidValue, match="scores must strictly increase"):
+            dataclasses.replace(problem, samples=tuple(samples))
+        report = fit_stack(problem)
+        staircase = blocks_to_staircase(report.blocks, problem.scores)
+        for block in report.blocks:
+            for score in problem.scores[block.first:block.last + 1]:
+                assert evaluate(staircase, score) == block.minimizer
+
     def test_replace_keeps_samples_and_columns(self):
         problem = normalize([Sample(2.0, 1.0), Sample(1.0, 3.0)], WEIGHTED_SQUARE)
         other = dataclasses.replace(problem, family=LOG_LOSS)
