@@ -92,7 +92,9 @@ class AnytimeConfig(_Frozen):
     """Initial bracket, target width, and round cap.
 
     Infinite bounds (the default) engage the doubling probe pattern until
-    each group finds a finite bracket on its own.
+    each group finds a finite bracket on its own. ``delta`` must be positive
+    and finite: no bracket is ever wider than an infinite one, so such a run
+    would stop before its first round.
     """
 
     init_upper: float
@@ -109,8 +111,8 @@ class AnytimeConfig(_Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise InvalidConfig(f"delta must be positive, got {self.delta!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise InvalidConfig(f"delta must be positive and finite, got {self.delta!r}")
         if not self.init_upper > self.init_lower:
             raise InvalidConfig(
                 f"need init_upper > init_lower, got "

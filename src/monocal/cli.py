@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 # errors only.
 
 MODEL_VERSION = 1
-# Records read from a CSV at a time; a larger chunk saves little time and
-# holds more rows in memory.
+# Records read from a CSV at a time, and model values encoded at a time; a
+# larger chunk saves little time and holds more rows in memory.
 _CHUNK_ROWS = 1024
 MAX_N_ENV = "MONOCAL_MAX_N"
 
@@ -192,13 +192,41 @@ def _training_columns(path: str, loss_tag: str) -> list[list[float]]:
 
 
 def model_to_dict(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> dict:
+    """The model document; the float arrays are the staircase's tuples, JSON arrays when dumped."""
     return {
         "version": MODEL_VERSION,
         "family": family_tag,
-        "breakpoints": list(staircase.breakpoints),
-        "values": list(staircase.values),
+        "breakpoints": staircase.breakpoints,
+        "values": staircase.values,
         "metadata": metadata,
     }
+
+
+def _model_pieces(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> list[str]:
+    """The model file's text in pieces, one line per top-level field.
+
+    Each piece comes from ``json.dumps`` without indent, which runs the C
+    encoder (indent=2 would fall back to the pure-Python one). The encoder
+    can hold a string per value until it joins them (CPython 3.11's does),
+    so a float array is encoded ``_CHUNK_ROWS`` values at a time and the
+    slices are spliced with ``json.dumps``'s own ", ": the bytes are one-shot
+    ``json.dumps``'s, and no string per step of the whole model is held.
+    """
+    import json
+
+    pieces = ["{\n"]
+    for key, value in model_to_dict(staircase, family_tag, metadata).items():
+        pieces.append(f"  {json.dumps(key)}: ")
+        if type(value) is tuple:
+            pieces.append("[")
+            for start in range(0, len(value), _CHUNK_ROWS):
+                pieces += (json.dumps(value[start:start + _CHUNK_ROWS])[1:-1], ", ")
+            pieces[-1] = "]" if value else "[]"  # the last ", ", or the "[" of no value
+        else:
+            pieces.append(json.dumps(value))
+        pieces.append(",\n")
+    pieces[-1] = "\n}\n"
+    return pieces
 
 
 def model_from_dict(doc: Any) -> tuple[Staircase, str, dict[str, Any]]:
@@ -297,17 +325,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
-    import json
-
-    # One line per top-level field. Every field is encoded before the output
-    # is opened, so a failed fit writes nothing, and the pieces are written
-    # one by one: no string of a whole line or of the model is built.
-    # json.dumps without indent runs the C encoder; indent=2 would fall back
-    # to the pure-Python one.
-    pieces = ["{\n"]
-    for key, value in model_to_dict(staircase, args.loss, metadata).items():
-        pieces += (f"  {json.dumps(key)}: ", json.dumps(value), ",\n")
-    pieces[-1] = "\n}\n"
+    # Every field is encoded before the output is opened, so a failed fit
+    # writes nothing, and the pieces are written one by one: no string of a
+    # whole line or of the model is built.
+    pieces = _model_pieces(staircase, args.loss, metadata)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from functools import cached_property, partial
-from itertools import compress, islice, pairwise, repeat
+from itertools import chain, compress, islice, pairwise, repeat
 from operator import attrgetter, itemgetter, le, lt, ne
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -392,7 +392,10 @@ def _normalize(columns: Sequence[Sequence], family: LossFamily) -> Problem:
     return _fill(object.__new__(Problem), columns, family, offset)
 
 
-def _boundary(left_score: float, right_score: float) -> float:
+def _boundary(scores: Sequence[float], i: int) -> float:
+    """Breakpoint between ``scores[i - 1]`` and ``scores[i]``, by ``blocks_to_staircase``'s rule."""
+    left_score = scores[i - 1]
+    right_score = scores[i]
     # left < bp <= right keeps each score on its own block's value.
     if left_score == -math.inf:
         return 0.0 if right_score == math.inf else right_score
@@ -400,6 +403,28 @@ def _boundary(left_score: float, right_score: float) -> float:
         return math.nextafter(left_score, math.inf)
     mid = 0.5 * left_score + 0.5 * right_score
     return mid if mid > left_score else right_score
+
+
+class _Sized:
+    """``iterator`` with the length ``tuple`` should allocate for it.
+
+    ``tuple`` of an object sizes its result by the object's length hint and
+    takes the items from ``iter`` of it. A bare iterator has no hint, so
+    ``tuple`` grows its array a quarter at a time, and up to that quarter is
+    allocated beyond the result before the last resize.
+    """
+
+    __slots__ = ("_iterator", "_size")
+
+    def __init__(self, iterator: Iterable, size: int) -> None:
+        self._iterator = iterator
+        self._size = size
+
+    def __iter__(self):
+        return self._iterator
+
+    def __length_hint__(self) -> int:
+        return self._size
 
 
 def _partition_staircase(
@@ -410,21 +435,26 @@ def _partition_staircase(
     Block ``k`` starts at sample ``firsts[k]`` and ends where block ``k + 1``
     starts (the last block at the last score); ``ys[k]`` is its minimizer.
     The rules are ``blocks_to_staircase``'s.
+
+    The staircase's tuples are built from iterator chains over the given
+    lists, with one ``_boundary`` call per breakpoint: no list or string per
+    block is held beside them. The values come first, so the breakpoints'
+    tuple is allocated once at its known length.
     """
     if not ys:
         raise EmptyProblem("no blocks to materialize")
-    nexts = ys[1:]
-    if any(map(lt, nexts, ys)):
+    if any(map(lt, islice(ys, 1, None), ys)):
         a, b = next((a, b) for a, b in pairwise(ys) if b < a)
         raise NotMonotone(
             f"block minimizers decrease ({a!r} -> {b!r}); solver output is inconsistent"
         )
+    # A block starts a step where its minimizer differs from the one before.
     # != rather than >: a NaN minimizer keeps its own step, so Staircase's
     # finite rule rejects it.
-    rises = list(map(ne, nexts, ys))
-    cuts = list(compress(firsts[1:], rises))
-    breakpoints = map(_boundary, [scores[i - 1] for i in cuts], [scores[i] for i in cuts])
-    return Staircase(tuple(breakpoints), (ys[0], *compress(nexts, rises)))
+    values = tuple(compress(ys, chain((True,), map(ne, islice(ys, 1, None), ys))))
+    cuts = compress(islice(firsts, 1, None), map(ne, islice(ys, 1, None), ys))
+    breakpoints = tuple(_Sized(map(_boundary, repeat(scores), cuts), len(values) - 1))
+    return Staircase(breakpoints, values)
 
 
 def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Staircase:

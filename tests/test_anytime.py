@@ -76,10 +76,12 @@ class TestConfigAndInit:
         with pytest.raises(EmptyProblem):
             anytime_init(Problem((), WEIGHTED_SQUARE), AnytimeConfig())
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    # An infinite delta would stop every run before its first round.
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan, -math.inf])
     def test_bad_delta(self, delta):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig) as error:
             AnytimeConfig(delta=delta)
+        assert str(error.value) == f"delta must be positive and finite, got {delta!r}"
 
     def test_inverted_bounds(self):
         with pytest.raises(InvalidConfig):

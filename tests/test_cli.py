@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -466,6 +467,13 @@ class TestFit:
         scores.write_text("score\n1\n2\n")
         assert run(capsys, "apply", str(model), str(scores))[0] == 0
 
+    @pytest.mark.parametrize("delta", ["inf", "nan", "0", "-1"])
+    def test_delta_that_is_not_positive_and_finite_exits_2(self, golden_csv, capsys, delta):
+        code, stdout, stderr = run(capsys, "fit", golden_csv, "--solver", "anytime",
+                                   "--delta", delta, "--quiet")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"monocal: delta must be positive and finite, got {float(delta)!r}\n"
+
     def test_anytime_flags_rejected_for_other_solvers(self, golden_csv, capsys):
         code, _, stderr = run(capsys, "fit", golden_csv, "--delta", "1e-6", "--quiet")
         assert code == 2
@@ -535,6 +543,71 @@ class TestFit:
         assert "".join(log.writes) == "".join(lines)
         assert len(log.writes) > len(lines)
         assert max(map(len, log.writes)) <= max(map(len, lines))
+
+    @pytest.mark.parametrize("solver", ["stack", "direct", "anytime"])
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 1026, 2049])
+    def test_model_bytes_at_the_slice_edges(self, tmp_path, capsys, solver, n):
+        # Rising targets give one step per row, so stack and direct write
+        # n - 1 breakpoints and n values: 0 to 2,048 values on either side of
+        # the 1,024-value slices. The rows put -0.0, a subnormal and 1e300
+        # among the scores, targets, breakpoints and values.
+        exact = solver != "anytime"
+        scores = [-1e300, -5e-324, -0.0, 1e-323, *map(float, range(4, n))][:n]
+        targets = [-0.0, 5e-324, *(1 + i / 3 for i in range(2, n))][:n]
+        if n > 4:
+            scores[-1] = 1e300
+            if exact:
+                # Anytime would need about 1,000 rounds to part the steps.
+                targets[-1] = 1e300
+        path = write_training_csv(tmp_path / "rising.csv", zip(scores, targets))
+        code, stdout, _ = run(capsys, "fit", path, "--solver", solver, "--quiet")
+        assert code == 0
+        doc = json.loads(stdout)
+        # The layout of test_model_text_is_one_line_per_field, each field one
+        # json.dumps.
+        assert stdout == "".join(["{\n", ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items()), "\n}\n"])
+        values, breakpoints = doc["values"], doc["breakpoints"]
+        # Anytime's brackets cannot part -0.0 from 5e-324: one step holds both rows.
+        assert len(values) == (n if exact else max(n - 1, 1))
+        if exact:
+            assert values[:2] == targets[:2]
+            assert math.copysign(1.0, values[0]) == -1.0
+        if n > 4:
+            assert breakpoints[-1] == 5e299
+            assert breakpoints[1 if exact else 0:][:2] == [-0.0, 5e-324]
+            assert "-0.0, 5e-324" in stdout
+            if exact:
+                assert (breakpoints[0], values[-1]) == (-5e299, 1e300)
+
+    def test_model_encoding_holds_nothing_per_step(self):
+        # A 50,000-step model. Beside the text it returns, which the write
+        # needs, _model_pieces may hold one slice's transients only: one-shot
+        # json.dumps held a string per value until its join (3.9 MB beyond
+        # the text on CPython 3.11), and a string per step of either array
+        # would be 2.5 MB. tracemalloc counts every allocation, so the bound
+        # holds on any machine.
+        n = 50_000
+        staircase = core.Staircase(tuple(i + 0.5 for i in range(n - 1)),
+                                   tuple(i / 3 for i in range(n)))
+        metadata = {"solver": "stack", "n_samples": n, "merge_count": 0, "total_loss": 0.0}
+
+        def traced(encode):
+            encode()  # warm: json's encoder and any cached state
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                text = encode()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return text, held - start, peak - start
+
+        pieces, held, peak = traced(lambda: cli._model_pieces(staircase, "square", metadata))
+        one_shot, _, one_shot_peak = traced(
+            lambda: json.dumps(cli.model_to_dict(staircase, "square", metadata)))
+        assert json.loads("".join(pieces)) == json.loads(one_shot)
+        assert peak - held < min(one_shot_peak / 4, 128 * 1024)
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("solver", ["stack", "direct", "anytime"])

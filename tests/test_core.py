@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,7 @@ from monocal.errors import (
     InvalidWeight,
     NotMonotone,
 )
-from monocal.core import _normalize, _steps_at, _valid_rows
+from monocal.core import _normalize, _partition_staircase, _steps_at, _valid_rows
 from monocal.losses import _LABELS, check_label
 from monocal.oracle import brute_force_fit
 
@@ -415,6 +416,27 @@ class TestBlocksToStaircase:
             for block in blocks:
                 for i in range(block.first, block.last + 1):
                     assert evaluate(staircase, scores[i]) == block.minimizer
+
+    def test_partition_holds_nothing_per_block_beside_the_staircase(self):
+        # 50,000 one-sample blocks, one step each. tracemalloc counts every
+        # allocation, so the bound holds on any machine: the peak may pass
+        # what the returned staircase holds (its two tuples and its new
+        # breakpoint floats) by a small constant only. A list of one pointer
+        # per block would be 400,000 bytes.
+        n = 50_000
+        scores = tuple(float(i) for i in range(n))
+        firsts = list(range(n))
+        ys = [i / 3 for i in range(n)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            staircase = _partition_staircase(scores, firsts, ys)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert staircase.step_count == n
+        assert staircase.breakpoints[:2] == (0.5, 1.5)
+        assert peak - start <= held - start + 64 * 1024
 
 
 def test_blocks_loss_matches_hand_sum(golden_problem):
