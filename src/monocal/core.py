@@ -428,13 +428,14 @@ class _Sized:
 
 
 def _partition_staircase(
-    scores: Sequence[float], firsts: Sequence[int], ys: Sequence[float]
+    scores: Sequence[float], firsts: Iterable[int], ys: Sequence[float]
 ) -> Staircase:
     """Staircase of a partition given as parallel lists, the stack's own shape.
 
     Block ``k`` starts at sample ``firsts[k]`` and ends where block ``k + 1``
     starts (the last block at the last score); ``ys[k]`` is its minimizer.
-    The rules are ``blocks_to_staircase``'s.
+    The rules are ``blocks_to_staircase``'s. ``firsts`` may be any iterable:
+    it is read once, front to back. ``ys`` is read more than once.
 
     The staircase's tuples are built from iterator chains over the given
     lists, with one ``_boundary`` call per breakpoint: no list or string per
@@ -469,4 +470,5 @@ def blocks_to_staircase(blocks: Sequence[Block], scores: Sequence[float]) -> Sta
     ``left``, a ``-inf`` left score gives ``right``, and ``(-inf, +inf)``
     gives 0.
     """
-    return _partition_staircase(scores, [b.first for b in blocks], [b.minimizer for b in blocks])
+    return _partition_staircase(scores, map(attrgetter("first"), blocks),
+                                [b.minimizer for b in blocks])

@@ -20,14 +20,17 @@ place that picks: ``_pool_means``, the built-in kernel, when
 ``losses._pools_by_weighted_mean`` recognises the family's merge rules as
 the built-ins' own functions (by identity); else ``_pool``, the generic
 loop, which calls the family's ``merge``. On the built-ins both leave the
-same lists, bit for bit. ``fit_stack`` drives its loop with every sample in
-one call, and the streaming solver (``monocal.online``) drives it with one
-group per arrival. ``fit_direct``, the reference solver, always calls the
-family's ``merge``. A direct pass reads and writes the stack's lists too.
-``Block``s are built from them only for a returned result, all at once
-(``_stack_blocks``). Pooling knows no loss: ``monocal.losses`` gives each
-sample's merge inputs (``_sample_groups``), says which families pool by
-weighted mean, and gives a partition's total loss.
+same lists, bit for bit. The kernel is one loop with the top block in
+locals: each turn pools the top leftward, then takes groups until one
+violates the top and pools that one in. ``fit_stack`` drives its loop with
+every sample in one call, and the streaming solver (``monocal.online``)
+drives it with one group per arrival. ``fit_direct``, the reference
+solver, always calls the family's ``merge``. A direct pass reads and writes
+the stack's lists too. ``Block``s are built from them only for a returned
+result, all at once (``_stack_blocks``). Pooling knows no loss:
+``monocal.losses`` gives each sample's merge inputs (``_sample_groups``),
+says which families pool by weighted mean, and gives a partition's total
+loss.
 """
 
 from __future__ import annotations
@@ -96,26 +99,18 @@ def _pool_means(
     The arithmetic is ``weighted_square_merge``'s, ``(lam_i*y_i + lam_j*y_j) /
     (lam_i + lam_j)`` with the stack side as ``i``, so the lists end bit for
     bit as ``_pool`` leaves them. Its weight checks are left out: a
-    ``Sample``'s weight is positive, and so is a sum of such weights. Groups
-    are appended as they come until one violates the top; from then on the
-    top block lives in locals, so pooling into it pops and appends nothing.
-    It takes ``merge`` only to share ``_pool``'s signature, and never calls it.
+    ``Sample``'s weight is positive, and so is a sum of such weights. The top
+    block lives in locals from the first group on: each turn pools it
+    leftward (the one place that pops), then takes groups until one violates
+    it and pools that one in. It takes ``merge`` only to share ``_pool``'s
+    signature, and never calls it.
     """
     groups = iter(groups)
-    for first, y, lam in groups:
-        if ys and ys[-1] >= y:
-            break
-        firsts.append(first)
-        ys.append(y)
-        lams.append(lam)
+    for top_first, top_y, top_lam in groups:
+        break
     else:
         return
-    top_first, top_y, top_lam = firsts.pop(), ys.pop(), lams.pop()
     while True:
-        # The group (first, y, lam) violates the top: pool it in, then leftward.
-        lam_sum = top_lam + lam
-        top_y = (top_lam * top_y + lam * y) / lam_sum
-        top_lam = lam_sum
         while ys and ys[-1] >= top_y:
             lam = lams.pop()
             lam_sum = lam + top_lam
@@ -131,6 +126,9 @@ def _pool_means(
             top_first, top_y, top_lam = first, y, lam
         else:
             break
+        lam_sum = top_lam + lam
+        top_y = (top_lam * top_y + lam * y) / lam_sum
+        top_lam = lam_sum
     firsts.append(top_first)
     ys.append(top_y)
     lams.append(top_lam)

@@ -438,6 +438,24 @@ class TestBlocksToStaircase:
         assert staircase.breakpoints[:2] == (0.5, 1.5)
         assert peak - start <= held - start + 64 * 1024
 
+    def test_blocks_hold_one_list_beside_the_staircase(self):
+        # The minimizers are read more than once, so they become one list of
+        # 8-byte pointers; the firsts are read once and need none. Two such
+        # lists would exceed the bound of 10 bytes per block.
+        n = 50_000
+        scores = tuple(float(i) for i in range(n))
+        blocks = [Block(i, i, i / 3, 1.0) for i in range(n)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            staircase = blocks_to_staircase(blocks, scores)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert staircase.step_count == n
+        assert staircase.breakpoints[:2] == (0.5, 1.5)
+        assert peak - held <= 10 * n
+
 
 def test_blocks_loss_matches_hand_sum(golden_problem):
     report = fit_stack(golden_problem)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from monocal import (
+    LOG_LOSS,
     OnlineState,
     Problem,
     Sample,
@@ -37,17 +38,45 @@ def test_single_push_gives_constant():
     assert state.cumulative_merges == 0
 
 
-def test_every_prefix_matches_offline_fit():
-    rng = random.Random(41)
+def _prefix_streams(rng: random.Random):
+    """``(samples, family)`` streams with strictly increasing scores.
+
+    Uniform square-loss instances; then, under weights from {0.1, 1, 3},
+    rounding-prone square-loss targets (decimals from a small set, or chains
+    of adjacent floats) and 0/1 log-loss labels.
+    """
     for _ in range(30):
-        problem = make_square_instance(rng, rng.randint(1, 15))
-        state = OnlineState(WEIGHTED_SQUARE)
-        for k, sample in enumerate(problem.samples, start=1):
+        yield make_square_instance(rng, rng.randint(1, 15)).samples, WEIGHTED_SQUARE
+    for _ in range(60):
+        n = rng.randint(1, 25)
+        if rng.random() < 0.5:
+            targets = [rng.choice((0.1, 0.2, 0.3, 1 / 3, 0.7)) for _ in range(n)]
+        else:
+            targets = [rng.choice((0.1, 0.2, 0.3, 1 / 3, 0.7))]
+            for _ in range(n - 1):
+                targets.append(math.nextafter(targets[-1], rng.choice((-math.inf, math.inf))))
+        yield ([Sample(i + rng.random(), t, rng.choice((0.1, 1.0, 3.0)))
+                for i, t in enumerate(targets)], WEIGHTED_SQUARE)
+    for _ in range(40):
+        yield ([Sample(i + rng.random(), float(rng.random() < 0.5), rng.choice((0.1, 1.0, 3.0)))
+                for i in range(rng.randint(1, 25))], LOG_LOSS)
+
+
+def _block_bits(blocks) -> list[tuple[int, int, str, str]]:
+    return [(b.first, b.last, b.minimizer.hex(), b.aux.hex()) for b in blocks]
+
+
+def test_every_prefix_matches_offline_fit():
+    # One group per push must leave the bits that one sweep over the prefix
+    # leaves, so values and blocks are compared by float.hex, not by ==.
+    rng = random.Random(41)
+    for samples, family in _prefix_streams(rng):
+        state = OnlineState(family)
+        for k, sample in enumerate(samples, start=1):
             state.push(sample)
-            prefix = Problem(problem.samples[:k], WEIGHTED_SQUARE)
-            offline = fit_stack(prefix)
-            # Blocks compare by range, minimizer and aux.
-            assert state.blocks() == offline.blocks
+            offline = fit_stack(Problem(samples[:k], family))
+            assert [y.hex() for y in state.values] == [b.minimizer.hex() for b in offline.blocks]
+            assert _block_bits(state.blocks()) == _block_bits(offline.blocks)
             assert state.cumulative_merges == offline.merge_count
 
 
