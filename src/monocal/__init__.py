@@ -22,10 +22,10 @@ _HOMES = {
     "Sample": "core",
     "Problem": "core",
     "Block": "core",
-    "Staircase": "core",
     "normalize": "core",
-    "evaluate": "core",
-    "blocks_to_staircase": "core",
+    "Staircase": "staircase",
+    "evaluate": "staircase",
+    "blocks_to_staircase": "staircase",
     "blocks_loss": "losses",
     "LossFamily": "losses",
     "DerivativeOracle": "losses",

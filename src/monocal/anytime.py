@@ -39,9 +39,10 @@ import math
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Problem, Staircase, _Frozen, _partition_staircase, _set
+from .core import Problem, _Frozen, _set
 from .errors import EmptyProblem, InvalidConfig, NoWidth, Unbounded
 from .losses import DerivativeOracle, _checked, _derivative_probe, _partition_loss
+from .staircase import Staircase, _partition_staircase
 
 __all__ = [
     "AnytimeGroup",
@@ -257,7 +258,7 @@ def _fit_anytime(problem: Problem, config: AnytimeConfig
                  ) -> tuple[list[int], list[float], float, int, list[list]]:
     """``anytime_run``'s rounds on the list state: ``(firsts, mids, width_bound, iters, entries)``.
 
-    ``firsts`` and ``mids`` are the partition in ``core._partition_staircase``'s
+    ``firsts`` and ``mids`` are the partition in ``staircase._partition_staircase``'s
     shape, each group's value its bracket midpoint; ``entries`` is the final
     round state, which only ``anytime_run`` turns into groups.
     """

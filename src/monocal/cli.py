@@ -6,6 +6,12 @@ Models are JSON documents with fields version/family/breakpoints/values/
 metadata; unknown fields are rejected on load. Exit codes: 0 success,
 2 input or usage error, 3 ordering violation in stream mode, 141 stdout
 closed by its reader (console script only).
+
+This module holds the parser, the CSV reader and ``stream``. ``fit``,
+``apply`` and the model file live in ``monocal._model_commands``, which
+``main`` imports only for those two commands. This module serves that
+module's public names (``_MODEL_FILE``) as its own attributes, loading it
+on their first use.
 """
 
 from __future__ import annotations
@@ -15,21 +21,20 @@ import csv
 import math
 import os
 import sys
-from itertools import chain, count, islice
+from itertools import count, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from .core import Sample, Staircase, _normalize, _partition_staircase, _steps_at, _valid_rows
+from .core import Sample, _valid_rows
 from .errors import CalibrationError, InvalidValue, OutOfOrder
 
 if TYPE_CHECKING:
     from .losses import LossFamily
 
 # Each command imports what it runs: its solver module, `losses` (fit and
-# stream) and `json` (fit and apply). `monocal.cli` itself loads core and
-# errors only.
+# stream), and the model-file commands' module and `json` (fit and apply).
+# `monocal.cli` itself loads core and errors only.
 
-MODEL_VERSION = 1
 # Records read from a CSV at a time, and model values encoded at a time; a
 # larger chunk saves little time and holds more rows in memory.
 _CHUNK_ROWS = 1024
@@ -191,190 +196,14 @@ def _training_columns(path: str, loss_tag: str) -> list[list[float]]:
     return columns
 
 
-def model_to_dict(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> dict:
-    """The model document; the float arrays are the staircase's tuples, JSON arrays when dumped."""
-    return {
-        "version": MODEL_VERSION,
-        "family": family_tag,
-        "breakpoints": staircase.breakpoints,
-        "values": staircase.values,
-        "metadata": metadata,
-    }
-
-
-def _model_pieces(staircase: Staircase, family_tag: str, metadata: dict[str, Any]) -> list[str]:
-    """The model file's text in pieces, one line per top-level field.
-
-    Each piece comes from ``json.dumps`` without indent, which runs the C
-    encoder (indent=2 would fall back to the pure-Python one). The encoder
-    can hold a string per value until it joins them (CPython 3.11's does),
-    so a float array is encoded ``_CHUNK_ROWS`` values at a time and the
-    slices are spliced with ``json.dumps``'s own ", ": the bytes are one-shot
-    ``json.dumps``'s, and no string per step of the whole model is held.
-    """
-    import json
-
-    pieces = ["{\n"]
-    for key, value in model_to_dict(staircase, family_tag, metadata).items():
-        pieces.append(f"  {json.dumps(key)}: ")
-        if type(value) is tuple:
-            pieces.append("[")
-            for start in range(0, len(value), _CHUNK_ROWS):
-                pieces += (json.dumps(value[start:start + _CHUNK_ROWS])[1:-1], ", ")
-            pieces[-1] = "]" if value else "[]"  # the last ", ", or the "[" of no value
-        else:
-            pieces.append(json.dumps(value))
-        pieces.append(",\n")
-    pieces[-1] = "\n}\n"
-    return pieces
-
-
-def model_from_dict(doc: Any) -> tuple[Staircase, str, dict[str, Any]]:
-    if not isinstance(doc, dict):
-        raise InvalidValue("model file must be a JSON object")
-    known = {"version", "family", "breakpoints", "values", "metadata"}
-    unknown = set(doc) - known
-    if unknown:
-        raise InvalidValue(f"model file has unknown fields: {sorted(unknown)}")
-    missing = known - set(doc)
-    if missing:
-        raise InvalidValue(f"model file is missing fields: {sorted(missing)}")
-    # bool is an int subclass and True == 1, so test the type exactly.
-    if type(doc["version"]) is not int or doc["version"] != MODEL_VERSION:
-        raise InvalidValue(f"unsupported model version {doc['version']!r}")
-    if not isinstance(doc["family"], str) or doc["family"] not in _FAMILIES:
-        raise InvalidValue(f"unknown family tag {doc['family']!r}")
-    if not isinstance(doc["metadata"], dict):
-        raise InvalidValue("model metadata must be an object")
-    staircase = Staircase(_model_floats(doc, "breakpoints"), _model_floats(doc, "values"))
-    return staircase, doc["family"], doc["metadata"]
-
-
-def _model_floats(doc: dict, field: str) -> tuple[float, ...]:
-    items = doc[field]
-    # JSON numbers load as int or float, never bool; huge ints overflow. The
-    # finite rule is the Staircase's own.
-    if not isinstance(items, list) or not all(
-        type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in items
-    ):
-        raise InvalidValue(f"model {field} must be a list of numbers in float range")
-    return tuple(map(float, items))
-
-
-def load_model(path: str) -> tuple[Staircase, str, dict[str, Any]]:
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}")
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError; a document
-        # nested too deep for the parser raises RecursionError.
-        raise _CliError(f"{path}: not valid JSON: {exc}")
-    return model_from_dict(doc)
-
-
-def _check_writable(path: str) -> None:
-    """Fail before the fit if ``path`` cannot be written; change no file."""
-    existed = os.path.lexists(path)
-    try:
-        open(path, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc}")
-    if not existed:
-        os.remove(path)
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    # The loss module loads before anything else the fit allocates: loaded
-    # after the --out check, it left the fit's peak RSS about 0.3 MB higher.
-    family = _family(args.loss)
-    given = {f: getattr(args, f) for f in ("delta", "max_iters") if getattr(args, f) is not None}
-    if given and args.solver != "anytime":
-        flag = next(iter(given)).replace("_", "-")
-        raise _CliError(f"--{flag} only applies to --solver anytime")
-    if args.out is not None:
-        _check_writable(args.out)
-    # Rows go from the reader to the problem as columns, no Sample each. Only
-    # _normalize holds the columns, so its sort can free each one it replaces.
-    problem = _normalize(_training_columns(args.input, args.loss), family)
-    n = len(problem.scores)
-
-    from .losses import _minimizer_bracket, _partition_loss
-
-    # Each solver ends in the stack's lists, so no Block or AnytimeGroup is built.
-    if args.solver == "anytime":
-        from .anytime import AnytimeConfig, _fit_anytime
-
-        upper, lower = _minimizer_bracket(problem)
-        config = AnytimeConfig(init_upper=upper, init_lower=lower, **given)
-        firsts, ys, width_bound, rounds = _fit_anytime(problem, config)[:4]
-        extra = {"delta": config.delta, "width_bound": width_bound, "rounds": rounds}
-    else:
-        from .pav_offline import _fit_direct, _fit_stack
-
-        firsts, ys = (_fit_direct if args.solver == "direct" else _fit_stack)(problem)[:2]
-        extra = {}
-    staircase = _partition_staircase(problem.scores, firsts, ys)
-    total_loss = _partition_loss(problem, firsts, ys)
-    # The staircase and the metadata are all the model needs: free the columns
-    # and the solver's state before the model text is made.
-    del problem, firsts, ys
-    metadata = {"solver": args.solver, "n_samples": n,
-                "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
-
-    # Every field is encoded before the output is opened, so a failed fit
-    # writes nothing, and the pieces are written one by one: no string of a
-    # whole line or of the model is built.
-    pieces = _model_pieces(staircase, args.loss, metadata)
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.writelines(pieces)
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc}")
-    else:
-        sys.stdout.writelines(pieces)
-    if not args.quiet:
-        print(
-            f"fit: {n} samples -> {staircase.step_count} steps "
-            f"({metadata['merge_count']} merges, loss {metadata['total_loss']:.6g})",
-            file=sys.stderr,
-        )
-    return EXIT_OK
-
-
-def _cmd_apply(args: argparse.Namespace) -> int:
-    staircase, _, _ = load_model(args.model)
-    values = staircase.values
-
-    def text(scores: list[float]) -> str:
-        # A chunk's rows as one string, with no Python frame per row: the
-        # repr of each step value the chunk reaches is made once.
-        steps = _steps_at(staircase, scores)
-        reached = set(steps)
-        reprs = dict(zip(reached, map(repr, map(values.__getitem__, reached))))
-        return "".join(map("{!r},{}\n".format, scores, map(reprs.__getitem__, steps)))
-
-    chunks = _read_csv(args.scores, {"score": None}, text)
-    out = sys.stdout
-    out.write("score,calibrated\n")
-    # One write per chunk: an unbuffered stdout (PYTHONUNBUFFERED) makes a
-    # system call per write. A chunk read again row by row writes per row.
-    for _, chunk in chunks:
-        out.write(chunk)
-    return EXIT_OK
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .online import OnlineState
 
     state = OnlineState(_family(args.loss))
     # Both built-ins take a sample's target and weight as its minimizer and
-    # auxiliary value, so the checked columns are pushed as they are.
-    push = state._push
+    # auxiliary value, so the checked columns are pushed as they are. Each
+    # row's step count and top step are read off the stack that push fills.
+    push, ys = state._push, state._ys
     # Opens the input and checks its header, so a failure there writes nothing.
     chunks = _training_csv(args.input, args.loss)
     out = sys.stdout
@@ -383,23 +212,31 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # only the top step (see OnlineState), so a row costs one repr plus the
     # join of its output bytes instead of a rebuilt Staircase.
     reprs: list[str] = []
-    records = chain.from_iterable(zip(rows, *columns) for rows, columns in chunks)
-    for row, score, target, weight in records:
+    n = 0
+    for rows, (scores, targets, weights) in chunks:
+        lines: list[str] = []
         try:
-            push(score, target, weight)
-        except OutOfOrder as exc:
-            raise _CliError(f"row {row}: {exc}", EXIT_OUT_OF_ORDER)
-        steps = state.step_count
-        top = state.top
-        del reprs[steps - 1:]
-        reprs.append(repr(top))
-        if not math.isfinite(top):
-            # Staircase's finite rule: every lower step passed this check as
-            # the top of an earlier row, so the top is all that can fail.
-            raise InvalidValue(f"step values must be finite ({reprs[0]}, {reprs[-1]})")
-        values = " ".join(reprs)
-        out.write(f"{state.n_seen},{steps},{state.cumulative_merges},{values}\n")
-    if state.n_seen == 0:
+            for row, score, target, weight in zip(rows, scores, targets, weights):
+                try:
+                    push(score, target, weight)
+                except OutOfOrder as exc:
+                    raise _CliError(f"row {row}: {exc}", EXIT_OUT_OF_ORDER)
+                n += 1
+                steps = len(ys)
+                top = ys[-1]
+                del reprs[steps - 1:]
+                reprs.append(repr(top))
+                if not math.isfinite(top):
+                    # Staircase's finite rule: every lower step passed this check
+                    # as the top of an earlier row, so the top is all that can fail.
+                    raise InvalidValue(f"step values must be finite ({reprs[0]}, {reprs[-1]})")
+                values = " ".join(reprs)
+                lines.append(f"{n},{steps},{n - steps},{values}\n")
+        finally:
+            # One write per chunk, as apply does; a failing row's error follows
+            # the rows before it.
+            out.write("".join(lines))
+    if n == 0:
         raise _CliError(f"{args.input}: no data rows")
     return EXIT_OK
 
@@ -428,19 +265,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="anytime round cap (default 256)")
     fit.add_argument("--out", default=None, help="write the model here instead of stdout")
     fit.add_argument("--quiet", action="store_true", help="suppress diagnostics")
-    fit.set_defaults(func=_cmd_fit)
 
     apply_ = sub.add_parser("apply", help="calibrate scores with a fitted model")
     apply_.add_argument("model", help="model JSON written by 'fit'")
     apply_.add_argument("scores", help="CSV with a 'score' column")
     apply_.add_argument("--quiet", action="store_true", help=_QUIET_NO_EFFECT)
-    apply_.set_defaults(func=_cmd_apply)
 
     stream = sub.add_parser("stream", help="drive the online solver over ordered rows")
     stream.add_argument("input", help="CSV with columns score,target[,weight], score-ordered")
     stream.add_argument("--loss", choices=_FAMILIES, default="square")
     stream.add_argument("--quiet", action="store_true", help=_QUIET_NO_EFFECT)
-    stream.set_defaults(func=_cmd_stream)
     return parser
 
 
@@ -448,13 +282,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "stream":
+            return _cmd_stream(args)
+        from ._model_commands import _cmd_apply, _cmd_fit
+
+        return (_cmd_fit if args.command == "fit" else _cmd_apply)(args)
     except _CliError as exc:
         print(f"monocal: {exc}", file=sys.stderr)
         return exc.code
     except CalibrationError as exc:
         print(f"monocal: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+# The model-file names that ``monocal._model_commands`` serves through this module.
+_MODEL_FILE = ("MODEL_VERSION", "model_to_dict", "model_from_dict", "load_model")
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODEL_FILE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _model_commands
+
+    return getattr(_model_commands, name)
 
 
 def entry() -> None:
@@ -473,4 +323,9 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    entry()
+    # `python -m monocal.cli` runs this file as __main__, a second copy of the
+    # module: run the imported module's entry, whose _CliError the model-file
+    # commands raise.
+    from monocal.cli import entry as run
+
+    run()

@@ -220,7 +220,7 @@ def _pools_by_weighted_mean(family: LossFamily) -> bool:
     """Whether ``family``'s merge rules are the built-ins' own: target, weight, weighted mean.
 
     The merge solvers pool such a family with their built-in kernel
-    (``pav_offline._pool_means``), which calls no ``merge`` while it pools.
+    (``pooling._pool_means``), which calls no ``merge`` while it pools.
     """
     return (family.minimizer_of is _target and family.init_aux is _weight
             and family.merge is weighted_square_merge)
@@ -256,7 +256,7 @@ def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
 
 
 def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
-    """Total loss of a partition given as in ``core._partition_staircase``, offset included.
+    """Total loss of a partition given as in ``staircase._partition_staircase``, offset included.
 
     Each sample's term takes its block's value: ``ys`` itself when every
     block holds one sample, else each ``ys[k]`` repeated over its block. The

@@ -3,12 +3,14 @@
 Each arrival becomes a new top block, which is then merged leftward while it
 violates monotonicity, so the stack is the optimal partition of everything
 seen so far after every push (it matches the offline stack solver on each
-prefix). The pooling is the stack loop that ``pav_offline._pooler`` picks for
+prefix). The pooling is the stack loop that ``pooling._pooler`` picks for
 the family, the same one ``fit_stack`` drives: the built-in kernel
 (``_pool_means``) when the family's merge rules are the built-ins' own
 functions, else the generic loop (``_pool``) calling its ``merge``. This
 module adds the order check and the fold of a repeated score into the top
-block. Out-of-order arrivals are rejected:
+block. It loads neither the offline solvers nor the staircase transform:
+``current()``, the one method that builds a ``Staircase``, imports
+``monocal.staircase`` on its first call. Out-of-order arrivals are rejected:
 general unordered updates can force a full refit per sample, so the honest
 contract is an explicit error and the offline path.
 
@@ -25,11 +27,15 @@ threads is safe.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .core import Block, Sample, Staircase, _partition_staircase
+from .core import Block, Sample
 from .errors import EmptyProblem, OutOfOrder
 from .losses import MERGE_RULES, LossFamily
-from .pav_offline import _pooler, _stack_blocks
+from .pooling import _pooler, _stack_blocks
+
+if TYPE_CHECKING:
+    from .staircase import Staircase
 
 __all__ = ["OnlineState"]
 
@@ -115,6 +121,8 @@ class OnlineState:
 
     def current(self) -> Staircase:
         """Materialize the optimal staircase for the samples seen so far."""
+        from .staircase import _partition_staircase
+
         if not self._ys:
             raise EmptyProblem("no samples pushed yet")
         return _partition_staircase(self._scores, self._firsts, self._ys)

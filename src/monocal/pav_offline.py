@@ -15,31 +15,23 @@ between input groups, not against the merged block, so a pass joins exactly
 the maximal violating runs of its input; passes repeat until one joins
 nothing.
 
-The stack solvers pool through one of two loops, and ``_pooler`` is the one
-place that picks: ``_pool_means``, the built-in kernel, when
-``losses._pools_by_weighted_mean`` recognises the family's merge rules as
-the built-ins' own functions (by identity); else ``_pool``, the generic
-loop, which calls the family's ``merge``. On the built-ins both leave the
-same lists, bit for bit. The kernel is one loop with the top block in
-locals: each turn pools the top leftward, then takes groups until one
-violates the top and pools that one in. ``fit_stack`` drives its loop with
-every sample in one call, and the streaming solver (``monocal.online``)
-drives it with one group per arrival. ``fit_direct``, the reference
-solver, always calls the family's ``merge``. A direct pass reads and writes
-the stack's lists too. ``Block``s are built from them only for a returned
-result, all at once (``_stack_blocks``). Pooling knows no loss:
-``monocal.losses`` gives each sample's merge inputs (``_sample_groups``),
-says which families pool by weighted mean, and gives a partition's total
-loss.
+``fit_stack`` drives the stack loop that ``pooling._pooler`` picks for the
+family (``monocal.pooling`` also serves the streaming solver) with every
+sample in one call. ``fit_direct``, the reference solver, always calls the
+family's ``merge``. A direct pass reads and writes the stack's lists too.
+``Block``s are built from them only for a returned result, all at once
+(``pooling._stack_blocks``). Pooling knows no loss: ``monocal.losses``
+gives each sample's merge inputs (``_sample_groups``), says which families
+pool by weighted mean, and gives a partition's total loss.
 """
 
 from __future__ import annotations
 
-from operator import gt
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .core import Block, Problem, _Frozen, _from_columns, _set
-from .losses import LossFamily, _partition_loss, _pools_by_weighted_mean, _sample_groups
+from .core import Block, Problem, _Frozen, _set
+from .losses import _partition_loss, _sample_groups
+from .pooling import _pooler, _stack_blocks
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 
@@ -62,100 +54,6 @@ class FitReport(_Frozen):
         _set(self, "merge_count", merge_count)
         _set(self, "total_loss", total_loss)
         _set(self, "passes", passes)
-
-
-def _pool(
-    firsts: list[int],
-    ys: list[float],
-    auxs: list[float],
-    groups: Iterable[tuple[int, float, float]],
-    merge,
-) -> None:
-    """Push ``(first, y, aux)`` groups onto the stack, pooling each leftward.
-
-    The stack is three parallel lists, one entry per block: its first sample
-    index, minimizer and auxiliary value. A pushed group merges with the top
-    block while the top's minimizer is ``>=`` its own, so the stack
-    minimizers strictly increase after every push.
-    """
-    for first, y, aux in groups:
-        while ys and ys[-1] >= y:
-            y, aux = merge(ys.pop(), auxs.pop(), y, aux)
-            first = firsts.pop()
-        firsts.append(first)
-        ys.append(y)
-        auxs.append(aux)
-
-
-def _pool_means(
-    firsts: list[int],
-    ys: list[float],
-    lams: list[float],
-    groups: Iterable[tuple[int, float, float]],
-    merge,
-) -> None:
-    """``_pool`` with the built-ins' merge, the weighted mean, computed inline.
-
-    The arithmetic is ``weighted_square_merge``'s, ``(lam_i*y_i + lam_j*y_j) /
-    (lam_i + lam_j)`` with the stack side as ``i``, so the lists end bit for
-    bit as ``_pool`` leaves them. Its weight checks are left out: a
-    ``Sample``'s weight is positive, and so is a sum of such weights. The top
-    block lives in locals from the first group on: each turn pools it
-    leftward (the one place that pops), then takes groups until one violates
-    it and pools that one in. It takes ``merge`` only to share ``_pool``'s
-    signature, and never calls it.
-    """
-    groups = iter(groups)
-    for top_first, top_y, top_lam in groups:
-        break
-    else:
-        return
-    while True:
-        while ys and ys[-1] >= top_y:
-            lam = lams.pop()
-            lam_sum = lam + top_lam
-            top_y = (lam * ys.pop() + top_lam * top_y) / lam_sum
-            top_lam = lam_sum
-            top_first = firsts.pop()
-        for first, y, lam in groups:
-            if top_y >= y:
-                break
-            firsts.append(top_first)
-            ys.append(top_y)
-            lams.append(top_lam)
-            top_first, top_y, top_lam = first, y, lam
-        else:
-            break
-        lam_sum = top_lam + lam
-        top_y = (top_lam * top_y + lam * y) / lam_sum
-        top_lam = lam_sum
-    firsts.append(top_first)
-    ys.append(top_y)
-    lams.append(top_lam)
-
-
-def _pooler(family: LossFamily) -> Callable[..., None]:
-    """The stack loop for ``family``: ``_pool_means`` if its merge rules are the built-ins' own.
-
-    Both loops are called as ``loop(firsts, ys, auxs, groups, family.merge)``.
-    """
-    return _pool_means if _pools_by_weighted_mean(family) else _pool
-
-
-def _stack_blocks(
-    firsts: list[int], ys: list[float], auxs: list[float], n: int
-) -> tuple[Block, ...]:
-    """Blocks of a stack over ``n`` samples; each ends before the next begins.
-
-    They are built in bulk (``core._from_columns``) once ``Block``'s rule,
-    ``first <= last``, holds on the columns.
-    """
-    lasts = [first - 1 for first in firsts[1:]]
-    lasts.append(n - 1)
-    if any(map(gt, firsts, lasts)):
-        # An empty range: build one at a time, so Block's own check raises.
-        return tuple(map(Block, firsts, lasts, ys, auxs))
-    return _from_columns(Block, firsts, lasts, ys, auxs)
 
 
 def _report(problem: Problem, firsts: list[int], ys: list[float], auxs: list[float],

@@ -27,14 +27,14 @@ def built_blocks(monkeypatch) -> list:
     """Every ``Block`` built while the test runs, one at a time or in bulk.
 
     ``Block(...)`` runs ``__post_init__``. A solver's result is built in bulk,
-    with no ``__init__``, by ``pav_offline._stack_blocks`` (the one code that
+    with no ``__init__``, by ``pooling._stack_blocks`` (the one code that
     builds a ``Block`` from the stack's lists) through ``core._from_columns``.
     """
-    from monocal import pav_offline
+    from monocal import pooling
 
     built = []
     post_init = core.Block.__post_init__
-    from_columns = pav_offline._from_columns
+    from_columns = pooling._from_columns
 
     def counting(block):
         built.append(block)
@@ -46,7 +46,7 @@ def built_blocks(monkeypatch) -> list:
         return objects
 
     monkeypatch.setattr(core.Block, "__post_init__", counting)
-    monkeypatch.setattr(pav_offline, "_from_columns", counting_bulk)
+    monkeypatch.setattr(pooling, "_from_columns", counting_bulk)
     return built
 
 

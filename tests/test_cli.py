@@ -23,6 +23,7 @@ from monocal import (
     OnlineState,
     Problem,
     Sample,
+    Staircase,
     WEIGHTED_SQUARE,
     anytime_run,
     blocks_to_staircase,
@@ -30,8 +31,9 @@ from monocal import (
     fit_stack,
     normalize,
 )
-from monocal import anytime, cli, core, pav_offline
-from monocal.cli import main, model_from_dict
+from monocal import _model_commands, anytime, cli, core, pav_offline
+from monocal._model_commands import model_from_dict
+from monocal.cli import main
 from monocal.errors import CalibrationError
 from monocal.losses import _minimizer_bracket
 
@@ -206,7 +208,7 @@ class TestFit:
         def refuse(*args):
             raise AssertionError("fit read its input before checking --out")
 
-        monkeypatch.setattr(cli, "_normalize", refuse)
+        monkeypatch.setattr(_model_commands, "_normalize", refuse)
         out = tmp_path / "missing-dir" / "m.json"
         argv = ("fit", golden_csv, "--solver", "anytime", "--out", str(out))
         code, stdout, stderr = run(capsys, *argv)
@@ -588,8 +590,8 @@ class TestFit:
         # would be 2.5 MB. tracemalloc counts every allocation, so the bound
         # holds on any machine.
         n = 50_000
-        staircase = core.Staircase(tuple(i + 0.5 for i in range(n - 1)),
-                                   tuple(i / 3 for i in range(n)))
+        staircase = Staircase(tuple(i + 0.5 for i in range(n - 1)),
+                              tuple(i / 3 for i in range(n)))
         metadata = {"solver": "stack", "n_samples": n, "merge_count": 0, "total_loss": 0.0}
 
         def traced(encode):
@@ -603,9 +605,10 @@ class TestFit:
                 tracemalloc.stop()
             return text, held - start, peak - start
 
-        pieces, held, peak = traced(lambda: cli._model_pieces(staircase, "square", metadata))
+        pieces, held, peak = traced(
+            lambda: _model_commands._model_pieces(staircase, "square", metadata))
         one_shot, _, one_shot_peak = traced(
-            lambda: json.dumps(cli.model_to_dict(staircase, "square", metadata)))
+            lambda: json.dumps(_model_commands.model_to_dict(staircase, "square", metadata)))
         assert json.loads("".join(pieces)) == json.loads(one_shot)
         assert peak - held < min(one_shot_peak / 4, 128 * 1024)
 
@@ -634,7 +637,7 @@ class TestFit:
 
             monkeypatch.setattr(module, name, call)
 
-        keep_a_weakref(cli, "_normalize")
+        keep_a_weakref(_model_commands, "_normalize")
         keep_a_weakref(anytime, "_fit_anytime")
         keep_a_weakref(pav_offline, "_fit_stack")
         keep_a_weakref(pav_offline, "_fit_direct")
@@ -645,7 +648,7 @@ class TestFit:
             # The --out file is the log; the check that it is writable opens
             # the real path.
             argv += ["--out", str(tmp_path / "model.json")]
-            monkeypatch.setattr(cli, "open", lambda path, mode="r", **kwargs:
+            monkeypatch.setattr(_model_commands, "open", lambda path, mode="r", **kwargs:
                                 log if mode == "w" else open(path, mode, **kwargs),
                                 raising=False)
         else:
@@ -682,7 +685,7 @@ class TestFit:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 6, related defect (core._boundary): no finite breakpoint "
+        reason="ROADMAP item 6, related defect (staircase._boundary): no finite breakpoint "
         "separates the largest float from +inf, so fit exits 2",
     )
     def test_step_next_to_infinite_score_is_fitted(self, tmp_path, capsys):
@@ -759,7 +762,7 @@ class TestApply:
         xs = [rng.uniform(-5.0, 20.0) for _ in range(2500)]
         scores = tmp_path / "scores.csv"
         scores.write_text("score\n" + "".join(f"{x!r}\n" for x in xs))
-        staircase = cli.load_model(model_path)[0]
+        staircase = _model_commands.load_model(model_path)[0]
         want = "score,calibrated\n" + "".join(f"{x!r},{staircase(x)!r}\n" for x in xs)
 
         class Counting(io.StringIO):
@@ -1003,6 +1006,50 @@ class TestStream:
         path.write_text("score,target\n")
         code, _, stderr = run(capsys, "stream", str(path))
         assert code == 2
+
+    def test_writes_one_chunk_per_call(self, tmp_path):
+        rng = random.Random(23)
+        rows = [(i + rng.random(), rng.choice([0.0, 1.0, 2.0, 5.0]), rng.choice([0.5, 1.0, 3.0]))
+                for i in range(2500)]
+        path = write_training_csv(tmp_path / "s.csv", rows, header="score,target,weight")
+        state = OnlineState(WEIGHTED_SQUARE)
+        want = ["n,steps,merges,values\n"]
+        for row in rows:
+            state.push(Sample(*row))
+            values = " ".join(map(repr, state.values))
+            want.append(f"{state.n_seen},{state.step_count},{state.cumulative_merges},{values}\n")
+        out = WriteLog()
+        with mock.patch.object(sys, "stdout", out):
+            assert main(["stream", str(path)]) == 0
+        # The header, then one write per 1,024-row chunk.
+        assert len(out.writes) == 1 + 3
+        assert "".join(out.writes) == "".join(want)
+
+    @pytest.mark.parametrize("record", [cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1, cli._CHUNK_ROWS + 2])
+    @pytest.mark.parametrize("failure", ["out-of-order", "non-finite"])
+    def test_a_failing_row_leaves_exactly_the_rows_before_it(self, tmp_path, capsys, record,
+                                                             failure):
+        # Record `record` fails: the last of the first chunk, the first of the
+        # second or one inside it. Every row before it is written, then the error.
+        rows = [(i + 0.5, i % 3, 1.0) for i in range(record - 2)]
+        if failure == "out-of-order":
+            rows += [(record - 1.5, 1.0, 1.0), (0.0, 1.0, 1.0)]
+            want_code = 3
+            message = f"monocal: row {record + 1}: score 0.0 arrived after {record - 1.5!r}"
+        else:
+            # The top pools to (1e310 - 1e310) / 2e10 = nan.
+            rows += [(record - 1.5, 1e300, 1e10), (record - 0.5, -1e300, 1e10)]
+            want_code = 2
+            message = "monocal: step values must be finite ("
+        header = "score,target,weight"
+        before = write_training_csv(tmp_path / "before.csv", rows[:-1], header=header)
+        code, want, _ = run(capsys, "stream", before)
+        assert code == 0
+        path = write_training_csv(tmp_path / "all.csv", rows, header=header)
+        code, stdout, stderr = run(capsys, "stream", path)
+        assert code == want_code
+        assert stderr.startswith(message) and stderr.count("\n") == 1
+        assert stdout == want and stdout.count("\n") == record
 
 
 def reference_read_csv(path, columns, build):
@@ -1476,6 +1523,23 @@ def cli_process_env(unbuffered):
     package = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, (package, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+
+
+@pytest.mark.parametrize("command", ["apply", "stream"])
+def test_an_unbuffered_stdout_gets_the_same_bytes(tmp_path, command):
+    # Each command writes one string per 1,024-row chunk; PYTHONUNBUFFERED
+    # makes each write a system call, and must not change what is written.
+    rows = tmp_path / "rows.csv"
+    rows.write_text("score,target\n" + "".join(f"{i / 7!r},{i % 5}\n" for i in range(3000)))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(GOLDEN_MODEL))
+    argv = {"apply": ["apply", str(model), str(rows)], "stream": ["stream", str(rows)]}[command]
+    outputs = [subprocess.run([sys.executable, "-m", "monocal.cli", *argv], capture_output=True,
+                              env=cli_process_env(unbuffered), timeout=120)
+               for unbuffered in ("", "1")]
+    assert [(proc.returncode, proc.stderr) for proc in outputs] == [(0, b"")] * 2
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stdout.count(b"\n") == 3001
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -3,7 +3,7 @@
 Each pool joins two blocks into one, so a sweep over n samples that ends
 with S steps makes exactly n - S merges, however the input is built. A
 family that wraps ``merge`` is a custom family, so the solvers call it on
-their generic loop (``pav_offline._pool``); its ``minimizer_of`` and
+their generic loop (``pooling._pool``); its ``minimizer_of`` and
 ``init_aux`` stay the built-ins', so the groups still come from the columns.
 The direct solver's passes and the anytime solver's rounds and derivative
 calls are pinned on the shapes that drive them up, brackets that must double

@@ -15,7 +15,8 @@ import monocal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(monocal.__file__)))
 CLI_MODULES = ["monocal", "monocal.cli", "monocal.core", "monocal.errors"]
-SUBMODULES = ("core", "losses", "pav_offline", "online", "anytime", "oracle")
+SUBMODULES = ("core", "staircase", "losses", "pooling", "pav_offline", "online", "anytime",
+              "oracle", "_model_commands")
 
 
 def fresh(code: str):
@@ -51,7 +52,22 @@ def test_core_import_loads_no_loss_module():
 
 def test_solver_import_loads_its_closure_only():
     assert fresh(f"import sys; from monocal import fit_stack; {LOADED}") == [
-        "monocal", "monocal.core", "monocal.errors", "monocal.losses", "monocal.pav_offline"]
+        "monocal", "monocal.core", "monocal.errors", "monocal.losses", "monocal.pav_offline",
+        "monocal.pooling"]
+
+
+def test_online_state_loads_the_staircase_on_its_first_current():
+    code = (
+        "import sys\n"
+        "from monocal import OnlineState, Sample, WEIGHTED_SQUARE\n"
+        "state = OnlineState(WEIGHTED_SQUARE)\n"
+        "state.push(Sample(1.0, 2.0))\n"
+        "before = 'monocal.staircase' in sys.modules\n"
+        "values = state.current().values\n"
+        "after = 'monocal.staircase' in sys.modules\n"
+        "import json; print(json.dumps([before, after, values]))"
+    )
+    assert fresh(code) == [False, True, [2.0]]
 
 
 def test_value_types_are_dataclasses_when_dataclasses_loads_after_them():
@@ -66,20 +82,38 @@ def test_value_types_are_dataclasses_when_dataclasses_loads_after_them():
 
 
 def test_cli_import_loads_no_solver():
+    # No pooling, staircase or model-file command module either.
     assert fresh(f"import sys; from monocal import cli; {LOADED}") == CLI_MODULES
 
 
-FIT_LOADS = ["json", "monocal.losses"]
+def test_cli_serves_the_model_file_names_from_their_home():
+    code = (
+        "import json, sys\n"
+        "from monocal import cli\n"
+        "probed = [hasattr(cli, name) for name in ('nope', '_cmd_fit', 'Staircase')]\n"
+        "loaded = 'monocal._model_commands' in sys.modules\n"
+        "from monocal import _model_commands as home\n"
+        "same = [getattr(cli, name) is getattr(home, name) for name in home.__all__]\n"
+        "print(json.dumps([probed, loaded, cli._MODEL_FILE == tuple(home.__all__), same]))"
+    )
+    assert fresh(code) == [[False, False, False], False, True, [True] * 4]
+
+
+# What fit and apply load to read or write a model.
+MODEL_LOADS = ["json", "monocal._model_commands", "monocal.staircase"]
+FIT_LOADS = [*MODEL_LOADS, "monocal.losses"]
 
 
 @pytest.mark.parametrize(
     "argv, loads",
     [
-        (["apply", "{model}", "{rows}"], ["json"]),
-        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
-        (["fit", "{rows}", "--solver", "direct", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
+        (["apply", "{model}", "{rows}"], MODEL_LOADS),
+        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline", "monocal.pooling"]),
+        (["fit", "{rows}", "--solver", "direct", "--quiet"],
+         [*FIT_LOADS, "monocal.pav_offline", "monocal.pooling"]),
         (["fit", "{rows}", "--solver", "anytime", "--quiet"], [*FIT_LOADS, "monocal.anytime"]),
-        (["stream", "{rows}"], ["monocal.losses", "monocal.online", "monocal.pav_offline"]),
+        # The online path only: no offline solver and no staircase transform.
+        (["stream", "{rows}"], ["monocal.losses", "monocal.online", "monocal.pooling"]),
         (["--help"], []),
     ],
     ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help"],
