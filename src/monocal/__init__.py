@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": None,
     "Sample": "core",
-    "Problem": "core",
-    "Block": "core",
-    "normalize": "core",
+    "Problem": "problem",
+    "Block": "problem",
+    "normalize": "problem",
     "Staircase": "staircase",
     "evaluate": "staircase",
     "blocks_to_staircase": "staircase",
-    "blocks_loss": "losses",
+    "blocks_loss": "problem",
     "LossFamily": "losses",
     "DerivativeOracle": "losses",
     "WEIGHTED_SQUARE": "losses",

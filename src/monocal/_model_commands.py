@@ -18,7 +18,6 @@ from typing import Any
 from .cli import (
     EXIT_OK, _CHUNK_ROWS, _FAMILIES, _CliError, _family, _read_csv, _training_columns,
 )
-from .core import _normalize
 from .errors import InvalidValue
 from .staircase import Staircase, _partition_staircase, _steps_at
 
@@ -127,9 +126,12 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    # The loss module loads before anything else the fit allocates: loaded
-    # after the --out check, it left the fit's peak RSS about 0.3 MB higher.
+    # The loss and problem modules load before anything else the fit
+    # allocates: loaded after the --out check, the loss module left the fit's
+    # peak RSS about 0.3 MB higher.
     family = _family(args.loss)
+    from .problem import _minimizer_bracket, _normalize, _partition_loss
+
     given = {f: getattr(args, f) for f in ("delta", "max_iters") if getattr(args, f) is not None}
     if given and args.solver != "anytime":
         flag = next(iter(given)).replace("_", "-")
@@ -140,8 +142,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # _normalize holds the columns, so its sort can free each one it replaces.
     problem = _normalize(_training_columns(args.input, args.loss), family)
     n = len(problem.scores)
-
-    from .losses import _minimizer_bracket, _partition_loss
 
     # Each solver ends in the stack's lists, so no Block or AnytimeGroup is built.
     if args.solver == "anytime":
@@ -156,11 +156,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
         firsts, ys = (_fit_direct if args.solver == "direct" else _fit_stack)(problem)[:2]
         extra = {}
-    staircase = _partition_staircase(problem.scores, firsts, ys)
+    # The loss is taken first, so the target and weight columns are freed
+    # before the staircase is built. The built-ins' loss raises nothing, so a
+    # fit whose staircase fails still reports the staircase's error.
     total_loss = _partition_loss(problem, firsts, ys)
-    # The staircase and the metadata are all the model needs: free the columns
+    scores = problem.scores
+    del problem
+    staircase = _partition_staircase(scores, firsts, ys)
+    # The staircase and the metadata are all the model needs: free the scores
     # and the solver's state before the model text is made.
-    del problem, firsts, ys
+    del scores, firsts, ys
     metadata = {"solver": args.solver, "n_samples": n,
                 "merge_count": n - staircase.step_count, "total_loss": total_loss, **extra}
 
@@ -188,13 +193,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_apply(args: argparse.Namespace) -> int:
     staircase, _, _ = load_model(args.model)
     values = staircase.values
+    # The repr of each step value reached so far, kept across chunks.
+    reprs: dict[int, str] = {}
 
     def text(scores: list[float]) -> str:
         # A chunk's rows as one string, with no Python frame per row: the
-        # repr of each step value the chunk reaches is made once.
+        # repr of each step value is made once, in the first chunk that
+        # reaches it.
         steps = _steps_at(staircase, scores)
-        reached = set(steps)
-        reprs = dict(zip(reached, map(repr, map(values.__getitem__, reached))))
+        new = set(steps).difference(reprs)
+        reprs.update(zip(new, map(repr, map(values.__getitem__, new))))
         return "".join(map("{!r},{}\n".format, scores, map(reprs.__getitem__, steps)))
 
     chunks = _read_csv(args.scores, {"score": None}, text)

@@ -39,9 +39,10 @@ import math
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Problem, _Frozen, _set
+from .core import _Frozen, _set
 from .errors import EmptyProblem, InvalidConfig, NoWidth, Unbounded
-from .losses import DerivativeOracle, _checked, _derivative_probe, _partition_loss
+from .losses import DerivativeOracle, _checked
+from .problem import Problem, _derivative_probe, _partition_loss
 from .staircase import Staircase, _partition_staircase
 
 __all__ = [

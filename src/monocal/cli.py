@@ -32,7 +32,8 @@ if TYPE_CHECKING:
     from .losses import LossFamily
 
 # Each command imports what it runs: its solver module, `losses` (fit and
-# stream), and the model-file commands' module and `json` (fit and apply).
+# stream), `problem` (fit), and the model-file commands' module and `json`
+# (fit and apply).
 # `monocal.cli` itself loads core and errors only.
 
 # Records read from a CSV at a time, and model values encoded at a time; a

@@ -1,15 +1,15 @@
-"""Shared domain types: samples, problems, blocks, input normalization.
+"""Shared domain types: the value-type base and samples.
 
-A calibration problem is three score-sorted columns (scores, targets,
-weights) with no repeated score, plus a loss family. Solvers partition the
-rows into contiguous blocks with one fitted value each; ``monocal.staircase``
-turns a partition into the fitted step function.
+A sample is one (score, target, weight) row. ``monocal.problem`` builds
+calibration problems and solver blocks from samples; ``monocal.staircase``
+holds the fitted step function.
 
 This module owns rows and knows no loss formula (`monocal.losses` builds on
 it). `Sample` is the one validation point for input values, `_valid_rows`
 its column form: construction rejects bad values, so every sample that
 exists is valid and no code checks again. Imports run one way: ``errors`` ←
-``core`` ← ``staircase`` and ``losses`` ← ``pooling`` ← solvers ← ``cli``.
+``core`` ← ``staircase`` and ``losses`` ← ``pooling`` ← ``online``, and
+``losses`` ← ``problem`` ← the offline and anytime solvers ← ``cli``.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.
@@ -18,23 +18,12 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 import math
-from collections import deque
-from functools import cached_property
-from itertools import compress, islice, pairwise, repeat
-from operator import attrgetter, itemgetter, le, lt, ne
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from operator import attrgetter
+from typing import Any
 
-from .errors import CalibrationError, EmptyProblem, InvalidValue, InvalidWeight
+from .errors import InvalidValue, InvalidWeight
 
-if TYPE_CHECKING:
-    from .losses import LossFamily
-
-__all__ = [
-    "Sample",
-    "Problem",
-    "Block",
-    "normalize",
-]
+__all__ = ["Sample"]
 
 # Each value type's ``__init__`` sets its fields through this, as a frozen
 # dataclass's does.
@@ -86,10 +75,10 @@ class _Frozen:
     compared fields (``__match_args__``); ``dataclasses`` is imported only
     for an error or a ``dataclasses`` call.
 
-    ``_from_columns`` builds many instances of a slotted subclass at once,
-    without ``__init__`` or ``__post_init__``: its caller checks the type's
-    rule on the columns first, so every instance that exists is still valid
-    and equal to the one ``__init__`` would build.
+    ``problem._from_columns`` builds many instances of a slotted subclass at
+    once, without ``__init__`` or ``__post_init__``: its caller checks the
+    type's rule on the columns first, so every instance that exists is still
+    valid and equal to the one ``__init__`` would build.
     """
 
     __slots__ = ()
@@ -140,19 +129,6 @@ class _Frozen:
         return replace(self, **changes)
 
 
-def _from_columns(cls: type[_Frozen], *columns: Sequence) -> tuple:
-    """Instances of the slotted value type ``cls``, one per row of its field columns.
-
-    No Python frame runs per instance: ``cls.__new__`` is mapped over the
-    row count, then each field's slot descriptor over its column. Nothing is
-    checked; the caller checks the type's rule on the columns.
-    """
-    objects = tuple(map(cls.__new__, repeat(cls, len(columns[0]))))
-    for name, column in zip(cls._fields, columns):
-        deque(map(getattr(cls, name).__set__, objects, column), 0)
-    return objects
-
-
 class Sample(_Frozen):
     """One (score, loss) observation; construction rejects invalid values.
 
@@ -191,141 +167,3 @@ def _valid_rows(scores: list[float], targets: list[float], weights: list[float])
     """Whether ``Sample`` accepts every row of these nonempty columns; builds no sample."""
     return not (any(map(math.isnan, scores)) or not all(map(math.isfinite, targets))
                 or not all(map(math.isfinite, weights)) or not min(weights) > 0.0)
-
-
-def _columns_of(samples: Sequence[Sample]) -> list[list[float]]:
-    return [[s.score for s in samples], [s.target for s in samples], [s.weight for s in samples]]
-
-
-class Problem(_Frozen):
-    """Score-sorted ``scores``, ``targets`` and ``weights`` columns, no score repeated.
-
-    ``normalize`` builds one from any rows; ``Problem(...)`` takes rows
-    already in that form and raises ``InvalidValue`` unless their scores
-    strictly increase.
-
-    ``samples`` is the same rows as a tuple of ``Sample`` objects: the given
-    ones or, for a problem built from columns, ones built on first read. The
-    built-in families' solvers read the columns. ``loss_offset`` is the
-    constant dropped when equal-score samples were merged into composites;
-    adding it back makes any loss computed on the normalized samples equal
-    the loss on the raw input.
-    """
-
-    _hidden = ("scores", "targets", "weights")
-    samples: tuple[Sample, ...]
-    family: LossFamily
-    loss_offset: float
-    scores: tuple[float, ...]
-    targets: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __init__(self, samples: Sequence[Sample], family: LossFamily,
-                 loss_offset: float = 0.0) -> None:
-        samples = tuple(samples)
-        columns = _columns_of(samples)
-        if not all(map(lt, columns[0], islice(columns[0], 1, None))):
-            raise InvalidValue("scores must strictly increase; normalize sorts and folds ties")
-        _fill(self, [*columns, samples], family, loss_offset)
-
-    # Threads racing on the first read may each build equal samples.
-    @cached_property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(map(Sample, self.scores, self.targets, self.weights))
-
-
-def _fill(problem: Problem, columns: Sequence[Sequence], family: LossFamily,
-          loss_offset: float) -> Problem:
-    """Set ``problem``'s fields from ``[scores, targets, weights]`` and, if a fourth, its samples."""
-    if len(columns) > 3:
-        _set(problem, "samples", tuple(columns[3]))
-    _set(problem, "family", family)
-    _set(problem, "loss_offset", loss_offset)
-    for name, column in zip(Problem._hidden, columns):
-        _set(problem, name, tuple(column))
-    return problem
-
-
-class Block(_Frozen):
-    """Contiguous sample range [first, last] sharing one fitted value.
-
-    ``minimizer`` is the argmin of the block's summed loss and ``aux`` the
-    family's auxiliary merge parameter (the weight sum for the built-ins).
-    """
-
-    __slots__ = ("first", "last", "minimizer", "aux")
-    first: int
-    last: int
-    minimizer: float
-    aux: float
-
-    def __init__(self, first: int, last: int, minimizer: float, aux: float) -> None:
-        _set(self, "first", first)
-        _set(self, "last", last)
-        _set(self, "minimizer", minimizer)
-        _set(self, "aux", aux)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.first > self.last:
-            raise InvalidValue(f"block range [{self.first}, {self.last}] is empty")
-
-
-def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
-    """Sort samples by score and merge equal scores into composite samples.
-
-    Equal scores must map to the same calibrated value, so ties are folded
-    into one composite per score via the family's tie rule; the additive
-    constant this drops from the objective is kept in ``Problem.loss_offset``.
-    A family without ``combine_ties`` raises ``InvalidConfig`` at the first
-    repeated score; a tie merge that fails re-raises its error class with a
-    ``ties at score X:`` prefix. The sort is stable, and a sample without a
-    tie is kept as the same object. Idempotent: normalizing a normalized
-    problem's samples changes nothing.
-    """
-    samples = tuple(raw_samples)
-    return _normalize([*_columns_of(samples), samples], family)
-
-
-def _normalize(columns: Sequence[Sequence], family: LossFamily) -> Problem:
-    """``normalize`` on the ``[scores, targets, weights]`` columns of valid samples.
-
-    A fourth column, the same rows as ``Sample``s, is sorted, folded and kept
-    with the rest, and the tie rule reads it; without it the tie rule builds
-    the tied rows alone. Each run of equal scores folds into its first row.
-    """
-    scores = columns[0]
-    n = len(scores)
-    if not n:
-        raise EmptyProblem("cannot calibrate zero samples")
-    if not all(map(le, scores, islice(scores, 1, None))):
-        # Stable, as sorting the samples by score is; n > 1, so take returns tuples.
-        take = itemgetter(*sorted(range(n), key=scores.__getitem__))
-        columns = list(columns)
-        for i in range(len(columns)):
-            columns[i] = take(columns[i])  # the input column can go before the next
-        scores = columns[0]
-    offset = 0.0
-    if not all(map(lt, scores, islice(scores, 1, None))):
-        family.require("combine_ties")
-        starts = [0, *compress(range(1, n), map(ne, islice(scores, 1, None), scores))]
-        columns = list(map(list, columns))
-        for start, end in pairwise([*starts, n]):
-            if end - start == 1:
-                continue
-            if len(columns) > 3:
-                run = columns[3][start:end]
-            else:
-                run = list(map(Sample, *(column[start:end] for column in columns)))
-            merged = run[0]
-            for member in run[1:]:
-                try:
-                    merged, dropped = family.combine_ties(merged, member)
-                except CalibrationError as exc:
-                    # The tie has no row of its own to report; name its score.
-                    raise type(exc)(f"ties at score {member.score!r}: {exc}") from exc
-                offset += dropped
-            for column, value in zip(columns, (merged.score, merged.target, merged.weight, merged)):
-                column[start] = value
-        columns = [list(map(column.__getitem__, starts)) for column in columns]
-    return _fill(object.__new__(Problem), columns, family, offset)

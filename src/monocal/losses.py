@@ -11,23 +11,23 @@ entry points calls ``LossFamily.require`` before it uses a part. A family that
 supplies both sides can be cross-validated: the z where the summed negative
 derivative crosses zero is the merge-rule minimizer.
 
-It owns every loss rule: the 0/1 label set, a partition's total loss,
-which built-ins read their loss terms, merge inputs and anytime derivative
-probes from a problem's columns, which families pool by weighted mean
-(``_pools_by_weighted_mean``) and the bracket around such a family's
-minimizers (``_minimizer_bracket``); rows (``monocal.core``) and pooling
-hold no loss knowledge.
+It owns every loss formula: the 0/1 label set, the built-ins' parts and
+their per-row terms (``_square_term``, ``_log_term`` and the derivative
+terms), which families pool by weighted mean (``_pools_by_weighted_mean``)
+and the group derivative of a sample sequence (``DerivativeOracle``). It
+knows no ``Problem``: the rules that read a problem's columns (its merge
+inputs, total loss, minimizer bracket and derivative probe) live in
+``monocal.problem``, which recognises the built-ins by these part
+functions. Rows (``monocal.core``) and pooling hold no loss knowledge, and
+``monocal stream`` loads this module without the problem layer.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import chain, repeat
-from operator import mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .core import Block, Problem, Sample, _Frozen, _set
+from .core import Sample, _Frozen, _set
 from .errors import InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "MERGE_RULES",
     "weighted_square_merge",
     "check_label",
-    "blocks_loss",
     "DerivativeOracle",
     "WEIGHTED_SQUARE",
     "LOG_LOSS",
@@ -105,9 +104,9 @@ def _tie_mean(a: Sample, b: Sample) -> Sample:
 
 
 # Each built-in loss formula is one function of (z, target, weight), which
-# ``_partition_loss`` maps over a problem's columns; the family's ``loss``
-# applies it to one Sample. ``_derivative_probe`` does the same with the
-# derivatives.
+# ``problem._partition_loss`` maps over a problem's columns; the family's
+# ``loss`` applies it to one Sample. ``problem._derivative_probe`` does the
+# same with the derivatives.
 def _square_term(z: float, t: float, w: float) -> float:
     d = z - t
     return w * d * d
@@ -180,9 +179,9 @@ def check_label(sample: Sample) -> Sample:
 
 # Both built-ins start each group at its target with its weight and join
 # groups by weighted mean, so they share the merge data and the tie mean.
-# ``_sample_groups`` recognises these two parts and hands the merge solvers
-# the target and weight columns instead of calling them per sample. They are
-# module functions, so a pickled or deep-copied family keeps them.
+# ``problem._sample_groups`` recognises these two parts and hands the merge
+# solvers the target and weight columns instead of calling them per sample.
+# They are module functions, so a pickled or deep-copied family keeps them.
 def _target(sample: Sample) -> float:
     return sample.target
 
@@ -226,73 +225,14 @@ def _pools_by_weighted_mean(family: LossFamily) -> bool:
             and family.merge is weighted_square_merge)
 
 
-def _minimizer_bracket(problem: Problem) -> tuple[float, float]:
-    """``(upper, lower)`` around every group minimizer of a nonempty ``problem``.
-
-    Valid for a family that pools by weighted mean, as both built-ins do:
-    every group minimizer is a weighted mean of targets, so the target range
-    brackets it. Nothing narrower does: each single-sample group starts at
-    its own target.
-    """
-    lower, upper = min(problem.targets), max(problem.targets)
-    if lower == upper:
-        # One target value. Widen by one float toward zero: upward could
-        # leave [0, 1] for log loss or overflow at the largest float.
-        near = math.nextafter(lower, 0.0) if lower else math.nextafter(0.0, 1.0)
-        lower, upper = sorted((lower, near))
-    return upper, lower
-
-
-def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
-    """``(index, minimizer, aux)`` per sample; the built-ins' are the target and weight columns."""
-    family = problem.family
-    family.require(*MERGE_RULES)
-    if family.minimizer_of is _target and family.init_aux is _weight:
-        ys, auxs = problem.targets, problem.weights
-    else:
-        samples = problem.samples
-        ys, auxs = map(family.minimizer_of, samples), map(family.init_aux, samples)
-    return zip(range(len(problem.scores)), ys, auxs)
-
-
-def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
-    """Total loss of a partition given as in ``staircase._partition_staircase``, offset included.
-
-    Each sample's term takes its block's value: ``ys`` itself when every
-    block holds one sample, else each ``ys[k]`` repeated over its block. The
-    built-ins' terms (and tie offsets) are nonnegative on their domain, so
-    an exact sum past the float range is ``inf``; a custom family's terms
-    may have either sign, so ``math.fsum``'s ``OverflowError`` reaches its
-    caller.
-    """
-    n = len(problem.scores)
-    if len(ys) == n:
-        values = ys
-    else:
-        values = chain.from_iterable(map(repeat, ys, map(sub, [*firsts[1:], n], firsts)))
-    loss = problem.family.loss
-    term = _square_term if loss is _square_loss else _log_term if loss is _log_loss else None
-    if term is None:
-        return math.fsum(chain((problem.loss_offset,), map(loss, problem.samples, values)))
-    try:
-        return math.fsum(chain((problem.loss_offset,),
-                               map(term, values, problem.targets, problem.weights)))
-    except OverflowError:  # "intermediate overflow in fsum"
-        return math.inf
-
-
-def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:
-    """Total loss of a block partition, including the tie-merge offset."""
-    return _partition_loss(problem, [b.first for b in blocks], [b.minimizer for b in blocks])
-
-
 class DerivativeOracle:
     """Negative derivative of a contiguous group's summed loss.
 
     Binds a family's per-sample derivative to a fixed sample sequence so
     groups can be probed by index range. ``anytime_run`` probes a custom
     family through one; it probes the built-ins from the problem's target
-    and weight columns instead (``_derivative_probe``), to the same bits.
+    and weight columns instead (``problem._derivative_probe``), to the same
+    bits.
     """
 
     def __init__(self, samples: Sequence[Sample], family: LossFamily) -> None:
@@ -318,40 +258,3 @@ def _checked(derivative: Callable[[int, int, float], float],
         raise OracleFailure(f"derivative oracle returned NaN at z={z!r} "
                             f"for samples [{first}, {last}]")
     return d
-
-
-def _derivative_probe(problem: Problem) -> Callable[[int, int, float], float]:
-    """``(first, last, z)`` to the checked ``neg_derivative_at`` of ``problem``'s samples.
-
-    The built-ins sum their derivative terms over the target and weight
-    columns and build no ``Sample``; a custom family goes through a
-    ``DerivativeOracle``.
-    """
-    family = problem.family
-    family.require("neg_derivative")
-    ts, ws = problem.targets, problem.weights
-    if family.neg_derivative is _log_neg_derivative:
-        def total(first: int, last: int, z: float) -> float:
-            end = last + 1
-            return math.fsum(map(_log_derivative_term, repeat(z), ts[first:end], ws[first:end]))
-
-        return partial(_checked, total)
-    if family.neg_derivative is not _square_neg_derivative:
-        return partial(_checked, DerivativeOracle(problem.samples, family).neg_derivative_at)
-    # -2.0 * w * (z - t) groups as (-2.0 * w) * (z - t): the same bits.
-    m2w = [-2.0 * w for w in ws]
-
-    def total(first: int, last: int, z: float) -> float:
-        end = last + 1
-        return math.fsum(map(mul, m2w[first:end], map(sub, repeat(z), ts[first:end])))
-
-    def probe(first: int, last: int, z: float) -> float:
-        if first == last:
-            # One term is its own sum, except that fsum sets the sign of a
-            # zero and _checked names a NaN, so those two go through both.
-            d = m2w[first] * (z - ts[first])
-            if d and d == d:
-                return d
-        return _checked(total, first, last, z)
-
-    return probe

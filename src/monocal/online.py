@@ -8,11 +8,13 @@ the family, the same one ``fit_stack`` drives: the built-in kernel
 (``_pool_means``) when the family's merge rules are the built-ins' own
 functions, else the generic loop (``_pool``) calling its ``merge``. This
 module adds the order check and the fold of a repeated score into the top
-block. It loads neither the offline solvers nor the staircase transform:
-``current()``, the one method that builds a ``Staircase``, imports
-``monocal.staircase`` on its first call. Out-of-order arrivals are rejected:
-general unordered updates can force a full refit per sample, so the honest
-contract is an explicit error and the offline path.
+block. It loads neither the problem layer, the offline solvers nor the
+staircase transform: ``blocks()``, the one method that builds ``Block``s,
+imports ``monocal.problem``, and ``current()``, the one that builds a
+``Staircase``, imports ``monocal.staircase``, each on its first call.
+Out-of-order arrivals are rejected: general unordered updates can force a
+full refit per sample, so the honest contract is an explicit error and the
+offline path.
 
 A push changes only the top step: it pops zero or more steps (the tie fold
 and the pooling both pop) and appends exactly one, and every step below the
@@ -29,12 +31,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .core import Block, Sample
+from .core import Sample
 from .errors import EmptyProblem, OutOfOrder
 from .losses import MERGE_RULES, LossFamily
-from .pooling import _pooler, _stack_blocks
+from .pooling import _pooler
 
 if TYPE_CHECKING:
+    from .problem import Block
     from .staircase import Staircase
 
 __all__ = ["OnlineState"]
@@ -117,6 +120,8 @@ class OnlineState:
         self._pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
 
     def blocks(self) -> tuple[Block, ...]:
+        from .problem import _stack_blocks
+
         return _stack_blocks(self._firsts, self._ys, self._lams, len(self._scores))
 
     def current(self) -> Staircase:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import Problem, _Frozen, _set
+from .core import _Frozen, _set
 from .errors import InvalidConfig, TooLarge
 from .losses import WEIGHTED_SQUARE
+from .problem import Problem
 
 __all__ = ["OracleResult", "brute_force_fit", "grid_minimize"]
 

@@ -20,18 +20,18 @@ family (``monocal.pooling`` also serves the streaming solver) with every
 sample in one call. ``fit_direct``, the reference solver, always calls the
 family's ``merge``. A direct pass reads and writes the stack's lists too.
 ``Block``s are built from them only for a returned result, all at once
-(``pooling._stack_blocks``). Pooling knows no loss: ``monocal.losses``
-gives each sample's merge inputs (``_sample_groups``), says which families
-pool by weighted mean, and gives a partition's total loss.
+(``problem._stack_blocks``). Pooling knows no loss: ``monocal.losses`` says
+which families pool by weighted mean, and ``monocal.problem`` gives each
+sample's merge inputs (``_sample_groups``) and a partition's total loss.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import Block, Problem, _Frozen, _set
-from .losses import _partition_loss, _sample_groups
-from .pooling import _pooler, _stack_blocks
+from .core import _Frozen, _set
+from .pooling import _pooler
+from .problem import Block, Problem, _partition_loss, _sample_groups, _stack_blocks
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]
 

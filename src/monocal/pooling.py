@@ -11,18 +11,17 @@ locals: each turn pools the top leftward, then takes groups until one
 violates the top and pools that one in. ``pav_offline.fit_stack`` drives
 its loop with every sample in one call, and ``monocal.online`` drives it
 with one group per arrival. ``Block``s are built from the lists only for a
-returned result, all at once (``_stack_blocks``).
+returned result, all at once, by ``problem._stack_blocks``.
 
-Pooling knows no loss formula and no staircase, so ``monocal stream`` loads
-neither the offline solvers nor the staircase transform.
+Pooling knows no loss formula, no problem and no staircase, so ``monocal
+stream`` loads neither the problem layer, the offline solvers nor the
+staircase transform.
 """
 
 from __future__ import annotations
 
-from operator import gt
 from typing import Callable, Iterable
 
-from .core import Block, _from_columns
 from .losses import LossFamily, _pools_by_weighted_mean
 
 __all__: list[str] = []
@@ -104,19 +103,3 @@ def _pooler(family: LossFamily) -> Callable[..., None]:
     Both loops are called as ``loop(firsts, ys, auxs, groups, family.merge)``.
     """
     return _pool_means if _pools_by_weighted_mean(family) else _pool
-
-
-def _stack_blocks(
-    firsts: list[int], ys: list[float], auxs: list[float], n: int
-) -> tuple[Block, ...]:
-    """Blocks of a stack over ``n`` samples; each ends before the next begins.
-
-    They are built in bulk (``core._from_columns``) once ``Block``'s rule,
-    ``first <= last``, holds on the columns.
-    """
-    lasts = [first - 1 for first in firsts[1:]]
-    lasts.append(n - 1)
-    if any(map(gt, firsts, lasts)):
-        # An empty range: build one at a time, so Block's own check raises.
-        return tuple(map(Block, firsts, lasts, ys, auxs))
-    return _from_columns(Block, firsts, lasts, ys, auxs)

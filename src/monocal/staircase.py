@@ -25,7 +25,7 @@ from .core import _Frozen, _set
 from .errors import EmptyProblem, InvalidValue, NotMonotone
 
 if TYPE_CHECKING:
-    from .core import Block
+    from .problem import Block
 
 __all__ = ["Staircase", "evaluate", "blocks_to_staircase"]
 

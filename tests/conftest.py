@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monocal import Problem, Sample, WEIGHTED_SQUARE, core, normalize
+from monocal import Problem, Sample, WEIGHTED_SQUARE, normalize, problem
 
 # 15-sample reference instance used by the golden tests: unit weights,
 # scores 1..15, square loss. The optimal staircase is [32, 47, 55, 69]
@@ -27,14 +27,13 @@ def built_blocks(monkeypatch) -> list:
     """Every ``Block`` built while the test runs, one at a time or in bulk.
 
     ``Block(...)`` runs ``__post_init__``. A solver's result is built in bulk,
-    with no ``__init__``, by ``pooling._stack_blocks`` (the one code that
-    builds a ``Block`` from the stack's lists) through ``core._from_columns``.
+    with no ``__init__``, by ``problem._stack_blocks`` (the one code that
+    builds a ``Block`` from the stack's lists) through
+    ``problem._from_columns``.
     """
-    from monocal import pooling
-
     built = []
-    post_init = core.Block.__post_init__
-    from_columns = pooling._from_columns
+    post_init = problem.Block.__post_init__
+    from_columns = problem._from_columns
 
     def counting(block):
         built.append(block)
@@ -45,8 +44,8 @@ def built_blocks(monkeypatch) -> list:
         built.extend(objects)
         return objects
 
-    monkeypatch.setattr(core.Block, "__post_init__", counting)
-    monkeypatch.setattr(pooling, "_from_columns", counting_bulk)
+    monkeypatch.setattr(problem.Block, "__post_init__", counting)
+    monkeypatch.setattr(problem, "_from_columns", counting_bulk)
     return built
 
 

@@ -31,11 +31,11 @@ from monocal import (
     fit_stack,
     normalize,
 )
-from monocal import _model_commands, anytime, cli, core, pav_offline
+from monocal import _model_commands, anytime, cli, core, pav_offline, problem
 from monocal._model_commands import model_from_dict
 from monocal.cli import main
 from monocal.errors import CalibrationError
-from monocal.losses import _minimizer_bracket
+from monocal.problem import _minimizer_bracket
 
 from conftest import GOLDEN_SIZES, GOLDEN_TARGETS, golden_samples
 
@@ -208,7 +208,7 @@ class TestFit:
         def refuse(*args):
             raise AssertionError("fit read its input before checking --out")
 
-        monkeypatch.setattr(_model_commands, "_normalize", refuse)
+        monkeypatch.setattr(problem, "_normalize", refuse)
         out = tmp_path / "missing-dir" / "m.json"
         argv = ("fit", golden_csv, "--solver", "anytime", "--out", str(out))
         code, stdout, stderr = run(capsys, *argv)
@@ -637,7 +637,7 @@ class TestFit:
 
             monkeypatch.setattr(module, name, call)
 
-        keep_a_weakref(_model_commands, "_normalize")
+        keep_a_weakref(problem, "_normalize")
         keep_a_weakref(anytime, "_fit_anytime")
         keep_a_weakref(pav_offline, "_fit_stack")
         keep_a_weakref(pav_offline, "_fit_direct")

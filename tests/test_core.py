@@ -28,7 +28,8 @@ from monocal.errors import (
     InvalidWeight,
     NotMonotone,
 )
-from monocal.core import _normalize, _valid_rows
+from monocal.core import _valid_rows
+from monocal.problem import _normalize
 from monocal.staircase import _partition_staircase, _steps_at
 from monocal.losses import _LABELS, check_label
 from monocal.oracle import brute_force_fit

@@ -15,8 +15,8 @@ import monocal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(monocal.__file__)))
 CLI_MODULES = ["monocal", "monocal.cli", "monocal.core", "monocal.errors"]
-SUBMODULES = ("core", "staircase", "losses", "pooling", "pav_offline", "online", "anytime",
-              "oracle", "_model_commands")
+SUBMODULES = ("core", "staircase", "losses", "problem", "pooling", "pav_offline", "online",
+              "anytime", "oracle", "_model_commands")
 
 
 def fresh(code: str):
@@ -50,10 +50,16 @@ def test_core_import_loads_no_loss_module():
         "monocal", "monocal.core", "monocal.errors"]
 
 
+def test_losses_import_loads_no_problem_layer():
+    # The problem layer builds on losses, and the online path loads losses alone.
+    assert fresh(f"import sys, monocal.losses; {LOADED}") == [
+        "monocal", "monocal.core", "monocal.errors", "monocal.losses"]
+
+
 def test_solver_import_loads_its_closure_only():
     assert fresh(f"import sys; from monocal import fit_stack; {LOADED}") == [
         "monocal", "monocal.core", "monocal.errors", "monocal.losses", "monocal.pav_offline",
-        "monocal.pooling"]
+        "monocal.pooling", "monocal.problem"]
 
 
 def test_online_state_loads_the_staircase_on_its_first_current():
@@ -68,6 +74,20 @@ def test_online_state_loads_the_staircase_on_its_first_current():
         "import json; print(json.dumps([before, after, values]))"
     )
     assert fresh(code) == [False, True, [2.0]]
+
+
+def test_online_state_loads_the_problem_layer_on_its_first_blocks():
+    code = (
+        "import sys\n"
+        "from monocal import OnlineState, Sample, WEIGHTED_SQUARE\n"
+        "state = OnlineState(WEIGHTED_SQUARE)\n"
+        "state.push(Sample(1.0, 2.0))\n"
+        "before = 'monocal.problem' in sys.modules\n"
+        "blocks = [[b.first, b.last, b.minimizer, b.aux] for b in state.blocks()]\n"
+        "after = 'monocal.problem' in sys.modules\n"
+        "import json; print(json.dumps([before, after, blocks]))"
+    )
+    assert fresh(code) == [False, True, [[0, 0, 2.0, 1.0]]]
 
 
 def test_value_types_are_dataclasses_when_dataclasses_loads_after_them():
@@ -101,7 +121,7 @@ def test_cli_serves_the_model_file_names_from_their_home():
 
 # What fit and apply load to read or write a model.
 MODEL_LOADS = ["json", "monocal._model_commands", "monocal.staircase"]
-FIT_LOADS = [*MODEL_LOADS, "monocal.losses"]
+FIT_LOADS = [*MODEL_LOADS, "monocal.losses", "monocal.problem"]
 
 
 @pytest.mark.parametrize(

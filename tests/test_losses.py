@@ -24,12 +24,12 @@ from monocal import (
     normalize,
     weighted_square_merge,
 )
-from monocal.core import _normalize
 from monocal.errors import (
     CalibrationError, InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure,
 )
-from monocal.losses import DerivativeOracle, LossFamily, _derivative_probe, _partition_loss
+from monocal.losses import DerivativeOracle, LossFamily
 from monocal.oracle import brute_force_fit, grid_minimize
+from monocal.problem import _derivative_probe, _normalize, _partition_loss
 
 
 class TestWeightedSquareMerge:

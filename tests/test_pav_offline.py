@@ -22,7 +22,8 @@ from monocal import (
 from monocal.errors import InvalidValue, InvalidWeight
 from monocal.losses import weighted_square_merge
 from monocal.oracle import brute_force_fit
-from monocal.pooling import _pool, _pool_means, _pooler, _stack_blocks
+from monocal.pooling import _pool, _pool_means, _pooler
+from monocal.problem import _stack_blocks
 
 from conftest import GOLDEN_SIZES, GOLDEN_VALUES, make_square_instance
 

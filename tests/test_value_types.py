@@ -27,9 +27,9 @@ from monocal import (
     Staircase,
     WEIGHTED_SQUARE,
 )
-from monocal.core import _from_columns, _normalize
 from monocal.errors import InvalidConfig, InvalidValue
 from monocal.oracle import OracleResult
+from monocal.problem import _from_columns, _normalize
 
 # Builtins keep their identity through pickle and deepcopy, so the family
 # and every value holding it compare equal after a round trip.
