@@ -14,11 +14,14 @@ derivative crosses zero is the merge-rule minimizer.
 It owns every loss formula: the 0/1 label set, the built-ins' parts and
 their per-row terms (``_square_term``, ``_log_term`` and the derivative
 terms), which families pool by weighted mean (``_pools_by_weighted_mean``)
-and the group derivative of a sample sequence (``DerivativeOracle``). It
-knows no ``Problem``: the rules that read a problem's columns (its merge
-inputs, total loss, minimizer bracket and derivative probe) live in
-``monocal.problem``, which recognises the built-ins by these part
-functions. Rows (``monocal.core``) and pooling hold no loss knowledge, and
+and the group derivative of a sample sequence (``DerivativeOracle``). One
+table, read through ``_column_form``, maps each built-in part to its column
+form: the column a merge part reads, or the per-row term a loss or
+derivative sums over the columns. This module knows no ``Problem``: the
+rules that read a problem's columns (its merge inputs, total loss,
+minimizer bracket and derivative probe) live in ``monocal.problem``, which
+looks up each part it uses in that table and calls any other part per
+``Sample``. Rows (``monocal.core``) and pooling hold no loss knowledge, and
 ``monocal stream`` loads this module without the problem layer.
 """
 
@@ -104,9 +107,8 @@ def _tie_mean(a: Sample, b: Sample) -> Sample:
 
 
 # Each built-in loss formula is one function of (z, target, weight), which
-# ``problem._partition_loss`` maps over a problem's columns; the family's
-# ``loss`` applies it to one Sample. ``problem._derivative_probe`` does the
-# same with the derivatives.
+# the problem layer maps over a problem's columns (see ``_COLUMN_FORMS``);
+# the family's ``loss`` applies it to one Sample. So do the derivatives.
 def _square_term(z: float, t: float, w: float) -> float:
     d = z - t
     return w * d * d
@@ -116,8 +118,12 @@ def _square_loss(sample: Sample, z: float) -> float:
     return _square_term(z, sample.target, sample.weight)
 
 
+def _square_derivative_term(z: float, t: float, w: float) -> float:
+    return -2.0 * w * (z - t)
+
+
 def _square_neg_derivative(sample: Sample, z: float) -> float:
-    return -2.0 * sample.weight * (z - sample.target)
+    return _square_derivative_term(z, sample.target, sample.weight)
 
 
 def _square_combine_ties(a: Sample, b: Sample) -> tuple[Sample, float]:
@@ -179,8 +185,6 @@ def check_label(sample: Sample) -> Sample:
 
 # Both built-ins start each group at its target with its weight and join
 # groups by weighted mean, so they share the merge data and the tie mean.
-# ``problem._sample_groups`` recognises these two parts and hands the merge
-# solvers the target and weight columns instead of calling them per sample.
 # They are module functions, so a pickled or deep-copied family keeps them.
 def _target(sample: Sample) -> float:
     return sample.target
@@ -188,6 +192,23 @@ def _target(sample: Sample) -> float:
 
 def _weight(sample: Sample) -> float:
     return sample.weight
+
+
+# Each built-in part's column form: the column a merge part reads, or the
+# (z, target, weight) term a loss or derivative maps over the columns. The
+# problem layer looks up each part it uses, and a miss takes the Sample
+# path. Keyed by identity: an object that compares equal to a part is not
+# it. The parts live as long as this module, so no other object has their ids.
+_COLUMN_FORMS = {id(part): form for part, form in (
+    (_target, "targets"), (_weight, "weights"),
+    (_square_loss, _square_term), (_log_loss, _log_term),
+    (_square_neg_derivative, _square_derivative_term), (_log_neg_derivative, _log_derivative_term),
+)}
+
+
+def _column_form(part: object) -> str | Callable[[float, float, float], float] | None:
+    """``part``'s entry in ``_COLUMN_FORMS`` if it is a built-in part, else None."""
+    return _COLUMN_FORMS.get(id(part))
 
 
 # w * (z - y)^2 per sample; group minimizer is the weighted mean.

@@ -10,9 +10,10 @@ Besides the types, this module holds every rule that reads a problem:
 each sample's merge inputs (``_sample_groups``), a partition's total loss
 (``_partition_loss``, ``blocks_loss``), the bracket around a weighted-mean
 family's minimizers (``_minimizer_bracket``) and the anytime derivative
-probe (``_derivative_probe``). Where a built-in's part is recognised (by
-identity with the part functions of ``monocal.losses``), the rule reads the
-target and weight columns instead of calling the part per sample.
+probe (``_derivative_probe``). Each rule looks up the family parts it uses
+in the built-ins' table of column forms (``losses._column_form``): a
+built-in part reads the target and weight columns, with its per-row term
+where it has one, and any other part is called per ``Sample``.
 ``_stack_blocks`` is the one code that builds a ``Block`` from the stack's
 lists.
 
@@ -27,16 +28,12 @@ import math
 from collections import deque
 from functools import cached_property, partial
 from itertools import chain, compress, islice, pairwise, repeat
-from operator import gt, itemgetter, le, lt, mul, ne, sub
+from operator import gt, itemgetter, le, lt, ne, sub
 from typing import Callable, Iterable, Sequence
 
 from .core import Sample, _Frozen, _set
 from .errors import CalibrationError, EmptyProblem, InvalidValue
-from .losses import (
-    MERGE_RULES, DerivativeOracle, LossFamily, _checked, _log_derivative_term, _log_loss,
-    _log_neg_derivative, _log_term, _square_loss, _square_neg_derivative, _square_term, _target,
-    _weight,
-)
+from .losses import MERGE_RULES, DerivativeOracle, LossFamily, _checked, _column_form
 
 __all__ = [
     "Problem",
@@ -231,15 +228,14 @@ def _minimizer_bracket(problem: Problem) -> tuple[float, float]:
 
 
 def _sample_groups(problem: Problem) -> Iterable[tuple[int, float, float]]:
-    """``(index, minimizer, aux)`` per sample; the built-ins' are the target and weight columns."""
+    """``(index, minimizer, aux)`` per sample; a built-in part reads its column."""
     family = problem.family
     family.require(*MERGE_RULES)
-    if family.minimizer_of is _target and family.init_aux is _weight:
-        ys, auxs = problem.targets, problem.weights
-    else:
-        samples = problem.samples
-        ys, auxs = map(family.minimizer_of, samples), map(family.init_aux, samples)
-    return zip(range(len(problem.scores)), ys, auxs)
+    columns = []
+    for part in (family.minimizer_of, family.init_aux):
+        column = _column_form(part)
+        columns.append(getattr(problem, column) if column else map(part, problem.samples))
+    return zip(range(len(problem.scores)), *columns)
 
 
 def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]) -> float:
@@ -258,7 +254,7 @@ def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]
     else:
         values = chain.from_iterable(map(repeat, ys, map(sub, [*firsts[1:], n], firsts)))
     loss = problem.family.loss
-    term = _square_term if loss is _square_loss else _log_term if loss is _log_loss else None
+    term = _column_form(loss)
     if term is None:
         return math.fsum(chain((problem.loss_offset,), map(loss, problem.samples, values)))
     try:
@@ -276,33 +272,26 @@ def blocks_loss(problem: Problem, blocks: Sequence[Block]) -> float:
 def _derivative_probe(problem: Problem) -> Callable[[int, int, float], float]:
     """``(first, last, z)`` to the checked ``neg_derivative_at`` of ``problem``'s samples.
 
-    The built-ins sum their derivative terms over the target and weight
-    columns and build no ``Sample``; a custom family goes through a
-    ``DerivativeOracle``.
+    A built-in derivative sums its term (``losses._column_form``) over the
+    target and weight columns and builds no ``Sample``; any other goes
+    through a ``DerivativeOracle``.
     """
     family = problem.family
     family.require("neg_derivative")
-    ts, ws = problem.targets, problem.weights
-    if family.neg_derivative is _log_neg_derivative:
-        def total(first: int, last: int, z: float) -> float:
-            end = last + 1
-            return math.fsum(map(_log_derivative_term, repeat(z), ts[first:end], ws[first:end]))
-
-        return partial(_checked, total)
-    if family.neg_derivative is not _square_neg_derivative:
+    term = _column_form(family.neg_derivative)
+    if term is None:
         return partial(_checked, DerivativeOracle(problem.samples, family).neg_derivative_at)
-    # -2.0 * w * (z - t) groups as (-2.0 * w) * (z - t): the same bits.
-    m2w = [-2.0 * w for w in ws]
+    ts, ws = problem.targets, problem.weights
 
     def total(first: int, last: int, z: float) -> float:
         end = last + 1
-        return math.fsum(map(mul, m2w[first:end], map(sub, repeat(z), ts[first:end])))
+        return math.fsum(map(term, repeat(z), ts[first:end], ws[first:end]))
 
     def probe(first: int, last: int, z: float) -> float:
         if first == last:
             # One term is its own sum, except that fsum sets the sign of a
             # zero and _checked names a NaN, so those two go through both.
-            d = m2w[first] * (z - ts[first])
+            d = term(z, ts[first], ws[first])
             if d and d == d:
                 return d
         return _checked(total, first, last, z)

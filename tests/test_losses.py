@@ -464,6 +464,46 @@ class TestPartitionLoss:
                 _partition_loss(_normalize(columns, custom), firsts, ys)
 
 
+def _random_columns(seed, n):
+    """Score-sorted columns with repeated scores, labels in [0, 1] and weights in (0, 3]."""
+    rng = random.Random(seed)
+    scores = sorted(float(rng.randrange(n)) for _ in range(n))
+    return [scores, [rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)],
+            [3.0 * (1.0 - rng.random()) for _ in range(n)]]
+
+
+class TestColumnForms:
+    """A built-in part reads the columns; any other, an equal alias too, reads ``Sample``s."""
+
+    @pytest.mark.parametrize("part", ["loss", "minimizer_of", "init_aux", "neg_derivative"])
+    @pytest.mark.parametrize("family", [WEIGHTED_SQUARE, LOG_LOSS], ids=["square", "logloss"])
+    def test_an_aliased_part_takes_the_sample_path(self, family, part):
+        alias = dataclasses.replace(family, **{part: _Alias(getattr(family, part))})
+        assert alias == family and getattr(alias, part) is not getattr(family, part)
+        columns = _random_columns(7, 40)
+        builtin, aliased = _normalize(columns, family), _normalize(columns, alias)
+        config = AnytimeConfig(init_upper=1.0, init_lower=0.0, max_iters=40)
+        for run in (fit_stack, lambda problem: anytime_run(problem, config)):
+            assert repr(run(aliased)) == repr(run(builtin))
+        assert "samples" in vars(aliased) and "samples" not in vars(builtin)
+
+    def test_a_custom_merge_keeps_the_builtin_columns(self):
+        # The merge is no built-in's, so the generic pooling loop calls it;
+        # the loss and merge inputs are still read from the columns.
+        def merge(y_i, lam_i, y_j, lam_j):
+            return weighted_square_merge(y_i, lam_i, y_j, lam_j)
+
+        mixed = dataclasses.replace(WEIGHTED_SQUARE, name="mixed", merge=merge)
+        for seed in range(5):
+            columns = _random_columns(seed, 300)
+            columns[1] = [100.0 * t for t in columns[1]]
+            problem = _normalize(columns, mixed)
+            got, want = fit_stack(problem), fit_stack(_normalize(columns, WEIGHTED_SQUARE))
+            assert "samples" not in vars(problem)
+            assert got.merge_count > 0 and repr(got) == repr(want)
+            assert _bits(got.total_loss) == _bits(want.total_loss)
+
+
 class TestFamilyPlumbing:
     def test_builtins_support_both_interfaces(self):
         for family in (WEIGHTED_SQUARE, LOG_LOSS):
