@@ -28,7 +28,7 @@ looks up each part it uses in that table and calls any other part per
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import Sample, _Frozen, _set
 from .errors import InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure
@@ -194,21 +194,52 @@ def _weight(sample: Sample) -> float:
     return sample.weight
 
 
-# Each built-in part's column form: the column a merge part reads, or the
-# (z, target, weight) term a loss or derivative maps over the columns. The
-# problem layer looks up each part it uses, and a miss takes the Sample
+# Each built-in part's column form: the column a merge part reads, the
+# (z, target, weight) term a derivative maps over the columns, or a loss's
+# term and the closed interval its targets lie in (None: any finite target).
+# The problem layer looks up each part it uses, and a miss takes the Sample
 # path. Keyed by identity: an object that compares equal to a part is not
 # it. The parts live as long as this module, so no other object has their ids.
 _COLUMN_FORMS = {id(part): form for part, form in (
     (_target, "targets"), (_weight, "weights"),
-    (_square_loss, _square_term), (_log_loss, _log_term),
+    (_square_loss, (_square_term, None)), (_log_loss, (_log_term, (0.0, 1.0))),
     (_square_neg_derivative, _square_derivative_term), (_log_neg_derivative, _log_derivative_term),
 )}
 
 
-def _column_form(part: object) -> str | Callable[[float, float, float], float] | None:
+def _column_form(part: object) -> Any:
     """``part``'s entry in ``_COLUMN_FORMS`` if it is a built-in part, else None."""
     return _COLUMN_FORMS.get(id(part))
+
+
+def _target_domain(family: LossFamily) -> tuple[float, float] | None:
+    """``(lower, upper)`` that ``family``'s targets lie in, or None for any finite target.
+
+    Only a built-in loss has a domain: log loss's is [0, 1].
+    """
+    form = _column_form(family.loss)
+    return form[1] if form else None
+
+
+def _target_error(family: LossFamily, score: float, target: float) -> InvalidLabel:
+    """The error for a ``target`` at ``score`` outside ``family``'s domain."""
+    lower, upper = _target_domain(family)
+    return InvalidLabel(f"family {family.name!r} takes targets in [{lower:g}, {upper:g}], "
+                        f"got {target!r} at score {score!r}")
+
+
+def _check_targets(family: LossFamily, scores: Sequence[float], targets: Sequence[float]) -> None:
+    """Raise ``_target_error`` for the first target outside ``family``'s domain.
+
+    The columns are checked with no Python call per row.
+    """
+    domain = _target_domain(family)
+    if domain is None:
+        return
+    lower, upper = domain
+    if not (lower <= min(targets, default=lower) and max(targets, default=upper) <= upper):
+        score, target = next((s, t) for s, t in zip(scores, targets) if not lower <= t <= upper)
+        raise _target_error(family, score, target)
 
 
 # w * (z - y)^2 per sample; group minimizer is the weighted mean.

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .core import Sample
 from .errors import EmptyProblem, OutOfOrder
-from .losses import MERGE_RULES, LossFamily
+from .losses import MERGE_RULES, LossFamily, _target_domain, _target_error
 from .pooling import _pooler
 
 if TYPE_CHECKING:
@@ -54,6 +54,7 @@ class OnlineState:
     def __init__(self, family: LossFamily) -> None:
         family.require(*MERGE_RULES)
         self._family = family
+        self._domain = _target_domain(family)
         self._pool = _pooler(family)
         self._scores: list[float] = []
         self._firsts: list[int] = []
@@ -93,8 +94,13 @@ class OnlineState:
         return self._scores[-1] if self._scores else -math.inf
 
     def push(self, sample: Sample) -> None:
-        """Absorb one arrival; merges leftward until monotone again."""
-        family = self._family
+        """Absorb one arrival; merges leftward until monotone again.
+
+        A target outside the family's loss domain raises ``InvalidLabel``.
+        """
+        family, domain = self._family, self._domain
+        if domain is not None and not domain[0] <= sample.target <= domain[1]:
+            raise _target_error(family, sample.score, sample.target)
         self._push(sample.score, family.minimizer_of(sample), family.init_aux(sample))
 
     def _push(self, score: float, y: float, aux: float) -> None:
@@ -102,6 +108,8 @@ class OnlineState:
 
         For the built-ins these are the sample's score, target and weight, so
         a reader of valid columns (``monocal stream``) builds no ``Sample``.
+        The target is not checked here: the caller has checked it, as
+        ``stream``'s 0/1 label rule does.
         """
         scores = self._scores
         if scores and score < scores[-1]:

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import Sample, _Frozen, _set
 from .errors import CalibrationError, EmptyProblem, InvalidValue
-from .losses import MERGE_RULES, DerivativeOracle, LossFamily, _checked, _column_form
+from .losses import MERGE_RULES, DerivativeOracle, LossFamily, _check_targets, _checked, _column_form
 
 __all__ = [
     "Problem",
@@ -65,7 +65,8 @@ class Problem(_Frozen):
 
     ``normalize`` builds one from any rows; ``Problem(...)`` takes rows
     already in that form and raises ``InvalidValue`` unless their scores
-    strictly increase.
+    strictly increase. Both raise ``InvalidLabel`` for a target outside the
+    family's domain (log loss's is [0, 1]), naming its score.
 
     ``samples`` is the same rows as a tuple of ``Sample`` objects: the given
     ones or, for a problem built from columns, ones built on first read. The
@@ -89,6 +90,7 @@ class Problem(_Frozen):
         columns = _columns_of(samples)
         if not all(map(lt, columns[0], islice(columns[0], 1, None))):
             raise InvalidValue("scores must strictly increase; normalize sorts and folds ties")
+        _check_targets(family, columns[0], columns[1])
         _fill(self, [*columns, samples], family, loss_offset)
 
     # Threads racing on the first read may each build equal samples.
@@ -156,9 +158,10 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     Equal scores must map to the same calibrated value, so ties are folded
     into one composite per score via the family's tie rule; the additive
     constant this drops from the objective is kept in ``Problem.loss_offset``.
-    A family without ``combine_ties`` raises ``InvalidConfig`` at the first
-    repeated score; a tie merge that fails re-raises its error class with a
-    ``ties at score X:`` prefix. The sort is stable, and a sample without a
+    A target outside the family's domain raises ``InvalidLabel`` before any
+    tie is folded. A family without ``combine_ties`` raises
+    ``InvalidConfig`` at the first repeated score; a tie merge that fails
+    re-raises its error class with a ``ties at score X:`` prefix. The sort is stable, and a sample without a
     tie is kept as the same object. Idempotent: normalizing a normalized
     problem's samples changes nothing.
     """
@@ -177,6 +180,7 @@ def _normalize(columns: Sequence[Sequence], family: LossFamily) -> Problem:
     n = len(scores)
     if not n:
         raise EmptyProblem("cannot calibrate zero samples")
+    _check_targets(family, scores, columns[1])
     if not all(map(le, scores, islice(scores, 1, None))):
         # Stable, as sorting the samples by score is; n > 1, so take returns tuples.
         take = itemgetter(*sorted(range(n), key=scores.__getitem__))
@@ -254,12 +258,12 @@ def _partition_loss(problem: Problem, firsts: Sequence[int], ys: Sequence[float]
     else:
         values = chain.from_iterable(map(repeat, ys, map(sub, [*firsts[1:], n], firsts)))
     loss = problem.family.loss
-    term = _column_form(loss)
-    if term is None:
+    form = _column_form(loss)
+    if form is None:
         return math.fsum(chain((problem.loss_offset,), map(loss, problem.samples, values)))
     try:
         return math.fsum(chain((problem.loss_offset,),
-                               map(term, values, problem.targets, problem.weights)))
+                               map(form[0], values, problem.targets, problem.weights)))
     except OverflowError:  # "intermediate overflow in fsum"
         return math.inf
 

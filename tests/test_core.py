@@ -174,14 +174,20 @@ class TestProblemColumns:
                 assert evaluate(staircase, score) == block.minimizer
 
     def test_replace_keeps_samples_and_columns(self):
-        problem = normalize([Sample(2.0, 1.0), Sample(1.0, 3.0)], WEIGHTED_SQUARE)
+        problem = normalize([Sample(2.0, 1.0), Sample(1.0, 0.25)], WEIGHTED_SQUARE)
         other = dataclasses.replace(problem, family=LOG_LOSS)
         assert other.family is LOG_LOSS and other.samples is problem.samples
-        assert (other.scores, other.targets, other.weights) == ((1.0, 2.0), (3.0, 1.0), (1.0, 1.0))
-        columns = [[2.0, 1.0], [1.0, 3.0], [1.0, 1.0]]
+        assert (other.scores, other.targets, other.weights) == ((1.0, 2.0), (0.25, 1.0), (1.0, 1.0))
+        columns = [[2.0, 1.0], [1.0, 0.25], [1.0, 1.0]]
         lazy = dataclasses.replace(_normalize(columns, WEIGHTED_SQUARE), loss_offset=2.0)
         assert lazy.scores == (1.0, 2.0) and lazy.loss_offset == 2.0
         assert tuple(lazy.samples) == problem.samples
+
+    def test_replace_checks_the_new_familys_targets(self):
+        problem = normalize([Sample(2.0, 1.0), Sample(1.0, 3.0)], WEIGHTED_SQUARE)
+        with pytest.raises(InvalidLabel, match=r"^family 'logloss' takes targets in \[0, 1\], "
+                                               r"got 3\.0 at score 1\.0$"):
+            dataclasses.replace(problem, family=LOG_LOSS)
 
     def test_column_problem_builds_its_samples_once(self):
         columns = [[3.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 2.0, 1.0]]

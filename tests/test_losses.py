@@ -29,7 +29,7 @@ from monocal.errors import (
 )
 from monocal.losses import DerivativeOracle, LossFamily
 from monocal.oracle import brute_force_fit, grid_minimize
-from monocal.problem import _derivative_probe, _normalize, _partition_loss
+from monocal.problem import _derivative_probe, _minimizer_bracket, _normalize, _partition_loss
 
 
 class TestWeightedSquareMerge:
@@ -502,6 +502,85 @@ class TestColumnForms:
             assert "samples" not in vars(problem)
             assert got.merge_count > 0 and repr(got) == repr(want)
             assert _bits(got.total_loss) == _bits(want.total_loss)
+
+
+_OUT_OF_RANGE = "^family 'logloss' takes targets in \\[0, 1\\], got {} at score {}$"
+
+
+def _log_fits(problem):
+    """Every solver's fitted values and total loss on ``problem``: ``(values, loss)`` pairs."""
+    upper, lower = _minimizer_bracket(problem)
+    for report in (fit_stack(problem), fit_direct(problem)):
+        yield [b.minimizer for b in report.blocks], report.total_loss
+    try:
+        result = anytime_run(problem, AnytimeConfig(init_upper=upper, init_lower=lower))
+    except OracleFailure:  # +inf and -inf derivative terms in one group
+        return
+    yield result.staircase.values, result.total_loss
+
+
+class TestTargetDomain:
+    """Log-loss targets lie in [0, 1]: every library entry raises ``InvalidLabel`` outside."""
+
+    # fit_stack of these rows once fitted -1/3 with a total log loss of -27.6.
+    ROWS = [Sample(1.0, 5.0), Sample(2.0, -3.0, 2.0)]
+
+    def test_each_entry_names_the_first_score_out_of_range(self):
+        columns = [[s.score for s in self.ROWS], [s.target for s in self.ROWS],
+                   [s.weight for s in self.ROWS]]
+        message = _OUT_OF_RANGE.format("5\\.0", "1\\.0")
+        for entry in (lambda: normalize(self.ROWS, LOG_LOSS),
+                      lambda: _normalize(columns, LOG_LOSS),
+                      lambda: Problem(self.ROWS, LOG_LOSS),
+                      lambda: OnlineState(LOG_LOSS).push(self.ROWS[0])):
+            with pytest.raises(InvalidLabel, match=message):
+                entry()
+        state = OnlineState(LOG_LOSS)
+        state.push(Sample(0.5, 1.0))
+        with pytest.raises(InvalidLabel, match=_OUT_OF_RANGE.format("-3\\.0", "2\\.0")):
+            state.push(self.ROWS[1])
+        assert state.values == (1.0,)
+
+    def test_out_of_range_ties_raise_before_the_fold(self):
+        # Their weighted mean, 0.5, is in range: the raw targets are checked.
+        ties = [Sample(1.0, 2.0), Sample(1.0, -1.0)]
+        for entry in (lambda: normalize(ties, LOG_LOSS),
+                      lambda: _normalize([[1.0, 1.0], [2.0, -1.0], [1.0, 1.0]], LOG_LOSS)):
+            with pytest.raises(InvalidLabel, match=_OUT_OF_RANGE.format("2\\.0", "1\\.0")):
+                entry()
+
+    def test_square_loss_and_custom_losses_take_any_finite_target(self):
+        custom = LossFamily("custom", loss=lambda sample, z: LOG_LOSS.loss(sample, z))
+        for family in (WEIGHTED_SQUARE, custom):
+            assert normalize(self.ROWS, family).targets == (5.0, -3.0)
+        OnlineState(WEIGHTED_SQUARE).push(self.ROWS[0])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6),
+                              st.one_of(st.sampled_from([0.0, 1.0, 0.5, -0.0, -5e-324,
+                                                         1.0000000000000002]),
+                                        st.floats(-0.5, 1.5)),
+                              _WEIGHTS),
+                    min_size=1, max_size=10))
+    def test_accepted_problems_fit_in_range_with_nonnegative_loss(self, rows):
+        samples = [Sample(float(score), target, weight) for score, target, weight in rows]
+        in_range = all(0.0 <= s.target <= 1.0 for s in samples)
+        try:
+            problem = normalize(samples, LOG_LOSS)
+        except InvalidLabel:
+            assert not in_range
+            return
+        except InvalidWeight:  # tied weights summed past the float range
+            assert in_range
+            return
+        assert in_range
+        for values, loss in _log_fits(problem):
+            assert all(0.0 <= v <= 1.0 for v in values), values
+            assert loss >= 0.0, loss
+        state = OnlineState(LOG_LOSS)
+        for sample in sorted(samples, key=lambda s: s.score):
+            state.push(sample)
+        assert all(0.0 <= v <= 1.0 for v in state.values)
 
 
 class TestFamilyPlumbing:
