@@ -193,16 +193,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_apply(args: argparse.Namespace) -> int:
     staircase, _, _ = load_model(args.model)
     values = staircase.values
-    # The repr of each step value reached so far, kept across chunks.
-    reprs: dict[int, str] = {}
 
     def text(scores: list[float]) -> str:
         # A chunk's rows as one string, with no Python frame per row: the
-        # repr of each step value is made once, in the first chunk that
-        # reaches it.
+        # repr of each step value the chunk reaches is made once. The reprs
+        # are kept per chunk, so memory grows with the chunk, not the model.
         steps = _steps_at(staircase, scores)
-        new = set(steps).difference(reprs)
-        reprs.update(zip(new, map(repr, map(values.__getitem__, new))))
+        reached = set(steps)
+        reprs = dict(zip(reached, map(repr, map(values.__getitem__, reached))))
         return "".join(map("{!r},{}\n".format, scores, map(reprs.__getitem__, steps)))
 
     chunks = _read_csv(args.scores, {"score": None}, text)

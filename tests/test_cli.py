@@ -779,6 +779,35 @@ class TestApply:
         assert out.writes == 1 + 3
         assert out.getvalue() == want
 
+    def test_memory_grows_with_the_chunk_not_the_steps_reached(self, tmp_path):
+        # A 20,000-step model, applied to scores that reach 2,048 of its steps
+        # and to scores that reach all of them. A repr kept per step reached
+        # would add about 2 MB to the second run's peak; tracemalloc counts
+        # every allocation, so the bound holds on any machine.
+        n = 20_000
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "version": 1, "family": "square", "breakpoints": [i + 0.5 for i in range(n - 1)],
+            "values": [i / 3 for i in range(n)], "metadata": {}}))
+
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        def peak(count):
+            scores = tmp_path / f"scores{count}.csv"
+            scores.write_text("score\n" + "".join(f"{i + 0.25!r}\n" for i in range(count)))
+            tracemalloc.start()
+            try:
+                with mock.patch.object(sys, "stdout", Sink()):
+                    assert main(["apply", str(model), str(scores)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 * cli._CHUNK_ROWS)  # warm: imports and cached state
+        assert peak(n) - peak(2 * cli._CHUNK_ROWS) < 512 * 1024
+
     def test_missing_model(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("score\n1\n")
