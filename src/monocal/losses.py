@@ -17,7 +17,9 @@ terms), which families pool by weighted mean (``_pools_by_weighted_mean``)
 and the group derivative of a sample sequence (``DerivativeOracle``). One
 table, read through ``_column_form``, maps each built-in part to its column
 form: the column a merge part reads, or the per-row term a loss or
-derivative sums over the columns. This module knows no ``Problem``: the
+derivative sums over the columns. A loss's entry also holds the interval
+its targets must lie in (log loss's [0, 1]), which the problem layer and
+``OnlineState.push`` check. This module knows no ``Problem``: the
 rules that read a problem's columns (its merge inputs, total loss,
 minimizer bracket and derivative probe) live in ``monocal.problem``, which
 looks up each part it uses in that table and calls any other part per
@@ -228,20 +230,6 @@ def _target_error(family: LossFamily, score: float, target: float) -> InvalidLab
                         f"got {target!r} at score {score!r}")
 
 
-def _check_targets(family: LossFamily, scores: Sequence[float], targets: Sequence[float]) -> None:
-    """Raise ``_target_error`` for the first target outside ``family``'s domain.
-
-    The columns are checked with no Python call per row.
-    """
-    domain = _target_domain(family)
-    if domain is None:
-        return
-    lower, upper = domain
-    if not (lower <= min(targets, default=lower) and max(targets, default=upper) <= upper):
-        score, target = next((s, t) for s, t in zip(scores, targets) if not lower <= t <= upper)
-        raise _target_error(family, score, target)
-
-
 # w * (z - y)^2 per sample; group minimizer is the weighted mean.
 WEIGHTED_SQUARE = LossFamily(
     name="square",
@@ -253,9 +241,10 @@ WEIGHTED_SQUARE = LossFamily(
     combine_ties=_square_combine_ties,
 )
 
-# -w * (b*log z + (1-b)*log(1-z)) per sample. ``target`` holds the label
-# (fractional after tie merging; ``check_label`` each raw sample). Group
-# minimizers are weighted label means, so fitted values land in [0, 1].
+# -w * (b*log z + (1-b)*log(1-z)) per sample. ``target`` holds the label, a
+# soft label or a tie mean: any value in [0, 1], which every library entry
+# checks (``check_label`` is the stricter 0/1 rule). Group minimizers are
+# weighted target means, so fitted values land in [0, 1].
 LOG_LOSS = LossFamily(
     name="logloss",
     loss=_log_loss,

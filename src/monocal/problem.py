@@ -8,12 +8,14 @@ turns a partition into the fitted step function.
 
 Besides the types, this module holds every rule that reads a problem:
 each sample's merge inputs (``_sample_groups``), a partition's total loss
-(``_partition_loss``, ``blocks_loss``), the bracket around a weighted-mean
-family's minimizers (``_minimizer_bracket``) and the anytime derivative
-probe (``_derivative_probe``). Each rule looks up the family parts it uses
-in the built-ins' table of column forms (``losses._column_form``): a
-built-in part reads the target and weight columns, with its per-row term
-where it has one, and any other part is called per ``Sample``.
+(``_partition_loss``, ``blocks_loss``), the check of its targets against
+the family's domain (``_check_targets``), the bracket around a
+weighted-mean family's minimizers (``_minimizer_bracket``) and the anytime
+derivative probe (``_derivative_probe``). Each rule looks up the family
+parts it uses in the built-ins' table of column forms
+(``losses._column_form``): a built-in part reads the target and weight
+columns, with its per-row term where it has one, and any other part is
+called per ``Sample``.
 ``_stack_blocks`` is the one code that builds a ``Block`` from the stack's
 lists.
 
@@ -33,7 +35,10 @@ from typing import Callable, Iterable, Sequence
 
 from .core import Sample, _Frozen, _set
 from .errors import CalibrationError, EmptyProblem, InvalidValue
-from .losses import MERGE_RULES, DerivativeOracle, LossFamily, _check_targets, _checked, _column_form
+from .losses import (
+    MERGE_RULES, DerivativeOracle, LossFamily, _checked, _column_form, _target_domain,
+    _target_error,
+)
 
 __all__ = [
     "Problem",
@@ -212,6 +217,20 @@ def _normalize(columns: Sequence[Sequence], family: LossFamily) -> Problem:
                 column[start] = value
         columns = [list(map(column.__getitem__, starts)) for column in columns]
     return _fill(object.__new__(Problem), columns, family, offset)
+
+
+def _check_targets(family: LossFamily, scores: Sequence[float], targets: Sequence[float]) -> None:
+    """Raise ``losses._target_error`` for the first target outside ``family``'s domain.
+
+    The columns are checked with no Python call per row.
+    """
+    domain = _target_domain(family)
+    if domain is None:
+        return
+    lower, upper = domain
+    if not (lower <= min(targets, default=lower) and max(targets, default=upper) <= upper):
+        score, target = next((s, t) for s, t in zip(scores, targets) if not lower <= t <= upper)
+        raise _target_error(family, score, target)
 
 
 def _minimizer_bracket(problem: Problem) -> tuple[float, float]:
