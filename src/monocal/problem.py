@@ -166,9 +166,9 @@ def normalize(raw_samples: Iterable[Sample], family: LossFamily) -> Problem:
     A target outside the family's domain raises ``InvalidLabel`` before any
     tie is folded. A family without ``combine_ties`` raises
     ``InvalidConfig`` at the first repeated score; a tie merge that fails
-    re-raises its error class with a ``ties at score X:`` prefix. The sort is stable, and a sample without a
-    tie is kept as the same object. Idempotent: normalizing a normalized
-    problem's samples changes nothing.
+    re-raises its error class with a ``ties at score X:`` prefix. The sort
+    is stable, and a sample without a tie is kept as the same object.
+    Idempotent: normalizing a normalized problem's samples changes nothing.
     """
     samples = tuple(raw_samples)
     return _normalize([*_columns_of(samples), samples], family)
