@@ -1,4 +1,4 @@
-"""The solvers' operation counts, checked by counting calls or passes; no clock is read.
+"""The solvers' operation counts and peak memory per row, checked by counting; no clock is read.
 
 Each pool joins two blocks into one, so a sweep over n samples that ends
 with S steps makes exactly n - S merges, however the input is built. A
@@ -7,12 +7,14 @@ their generic loop (``pooling._pool``); its ``minimizer_of`` and
 ``init_aux`` stay the built-ins', so the groups still come from the columns.
 The direct solver's passes and the anytime solver's rounds and derivative
 calls are pinned on the shapes that drive them up, brackets that must double
-out from infinite bounds included.
+out from infinite bounds included. Each solver's ``tracemalloc`` peak per
+row is pinned at n and 4n: the paper's linear space.
 """
 
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,12 +26,14 @@ from monocal import (
     WEIGHTED_SQUARE,
     anytime_init,
     anytime_run,
+    blocks_to_staircase,
     fit_direct,
     fit_stack,
     normalize,
 )
 from monocal.anytime import iterate
 from monocal.losses import weighted_square_merge
+from monocal.problem import _minimizer_bracket
 
 
 def _counting_family():
@@ -150,3 +154,67 @@ def test_anytime_doubles_out_from_infinite_bounds(n, rounds):
         groups = iterate(groups, oracle)
     assert tuple(groups) == result.groups
     assert calls[0] == probed <= n * rounds
+
+
+def _peak_bytes_per_row(run, n: int) -> float:
+    """``run()``'s ``tracemalloc`` peak above the memory traced when it starts, per row."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / n
+
+
+def _space_run(path: str, samples: list[Sample]):
+    """A call that runs ``path`` on ``samples``; the direct and anytime problems are built here."""
+    if path == "stack":
+        def run():
+            problem = normalize(samples, WEIGHTED_SQUARE)
+            blocks_to_staircase(fit_stack(problem).blocks, problem.scores)
+    elif path == "online":
+        def run():
+            state = OnlineState(WEIGHTED_SQUARE)
+            for sample in samples:
+                state.push(sample)
+            state.current()
+    else:
+        problem = normalize(samples, WEIGHTED_SQUARE)
+        if path == "direct":
+            def run():
+                fit_direct(problem)
+        else:
+            upper, lower = _minimizer_bracket(problem)
+            config = AnytimeConfig(init_upper=upper, init_lower=lower)
+
+            def run():
+                anytime_run(problem, config)
+    return run
+
+
+# A named ceiling on the peak bytes per row, about twice one Python 3.11.7
+# reading at n -> 4n: stack 57 -> 57 (random) and 209 -> 215 (rising),
+# direct 57 -> 57 and 161 -> 170, online 10 -> 9 and 97 -> 101, anytime
+# 186 -> 189 and 375 -> 382. tracemalloc counts move across Python
+# versions, so the growth ratio is the real gate.
+SPACE_CEILINGS = {
+    ("stack", "random-weighted"): 120, ("stack", "rising"): 430,
+    ("direct", "random-weighted"): 120, ("direct", "rising"): 340,
+    ("online", "random-weighted"): 20, ("online", "rising"): 200,
+    ("anytime", "random-weighted"): 380, ("anytime", "rising"): 760,
+}
+
+
+@pytest.mark.parametrize("path, shape", list(SPACE_CEILINGS))
+def test_space_per_row_stays_flat_from_n_to_4n(path, shape):
+    # The paper's linear space: the peak per row at 4n is at most 1.15 times
+    # the peak per row at n. Random targets pool to a few steps, rising ones
+    # keep one step per row, the largest partition for the row count.
+    n = 1000 if path == "anytime" else 2000
+    per_row = [_peak_bytes_per_row(_space_run(path, _samples(shape, size)), size)
+               for size in (n, 4 * n)]
+    small, large = per_row
+    assert large <= 1.15 * small, per_row
+    assert max(per_row) <= SPACE_CEILINGS[path, shape], per_row

@@ -52,6 +52,8 @@ EDGE_INPUTS = {
     "nan.csv": "score,target,weight\n1,0,1\n2,0.5,1e308\n3,1,1\n",
     # Each row's loss is 1e308, so the total passes the float range.
     "over.csv": "score,target,weight\n1,1e4,1e300\n2,-1e4,1e300\n",
+    # The two weights sum past the float range when the rows pool.
+    "weight-overflow.csv": "score,target,weight\n0,1,1e308\n1,0,1e308\n",
     "all-equal.csv": "score,target\n1,1\n2,1\n3,1\n4,1\n",
     # The anytime bracket is wider than the float range.
     "max-float.csv": "score,target\n1,1.7976931348623157e308\n2,-1.7976931348623157e308\n"
