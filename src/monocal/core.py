@@ -8,8 +8,8 @@ This module owns rows and knows no loss formula (`monocal.losses` builds on
 it). `Sample` is the one validation point for input values, `_valid_rows`
 its column form: construction rejects bad values, so every sample that
 exists is valid and no code checks again. Imports run one way: ``errors`` ←
-``core`` ← ``staircase`` and ``losses`` ← ``pooling`` ← ``online``, and
-``losses`` ← ``problem`` ← the offline and anytime solvers ← ``cli``.
+``core`` ← ``staircase`` and ``losses`` ← ``online``, and ``losses`` ←
+``problem`` ← the offline and anytime solvers ← ``cli``.
 
 Everything here is immutable after construction and safe to share across
 threads; the operations are pure functions.

@@ -13,8 +13,8 @@ derivative crosses zero is the merge-rule minimizer.
 
 It owns every loss formula: the 0/1 label set, the built-ins' parts and
 their per-row terms (``_square_term``, ``_log_term`` and the derivative
-terms), which families pool by weighted mean (``_pools_by_weighted_mean``)
-and the group derivative of a sample sequence (``DerivativeOracle``). One
+terms), the stack loops that pool groups by a family's merge rules and the
+group derivative of a sample sequence (``DerivativeOracle``). One
 table, read through ``_column_form``, maps each built-in part to its column
 form: the column a merge part reads, or the per-row term a loss or
 derivative sums over the columns. A loss's entry also holds the interval
@@ -23,14 +23,25 @@ its targets must lie in (log loss's [0, 1]), which the problem layer and
 rules that read a problem's columns (its merge inputs, total loss,
 minimizer bracket and derivative probe) live in ``monocal.problem``, which
 looks up each part it uses in that table and calls any other part per
-``Sample``. Rows (``monocal.core``) and pooling hold no loss knowledge, and
+``Sample``. Rows (``monocal.core``) hold no loss knowledge, and
 ``monocal stream`` loads this module without the problem layer.
+
+The stack is three parallel lists, one entry per block: its first sample
+index, minimizer and auxiliary value. ``_pooler`` is the one place that
+picks a stack loop for a family: ``_pool_means``, the built-in kernel, which
+computes ``weighted_square_merge``'s mean inline, when the family's merge
+rules are the built-ins' own functions (by identity); else ``_pool``, the
+generic loop, which calls the family's ``merge``. On the built-ins both
+leave the same lists, bit for bit. ``pav_offline.fit_stack`` drives its
+loop with every sample in one call, and ``monocal.online`` drives it with
+one group per arrival. ``Block``s are built from the lists only for a
+returned result, all at once, by ``problem._stack_blocks``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import Sample, _Frozen, _set
 from .errors import InvalidConfig, InvalidLabel, InvalidWeight, OracleFailure
@@ -100,6 +111,88 @@ def weighted_square_merge(
         raise InvalidWeight(f"group weight must be positive, got {lam_j!r}")
     lam = lam_i + lam_j
     return (lam_i * y_i + lam_j * y_j) / lam, lam
+
+
+def _pool(
+    firsts: list[int],
+    ys: list[float],
+    auxs: list[float],
+    groups: Iterable[tuple[int, float, float]],
+    merge,
+) -> None:
+    """Push ``(first, y, aux)`` groups onto the stack, pooling each leftward.
+
+    A pushed group merges with the top block while the top's minimizer is
+    ``>=`` its own, so the stack minimizers strictly increase after every
+    push.
+    """
+    for first, y, aux in groups:
+        while ys and ys[-1] >= y:
+            y, aux = merge(ys.pop(), auxs.pop(), y, aux)
+            first = firsts.pop()
+        firsts.append(first)
+        ys.append(y)
+        auxs.append(aux)
+
+
+def _pool_means(
+    firsts: list[int],
+    ys: list[float],
+    lams: list[float],
+    groups: Iterable[tuple[int, float, float]],
+    merge,
+) -> None:
+    """``_pool`` with the built-ins' merge, the weighted mean, computed inline.
+
+    The arithmetic is ``weighted_square_merge``'s, ``(lam_i*y_i + lam_j*y_j) /
+    (lam_i + lam_j)`` with the stack side as ``i``, so the lists end bit for
+    bit as ``_pool`` leaves them. Its weight checks are left out: a
+    ``Sample``'s weight is positive, and so is a sum of such weights. The top
+    block lives in locals from the first group on: each turn pools it
+    leftward (the one place that pops), then takes groups until one violates
+    it and pools that one in. It takes ``merge`` only to share ``_pool``'s
+    signature, and never calls it.
+    """
+    groups = iter(groups)
+    for top_first, top_y, top_lam in groups:
+        break
+    else:
+        return
+    while True:
+        while ys and ys[-1] >= top_y:
+            lam = lams.pop()
+            lam_sum = lam + top_lam
+            top_y = (lam * ys.pop() + top_lam * top_y) / lam_sum
+            top_lam = lam_sum
+            top_first = firsts.pop()
+        for first, y, lam in groups:
+            if top_y >= y:
+                break
+            firsts.append(top_first)
+            ys.append(top_y)
+            lams.append(top_lam)
+            top_first, top_y, top_lam = first, y, lam
+        else:
+            break
+        lam_sum = top_lam + lam
+        top_y = (top_lam * top_y + lam * y) / lam_sum
+        top_lam = lam_sum
+    firsts.append(top_first)
+    ys.append(top_y)
+    lams.append(top_lam)
+
+
+def _pooler(family: LossFamily) -> Callable[..., None]:
+    """The stack loop for ``family``: ``_pool_means`` if its merge rules are the built-ins' own.
+
+    The built-ins' own rules are ``_target``, ``_weight`` and
+    ``weighted_square_merge``, recognised by identity. Both loops are called
+    as ``loop(firsts, ys, auxs, groups, family.merge)``.
+    """
+    if (family.minimizer_of is _target and family.init_aux is _weight
+            and family.merge is weighted_square_merge):
+        return _pool_means
+    return _pool
 
 
 def _tie_mean(a: Sample, b: Sample) -> Sample:
@@ -254,16 +347,6 @@ LOG_LOSS = LossFamily(
     neg_derivative=_log_neg_derivative,
     combine_ties=_log_combine_ties,
 )
-
-
-def _pools_by_weighted_mean(family: LossFamily) -> bool:
-    """Whether ``family``'s merge rules are the built-ins' own: target, weight, weighted mean.
-
-    The merge solvers pool such a family with their built-in kernel
-    (``pooling._pool_means``), which calls no ``merge`` while it pools.
-    """
-    return (family.minimizer_of is _target and family.init_aux is _weight
-            and family.merge is weighted_square_merge)
 
 
 class DerivativeOracle:

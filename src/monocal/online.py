@@ -3,7 +3,7 @@
 Each arrival becomes a new top block, which is then merged leftward while it
 violates monotonicity, so the stack is the optimal partition of everything
 seen so far after every push (it matches the offline stack solver on each
-prefix). The pooling is the stack loop that ``pooling._pooler`` picks for
+prefix). The pooling is the stack loop that ``losses._pooler`` picks for
 the family, the same one ``fit_stack`` drives: the built-in kernel
 (``_pool_means``) when the family's merge rules are the built-ins' own
 functions, else the generic loop (``_pool``) calling its ``merge``. This
@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING
 
 from .core import Sample
 from .errors import EmptyProblem, OutOfOrder
-from .losses import MERGE_RULES, LossFamily, _target_domain, _target_error
-from .pooling import _pooler
+from .losses import MERGE_RULES, LossFamily, _pooler, _target_domain, _target_error
 
 if TYPE_CHECKING:
     from .problem import Block

@@ -15,14 +15,13 @@ between input groups, not against the merged block, so a pass joins exactly
 the maximal violating runs of its input; passes repeat until one joins
 nothing.
 
-``fit_stack`` drives the stack loop that ``pooling._pooler`` picks for the
-family (``monocal.pooling`` also serves the streaming solver) with every
-sample in one call. ``fit_direct``, the reference solver, always calls the
-family's ``merge``. A direct pass reads and writes the stack's lists too.
-``Block``s are built from them only for a returned result, all at once
-(``problem._stack_blocks``). Pooling knows no loss: ``monocal.losses`` says
-which families pool by weighted mean, and ``monocal.problem`` gives each
-sample's merge inputs (``_sample_groups``) and a partition's total loss.
+``fit_stack`` drives the stack loop that ``losses._pooler`` picks for the
+family (the streaming solver drives it too) with every sample in one call.
+``fit_direct``, the reference solver, always calls the family's ``merge``.
+A direct pass reads and writes the stack's lists too. ``Block``s are built
+from them only for a returned result, all at once
+(``problem._stack_blocks``). ``monocal.problem`` gives each sample's merge
+inputs (``_sample_groups``) and a partition's total loss.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import _Frozen, _set
-from .pooling import _pooler
+from .losses import _pooler
 from .problem import Block, Problem, _partition_loss, _sample_groups, _stack_blocks
 
 __all__ = ["FitReport", "fit_direct", "fit_stack", "direct_passes"]

@@ -15,8 +15,8 @@ import monocal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(monocal.__file__)))
 CLI_MODULES = ["monocal", "monocal.cli", "monocal.core", "monocal.errors"]
-SUBMODULES = ("core", "staircase", "losses", "problem", "pooling", "pav_offline", "online",
-              "anytime", "oracle", "_model_commands")
+SUBMODULES = ("core", "staircase", "losses", "problem", "pav_offline", "online", "anytime",
+              "oracle", "_model_commands")
 
 
 def fresh(code: str):
@@ -59,7 +59,7 @@ def test_losses_import_loads_no_problem_layer():
 def test_solver_import_loads_its_closure_only():
     assert fresh(f"import sys; from monocal import fit_stack; {LOADED}") == [
         "monocal", "monocal.core", "monocal.errors", "monocal.losses", "monocal.pav_offline",
-        "monocal.pooling", "monocal.problem"]
+        "monocal.problem"]
 
 
 def test_online_state_loads_the_staircase_on_its_first_current():
@@ -102,7 +102,7 @@ def test_value_types_are_dataclasses_when_dataclasses_loads_after_them():
 
 
 def test_cli_import_loads_no_solver():
-    # No pooling, staircase or model-file command module either.
+    # No loss module, staircase or model-file command module either.
     assert fresh(f"import sys; from monocal import cli; {LOADED}") == CLI_MODULES
 
 
@@ -128,12 +128,11 @@ FIT_LOADS = [*MODEL_LOADS, "monocal.losses", "monocal.problem"]
     "argv, loads",
     [
         (["apply", "{model}", "{rows}"], MODEL_LOADS),
-        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline", "monocal.pooling"]),
-        (["fit", "{rows}", "--solver", "direct", "--quiet"],
-         [*FIT_LOADS, "monocal.pav_offline", "monocal.pooling"]),
+        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "direct", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
         (["fit", "{rows}", "--solver", "anytime", "--quiet"], [*FIT_LOADS, "monocal.anytime"]),
         # The online path only: no offline solver and no staircase transform.
-        (["stream", "{rows}"], ["monocal.losses", "monocal.online", "monocal.pooling"]),
+        (["stream", "{rows}"], ["monocal.losses", "monocal.online"]),
         (["--help"], []),
     ],
     ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help"],

@@ -20,9 +20,8 @@ from monocal import (
     normalize,
 )
 from monocal.errors import InvalidValue, InvalidWeight
-from monocal.losses import weighted_square_merge
+from monocal.losses import _pool, _pool_means, _pooler, weighted_square_merge
 from monocal.oracle import brute_force_fit
-from monocal.pooling import _pool, _pool_means, _pooler
 from monocal.problem import _stack_blocks
 
 from conftest import GOLDEN_SIZES, GOLDEN_VALUES, make_square_instance
