@@ -104,13 +104,24 @@ class LossFamily(_Frozen):
 def weighted_square_merge(
     y_i: float, lam_i: float, y_j: float, lam_j: float
 ) -> tuple[float, float]:
-    """Join two weighted-square groups: weighted mean and summed weight."""
+    """Join two weighted-square groups: weighted mean and summed weight.
+
+    A summed weight past the float range raises ``InvalidWeight``: the mean
+    would divide by ``inf``.
+    """
     if not lam_i > 0:
         raise InvalidWeight(f"group weight must be positive, got {lam_i!r}")
     if not lam_j > 0:
         raise InvalidWeight(f"group weight must be positive, got {lam_j!r}")
     lam = lam_i + lam_j
+    if lam == math.inf:
+        raise _weight_overflow(lam_i, lam_j)
     return (lam_i * y_i + lam_j * y_j) / lam, lam
+
+
+def _weight_overflow(lam_i: float, lam_j: float) -> InvalidWeight:
+    """The error for two positive group weights whose sum is not finite."""
+    return InvalidWeight(f"summed group weight is not finite: {lam_i!r} + {lam_j!r}")
 
 
 def _pool(
@@ -146,13 +157,15 @@ def _pool_means(
 
     The arithmetic is ``weighted_square_merge``'s, ``(lam_i*y_i + lam_j*y_j) /
     (lam_i + lam_j)`` with the stack side as ``i``, so the lists end bit for
-    bit as ``_pool`` leaves them. Its weight checks are left out: a
-    ``Sample``'s weight is positive, and so is a sum of such weights. The top
+    bit as ``_pool`` leaves them, and a sum of weights past the float range
+    raises the merge's ``InvalidWeight``. Its positivity checks are left out:
+    a ``Sample``'s weight is positive, and so is a sum of such weights. The top
     block lives in locals from the first group on: each turn pools it
     leftward (the one place that pops), then takes groups until one violates
     it and pools that one in. It takes ``merge`` only to share ``_pool``'s
     signature, and never calls it.
     """
+    inf = math.inf
     groups = iter(groups)
     for top_first, top_y, top_lam in groups:
         break
@@ -162,6 +175,8 @@ def _pool_means(
         while ys and ys[-1] >= top_y:
             lam = lams.pop()
             lam_sum = lam + top_lam
+            if lam_sum == inf:
+                raise _weight_overflow(lam, top_lam)
             top_y = (lam * ys.pop() + top_lam * top_y) / lam_sum
             top_lam = lam_sum
             top_first = firsts.pop()
@@ -175,6 +190,8 @@ def _pool_means(
         else:
             break
         lam_sum = top_lam + lam
+        if lam_sum == inf:
+            raise _weight_overflow(top_lam, lam)
         top_y = (top_lam * top_y + lam * y) / lam_sum
         top_lam = lam_sum
     firsts.append(top_first)

@@ -96,6 +96,8 @@ class OnlineState:
         """Absorb one arrival; merges leftward until monotone again.
 
         A target outside the family's loss domain raises ``InvalidLabel``.
+        A pooled weight past the float range raises ``InvalidWeight`` and
+        leaves the state unusable.
         """
         family, domain = self._family, self._domain
         if domain is not None and not domain[0] <= sample.target <= domain[1]:

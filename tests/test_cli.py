@@ -1437,6 +1437,22 @@ def test_total_loss_past_the_float_range_is_infinite(tmp_path, solver):
     assert doc["values"] == [0.0] and doc["metadata"]["total_loss"] == math.inf
 
 
+@pytest.mark.parametrize("loss", ["square", "logloss"])
+@pytest.mark.parametrize("command", [["fit", "--solver", "stack"], ["fit", "--solver", "direct"],
+                                     ["stream"]], ids=["fit-stack", "fit-direct", "stream"])
+@pytest.mark.parametrize("second_score", [1, 0], ids=["pool", "tie"])
+def test_pooled_weight_overflow_exits_2(tmp_path, command, loss, second_score):
+    # The two weights sum past the float range. The weighted mean would be
+    # 1e308 / inf = 0.0, where the optimum is 0.5.
+    path = write_training_csv(tmp_path / "w.csv", [(0, 1, 1e308), (second_score, 0, 1e308)],
+                              header="score,target,weight")
+    code, out, err = run_quietly([command[0], path, "--loss", loss, *command[1:]])
+    tie = "ties at score 0.0: " if second_score == 0 and command[0] == "fit" else ""
+    assert code == 2
+    assert err == f"monocal: {tie}summed group weight is not finite: 1e+308 + 1e+308\n"
+    assert out == ("n,steps,merges,values\n1,1,0,1.0\n" if command[0] == "stream" else "")
+
+
 def test_anytime_round_cap_keeps_the_real_cause(tmp_path):
     path = write_training_csv(tmp_path / "big.csv", [(1, 1e308), (2, -1e308)])
     # No round: the target range is a finite bracket, only wider than floats.

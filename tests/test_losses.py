@@ -53,6 +53,13 @@ class TestWeightedSquareMerge:
         with pytest.raises(InvalidWeight):
             weighted_square_merge(1.0, 1.0, 2.0, bad)
 
+    def test_summed_weight_past_the_float_range_raises(self):
+        # The mean would divide by inf: 1e308 / inf is 0.0 where 0.5 is right.
+        with pytest.raises(InvalidWeight, match=r"^summed group weight is not finite: "
+                                                r"1e\+308 \+ 1e\+308$"):
+            weighted_square_merge(1.0, 1e308, 0.0, 1e308)
+        assert weighted_square_merge(1.0, 8e307, 0.0, 8e307) == (0.5, 1.6e308)
+
     @given(
         st.lists(
             st.tuples(
@@ -573,12 +580,17 @@ class TestTargetDomain:
             assert in_range
             return
         assert in_range
-        for values, loss in _log_fits(problem):
+        try:
+            fits = list(_log_fits(problem))
+            state = OnlineState(LOG_LOSS)
+            for sample in sorted(samples, key=lambda s: s.score):
+                state.push(sample)
+        except InvalidWeight:  # pooled weights summed past the float range
+            assert sum(problem.weights) == math.inf
+            return
+        for values, loss in fits:
             assert all(0.0 <= v <= 1.0 for v in values), values
             assert loss >= 0.0, loss
-        state = OnlineState(LOG_LOSS)
-        for sample in sorted(samples, key=lambda s: s.score):
-            state.push(sample)
         assert all(0.0 <= v <= 1.0 for v in state.values)
 
 

@@ -354,3 +354,45 @@ class TestBuiltinKernel:
         state.push(samples[0])
         with pytest.raises(InvalidWeight, match="got 0.0"):
             state.push(samples[1])
+
+
+# Two weights of 1e308 sum past the float range. The weighted mean would be
+# 1e308 / inf = 0.0, where the optimum is 0.5.
+OVERFLOW_ROWS = [Sample(0.0, 1.0, 1e308), Sample(1.0, 0.0, 1e308)]
+OVERFLOW = r"summed group weight is not finite: 1e\+308 \+ 1e\+308$"
+
+
+class TestWeightOverflow:
+    """A pooled weight past the float range raises ``InvalidWeight`` at every merge entry."""
+
+    @pytest.mark.parametrize("family", [WEIGHTED_SQUARE, LOG_LOSS], ids=["square", "logloss"])
+    @pytest.mark.parametrize("solver", [fit_stack, fit_direct])
+    def test_offline_solvers_raise(self, solver, family):
+        with pytest.raises(InvalidWeight, match="^" + OVERFLOW):
+            solver(normalize(OVERFLOW_ROWS, family))
+
+    @pytest.mark.parametrize("family", [WEIGHTED_SQUARE, LOG_LOSS], ids=["square", "logloss"])
+    @pytest.mark.parametrize("score", [1.0, 0.0], ids=["pool", "tie"])
+    def test_online_push_raises(self, family, score):
+        # The second arrival pools into the top block, or folds into it as a tie.
+        state = OnlineState(family)
+        state.push(OVERFLOW_ROWS[0])
+        with pytest.raises(InvalidWeight, match="^" + OVERFLOW):
+            state.push(dataclasses.replace(OVERFLOW_ROWS[1], score=score))
+
+    def test_the_tie_fold_raises_naming_the_score(self):
+        ties = [Sample(0.0, 1.0, 1e308), Sample(0.0, 0.0, 1e308)]
+        for family in (WEIGHTED_SQUARE, LOG_LOSS):
+            with pytest.raises(InvalidWeight, match="^ties at score 0.0: " + OVERFLOW):
+                normalize(ties, family)
+
+    def test_both_stack_loops_raise_at_both_sums(self):
+        # One call pools the new group into the top (the kernel's second sum);
+        # one group per call pools the top into the stack (its first).
+        groups = [(0, 1.0, 1e308), (1, 0.0, 1e308)]
+        for pool in (_pool, _pool_means):
+            for calls in ([groups], [groups[:1], groups[1:]]):
+                lists = ([], [], [])
+                with pytest.raises(InvalidWeight, match="^" + OVERFLOW):
+                    for chunk in calls:
+                        pool(*lists, chunk, weighted_square_merge)
