@@ -198,10 +198,13 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         # A chunk's rows as one string, with no Python frame per row: the
         # repr of each step value the chunk reaches is made once. The reprs
         # are kept per chunk, so memory grows with the chunk, not the model.
+        # The rows are joined in C; a str.format call per row cost more than
+        # the repr of its score. A chunk is never empty.
         steps = _steps_at(staircase, scores)
         reached = set(steps)
         reprs = dict(zip(reached, map(repr, map(values.__getitem__, reached))))
-        return "".join(map("{!r},{}\n".format, scores, map(reprs.__getitem__, steps)))
+        value_texts = map(reprs.__getitem__, steps)
+        return "\n".join(map(",".join, zip(map(repr, scores), value_texts))) + "\n"
 
     chunks = _read_csv(args.scores, {"score": None}, text)
     out = sys.stdout
