@@ -32,7 +32,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .core import Sample
-from .errors import EmptyProblem, OutOfOrder
+from .errors import CalibrationError, EmptyProblem, OutOfOrder
 from .losses import MERGE_RULES, LossFamily, _pooler, _target_domain, _target_error
 
 if TYPE_CHECKING:
@@ -95,9 +95,12 @@ class OnlineState:
     def push(self, sample: Sample) -> None:
         """Absorb one arrival; merges leftward until monotone again.
 
-        A target outside the family's loss domain raises ``InvalidLabel``.
-        A pooled weight past the float range raises ``InvalidWeight`` and
-        leaves the state unusable.
+        A target outside the family's loss domain raises ``InvalidLabel``
+        and an out-of-order score ``OutOfOrder``; both leave the state as it
+        was. An error in the tie fold or the pool, such as the
+        ``InvalidWeight`` of a pooled weight past the float range, leaves the
+        state unusable: every later ``push``, ``values``, ``top``,
+        ``blocks()`` or ``current()`` raises a ``CalibrationError`` naming it.
         """
         family, domain = self._family, self._domain
         if domain is not None and not domain[0] <= sample.target <= domain[1]:
@@ -120,13 +123,20 @@ class OnlineState:
             )
         merge = self._family.merge
         first = len(scores)
-        if scores and score == scores[-1]:
-            # Same score, same mapping: fold into the top block before any
-            # violation checks.
-            y, aux = merge(self._ys.pop(), self._lams.pop(), y, aux)
-            first = self._firsts.pop()
-        scores.append(score)
-        self._pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
+        try:
+            if scores and score == scores[-1]:
+                # Same score, same mapping: fold into the top block before any
+                # violation checks.
+                y, aux = merge(self._ys.pop(), self._lams.pop(), y, aux)
+                first = self._firsts.pop()
+            scores.append(score)
+            self._pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
+        except BaseException as exc:
+            # The fold and the pool pop before they append, so a failure can
+            # leave the lists out of step. Retire them rather than check a
+            # flag on every push.
+            self._scores = self._firsts = self._ys = self._lams = self._domain = _Failed(exc)
+            raise
 
     def blocks(self) -> tuple[Block, ...]:
         from .problem import _stack_blocks
@@ -140,3 +150,25 @@ class OnlineState:
         if not self._ys:
             raise EmptyProblem("no samples pushed yet")
         return _partition_staircase(self._scores, self._firsts, self._ys)
+
+
+class _Failed:
+    """Stands in for a state's lists and loss domain after a failed push.
+
+    Every use of it, as a truth value, a length, an iterable or by index,
+    raises a ``CalibrationError`` naming the failure, so a state that a
+    failed pool left out of step never returns values.
+    """
+
+    __slots__ = ("_cause",)
+
+    def __init__(self, cause: BaseException) -> None:
+        self._cause = cause
+
+    def _refuse(self, *_: object) -> None:
+        cause = self._cause
+        raise CalibrationError(
+            f"OnlineState is unusable after a failed push: {type(cause).__name__}: {cause}"
+        ) from cause
+
+    __bool__ = __len__ = __iter__ = __getitem__ = _refuse

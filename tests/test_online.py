@@ -12,7 +12,9 @@ from monocal import (
     fit_stack,
     normalize,
 )
-from monocal.errors import EmptyProblem, InvalidConfig, OutOfOrder
+from monocal.errors import (
+    CalibrationError, EmptyProblem, InvalidConfig, InvalidLabel, InvalidWeight, OutOfOrder,
+)
 from monocal.losses import LossFamily
 
 from conftest import golden_samples, make_square_instance
@@ -218,3 +220,66 @@ def test_last_score_tracks_stream():
     state.push(Sample(2.5, 1.0))
     assert state.last_score == 2.5
     assert state.n_seen == 2
+
+
+def _refuses_everything(state, message):
+    """Every later call raises a ``CalibrationError`` naming the failed push."""
+    for call in (lambda: state.push(Sample(5.0, 1.0)), lambda: state._push(5.0, 1.0, 1.0),
+                 lambda: state.values, lambda: state.top, state.blocks, state.current):
+        with pytest.raises(CalibrationError, match=f"unusable after a failed push: {message}"):
+            call()
+
+
+_OVERFLOW = "InvalidWeight: summed group weight is not finite: 1e\\+308 \\+ 1e\\+308"
+
+
+@pytest.mark.parametrize(
+    "family, second, after",
+    [
+        # The pool raises: its pops left the lists out of step, and the next
+        # push once raised IndexError.
+        (LOG_LOSS, Sample(1.0, 0.0, 1e308), Sample(2.0, 1.0)),
+        # The tie fold raises: the next push once succeeded with a wrong step.
+        (WEIGHTED_SQUARE, Sample(0.0, 2.0, 1e308), Sample(1.0, 3.0)),
+    ],
+)
+def test_a_failed_push_leaves_a_state_that_raises(family, second, after):
+    state = OnlineState(family)
+    state.push(Sample(0.0, 1.0, 1e308))
+    with pytest.raises(InvalidWeight):
+        state.push(second)
+    with pytest.raises(CalibrationError, match=_OVERFLOW):
+        state.push(after)
+    _refuses_everything(state, _OVERFLOW)
+
+
+def test_a_custom_merge_error_leaves_a_state_that_raises():
+    def merge(y_i, aux_i, y_j, aux_j):
+        raise ZeroDivisionError("custom merge")
+
+    family = LossFamily("custom", loss=WEIGHTED_SQUARE.loss, minimizer_of=lambda s: s.target,
+                        init_aux=lambda s: s.weight, merge=merge)
+    state = OnlineState(family)
+    state.push(Sample(0.0, 2.0))
+    with pytest.raises(ZeroDivisionError):
+        state.push(Sample(1.0, 1.0))
+    _refuses_everything(state, "ZeroDivisionError: custom merge")
+
+
+def test_rejected_arrivals_leave_the_state_usable():
+    # OutOfOrder and InvalidLabel raise before anything is changed.
+    rows = [Sample(0.0, 1.0), Sample(1.0, 0.0, 2.0), Sample(1.0, 1.0), Sample(2.0, 0.0)]
+    state, clean = OnlineState(LOG_LOSS), OnlineState(LOG_LOSS)
+    for i, sample in enumerate(rows):
+        if i:
+            with pytest.raises(OutOfOrder):
+                state.push(Sample(-1.0, 0.0))
+            with pytest.raises(InvalidLabel):
+                state.push(Sample(sample.score, 2.0))
+        state.push(sample)
+        clean.push(sample)
+        assert state.values == clean.values
+        assert state.n_seen == clean.n_seen
+    current, expected = state.current(), clean.current()
+    assert (current.breakpoints, current.values) == (expected.breakpoints, expected.values)
+    assert _block_bits(state.blocks()) == _block_bits(clean.blocks())
