@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .core import Sample, _valid_rows
-from .errors import CalibrationError, InvalidValue, OutOfOrder
+from .errors import CalibrationError, OutOfOrder
 
 if TYPE_CHECKING:
     from .losses import LossFamily
@@ -222,6 +222,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     push(score, target, weight)
                 except OutOfOrder as exc:
                     raise _CliError(f"row {row}: {exc}", EXIT_OUT_OF_ORDER)
+                except CalibrationError as exc:
+                    # A pool that fails, as on a summed weight past the float range.
+                    raise _CliError(f"row {row}: {exc}")
                 n += 1
                 steps = len(ys)
                 top = ys[-1]
@@ -230,7 +233,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 if not math.isfinite(top):
                     # Staircase's finite rule: every lower step passed this check
                     # as the top of an earlier row, so the top is all that can fail.
-                    raise InvalidValue(f"step values must be finite ({reprs[0]}, {reprs[-1]})")
+                    raise _CliError(
+                        f"row {row}: step values must be finite ({reprs[0]}, {reprs[-1]})")
                 values = " ".join(reprs)
                 lines.append(f"{n},{steps},{n - steps},{values}\n")
         finally:

@@ -1,4 +1,5 @@
 import contextlib
+from bisect import bisect_right
 import csv
 import dataclasses
 import io
@@ -779,6 +780,43 @@ class TestApply:
         assert out.writes == 1 + 3
         assert out.getvalue() == want
 
+    # Score texts whose repr differs from the text, or that sit on the edges
+    # of the float range, and the steps of a model whose value reprs do too.
+    EDGE_SCORES = ("-0.0", "5e-324", "inf", "-inf", "1e22", "1.50", "1e2", "+3", "0.1", "-7")
+    EDGE_MODEL = {"version": 1, "family": "square", "breakpoints": [-1e300, 0.0, 1.5, 1e22],
+                  "values": [-1e300, -0.0, 0.1, 1 / 3, 1e22], "metadata": {}}
+
+    def edge_rows(self, tmp_path, texts):
+        """``apply``'s rows for ``texts``, each written as the edge-score rule says."""
+        model = tmp_path / "edge.json"
+        model.write_text(json.dumps(self.EDGE_MODEL))
+        scores = tmp_path / "edge.csv"
+        scores.write_text("score\n" + "".join(f"{text}\n" for text in texts))
+        bps, values = self.EDGE_MODEL["breakpoints"], self.EDGE_MODEL["values"]
+        want = [f"{float(t)!r},{values[bisect_right(bps, float(t))]!r}\n" for t in texts
+                if t != "nan"]
+        return str(model), str(scores), want
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_row_bytes_on_edge_scores(self, tmp_path, capsys, n):
+        texts = [self.EDGE_SCORES[i % len(self.EDGE_SCORES)] for i in range(n)]
+        model, scores, want = self.edge_rows(tmp_path, texts)
+        code, stdout, stderr = run(capsys, "apply", model, scores)
+        assert (code, stderr) == (0, "")
+        assert stdout == "score,calibrated\n" + "".join(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 700, 1024, 1025, 1030])
+    def test_row_bytes_on_edge_scores_read_row_by_row(self, tmp_path, capsys, k):
+        # A NaN at record k sends its chunk down the row-by-row path: the
+        # rows before it are written with the same bytes, then its error.
+        texts = [self.EDGE_SCORES[i % len(self.EDGE_SCORES)] for i in range(1100)]
+        texts[k - 1] = "nan"
+        model, scores, want = self.edge_rows(tmp_path, texts)
+        code, stdout, stderr = run(capsys, "apply", model, scores)
+        assert code == 2
+        assert stderr == f"monocal: row {k + 1}: cannot evaluate a staircase at NaN\n"
+        assert stdout == "score,calibrated\n" + "".join(want[:k - 1])
+
     def test_memory_grows_with_the_chunk_not_the_steps_reached(self, tmp_path):
         # A 20,000-step model, applied to scores that reach 2,048 of its steps
         # and to scores that reach all of them. A repr kept per step reached
@@ -990,7 +1028,8 @@ class TestStream:
         path = write_training_csv(tmp_path / "o.csv", rows, header="score,target,weight")
         code, stdout, stderr = run(capsys, "stream", path)
         assert code == 2
-        assert stderr == f"monocal: step values must be finite {message}\n"
+        # The failing row is the one after the rows written; the header is line 1.
+        assert stderr == f"monocal: row {len(written) + 2}: step values must be finite {message}\n"
         assert stdout.splitlines() == ["n,steps,merges,values", *written]
 
     def test_step_next_to_infinite_score_is_written(self, tmp_path, capsys):
@@ -1069,7 +1108,7 @@ class TestStream:
             # The top pools to (1e310 - 1e310) / 2e10 = nan.
             rows += [(record - 1.5, 1e300, 1e10), (record - 0.5, -1e300, 1e10)]
             want_code = 2
-            message = "monocal: step values must be finite ("
+            message = f"monocal: row {record + 1}: step values must be finite ("
         header = "score,target,weight"
         before = write_training_csv(tmp_path / "before.csv", rows[:-1], header=header)
         code, want, _ = run(capsys, "stream", before)
@@ -1447,9 +1486,11 @@ def test_pooled_weight_overflow_exits_2(tmp_path, command, loss, second_score):
     path = write_training_csv(tmp_path / "w.csv", [(0, 1, 1e308), (second_score, 0, 1e308)],
                               header="score,target,weight")
     code, out, err = run_quietly([command[0], path, "--loss", loss, *command[1:]])
-    tie = "ties at score 0.0: " if second_score == 0 and command[0] == "fit" else ""
+    # fit names the tied score; stream names the row it was pushing.
+    where = {"fit": "ties at score 0.0: " if second_score == 0 else "", "stream": "row 3: "}
     assert code == 2
-    assert err == f"monocal: {tie}summed group weight is not finite: 1e+308 + 1e+308\n"
+    overflow = "summed group weight is not finite: 1e+308 + 1e+308"
+    assert err == f"monocal: {where[command[0]]}{overflow}\n"
     assert out == ("n,steps,merges,values\n1,1,0,1.0\n" if command[0] == "stream" else "")
 
 
