@@ -133,9 +133,10 @@ class OnlineState:
             self._pool(self._firsts, self._ys, self._lams, ((first, y, aux),), merge)
         except BaseException as exc:
             # The fold and the pool pop before they append, so a failure can
-            # leave the lists out of step. Retire them rather than check a
-            # flag on every push.
-            self._scores = self._firsts = self._ys = self._lams = self._domain = _Failed(exc)
+            # leave the lists out of step. Retire them, and the domain that
+            # push reads first, rather than check a flag on every push.
+            failed = _Failed(f"{type(exc).__name__}: {exc}")
+            self._scores = self._firsts = self._ys = self._lams = self._domain = failed
             raise
 
     def blocks(self) -> tuple[Block, ...]:
@@ -157,18 +158,17 @@ class _Failed:
 
     Every use of it, as a truth value, a length, an iterable or by index,
     raises a ``CalibrationError`` naming the failure, so a state that a
-    failed pool left out of step never returns values.
+    failed pool left out of step never returns values. It keeps the
+    failure's text, not the exception: the exception's traceback holds the
+    state, and the cycle would keep the frames of the failed call alive.
     """
 
-    __slots__ = ("_cause",)
+    __slots__ = ("_failure",)
 
-    def __init__(self, cause: BaseException) -> None:
-        self._cause = cause
+    def __init__(self, failure: str) -> None:
+        self._failure = failure
 
     def _refuse(self, *_: object) -> None:
-        cause = self._cause
-        raise CalibrationError(
-            f"OnlineState is unusable after a failed push: {type(cause).__name__}: {cause}"
-        ) from cause
+        raise CalibrationError(f"OnlineState is unusable after a failed push: {self._failure}")
 
     __bool__ = __len__ = __iter__ = __getitem__ = _refuse
