@@ -8,7 +8,8 @@ benchmark's three shapes (``random-weighted``, ``increasing`` and
 stream) and the edge inputs of the CI workflow. Every input is fitted with
 each solver and loss, to stdout and to ``--out``; each stack and anytime
 model that a fit wrote is applied; every input but the 2,000-row ones is
-streamed with both losses.
+streamed with both losses. One model is also applied to a one-column file
+with blank lines.
 
 ``tests/test_golden.py`` runs the same cases and compares them with
 ``tests/golden.json``. A change that alters an output on purpose rewrites
@@ -64,8 +65,23 @@ EDGE_INPUTS = {
     "label.csv": "score,target\n1,1\n2,2.0\n3,-1.0\n",
     "unordered.csv": "score,target\n2,30\n1,10\n3,20\n",
     "bad-row.csv": "score,target\n1,1\n2,x\n",
+    # Layouts that the csv module reads: a quoted field, CRLF line ends, a
+    # blank line, a short row (weight 1), a row with an extra field, no final
+    # newline, and a quoted header over unquoted rows.
+    "quoted.csv": 'score,target\n1,10\n"2",30\n3,"20"\n',
+    "crlf.csv": "score,target\r\n1,10\r\n2,30\r\n3,20\r\n",
+    "blank.csv": "score,target\n1,10\n\n2,30\n3,20\n",
+    "short.csv": "score,target,weight\n1,10,2\n2,30\n3,20,0.5\n",
+    "extra.csv": "score,target\n1,10\n2,30,5\n3,20\n",
+    "no-newline.csv": "score,target\n1,10\n2,30\n3,20",
+    "quoted-header.csv": '"score","target"\n1,10\n2,30\n3,20\n',
+    # A NUL in an unpicked column, after a bad row of the same chunk: the bad
+    # row's error on every Python (3.10's csv rejects the NUL, 3.11's reads it).
+    "nul.csv": "score,target,note\n1,10,a\n2,x,b\n3,20,c\0d\n",
 }
 APPLY_EDGES = "score\n-inf\n-1e308\n0\n1.5\n2.5\n1e308\ninf\n"
+# A one-column file with blank lines, the first before any score.
+APPLY_BLANKS = "score\n\n0.5\n1.5\n\n\n2.5\n"
 
 
 def _shape_rows(shape: str, n: int, part: str) -> list[tuple[float, float, float]]:
@@ -101,9 +117,11 @@ def inputs() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     """``(fit-only, streamed, scores)`` inputs: file name to text.
 
     A shape's scores to apply are in ``<shape>-scores.csv``; the edge inputs'
-    models are applied to ``edge-scores.csv``.
+    models are applied to ``edge-scores.csv``, and ``rows.csv``'s square
+    stack model to ``blank-scores.csv`` too.
     """
-    fit_only, streamed, scores = {}, {}, {"edge-scores.csv": APPLY_EDGES}
+    fit_only, streamed = {}, {}
+    scores = {"edge-scores.csv": APPLY_EDGES, "blank-scores.csv": APPLY_BLANKS}
     for shape in ("random-weighted", "increasing", "ties-logloss"):
         rows = _shape_rows(shape, FIT_ROWS, "fit")
         fit_only[f"{shape}.csv"] = _training_csv(rows)
@@ -161,6 +179,7 @@ def record() -> dict[str, dict]:
                     run("apply", model, to_apply)
             if name in streamed:
                 run("stream", name, "--loss", loss)
+    run("apply", "rows.square.stack.json", "blank-scores.csv")
     return corpus
 
 
