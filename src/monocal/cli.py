@@ -17,11 +17,10 @@ on their first use.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -39,6 +38,8 @@ if TYPE_CHECKING:
 # Records read from a CSV at a time, and model values encoded at a time; a
 # larger chunk saves little time and holds more rows in memory.
 _CHUNK_ROWS = 1024
+# The csv module's default field_size_limit: a longer line is left to csv, which rejects it.
+_FIELD_LIMIT = 131_072
 MAX_N_ENV = "MONOCAL_MAX_N"
 
 EXIT_OK = 0
@@ -67,7 +68,7 @@ def _family(tag: str) -> LossFamily:
 
 def _read_csv(
     path: str, columns: dict[str, float | None], build: Callable[..., Any]
-) -> Iterator[tuple[list[int], Any]]:
+) -> Iterator[tuple[Sequence[int], Any]]:
     """Check the CSV header now; later yield ``(line numbers, build(*columns))`` per chunk.
 
     ``columns`` maps each column, in ``build``'s argument order, to the number
@@ -75,12 +76,19 @@ def _read_csv(
     is at most ``_CHUNK_ROWS`` records; ``build`` gets one list of numbers per
     column and returns the chunk's value. Blank lines are skipped, a leading
     byte-order mark is ignored and a positive ``MONOCAL_MAX_N`` caps the rows.
-    When anything in a chunk fails (a field that is not a number or needs its
-    default, a ``build`` error, the cap, a CSV error), the chunk is read again
-    row by row: the rows before the failure are yielded, and then its error is
-    raised, a bad row's with a ``row N:`` prefix (N is the line the record
-    ends on). Undecodable text and csv-module errors (such as an oversized
-    field) are usage errors.
+
+    A plain chunk is split at newlines and commas in C: its lines hold no
+    quote, carriage return or NUL, each ends in a newline, holds one comma
+    fewer than the header has names and is within the csv module's field
+    limit, and no line of a one-column file is blank. The first chunk that is
+    not plain, or whose numbers or ``build`` fail, or that would pass the cap,
+    is read by the csv module with the rest of the file; so is a header that
+    is not one plain line. When anything in a csv chunk fails (a field that is
+    not a number or needs its default, a ``build`` error, the cap, a CSV
+    error), it is read again row by row: the rows before the failure are
+    yielded, and then its error is raised, a bad row's with a ``row N:``
+    prefix (N is the line the record ends on). Undecodable text and
+    csv-module errors (such as an oversized field) are usage errors.
     """
     raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
@@ -91,16 +99,39 @@ def _read_csv(
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
-    reader = csv.reader(handle)
+    # The lines read and not parsed yet, the lines parsed before them, and what
+    # the csv module reads after them: the file, or a decoding error again.
+    lines: list[str] = []
+    taken = 0
+    rest: Iterator[str] = handle
 
-    def parse_error(exc: Exception) -> _CliError:
-        return _CliError(f"{path}: cannot parse CSV (read {reader.line_num} lines): {exc}")
+    def read(k: int) -> None:
+        nonlocal rest
+        try:
+            lines.extend(islice(handle, k))  # keeps the lines before an error
+        except UnicodeDecodeError as exc:
+            rest = _raising(exc)
 
-    try:
-        header = next(reader, [])
-    except (UnicodeDecodeError, csv.Error) as exc:
-        handle.close()
-        raise parse_error(exc)
+    def parse_error(exc: Exception, lines_read: int) -> _CliError:
+        return _CliError(f"{path}: cannot parse CSV (read {lines_read} lines): {exc}")
+
+    read(1)
+    line = lines[0] if lines else ""
+    # A decoding error leaves no line here, so the csv module meets it.
+    if line[-1:] == "\n" and 1 < len(line) <= _FIELD_LIMIT and _unquoted(line):
+        header = line[:-1].split(",")
+        taken = 1
+    else:
+        import csv
+
+        header_reader = csv.reader(chain(lines, rest))
+        try:
+            header = next(header_reader, [])
+        except (UnicodeDecodeError, csv.Error) as exc:
+            handle.close()
+            raise parse_error(exc, header_reader.line_num)
+        taken = header_reader.line_num
+    lines.clear()
     for name, default in columns.items():
         if default is None and name not in header:
             handle.close()
@@ -108,6 +139,7 @@ def _read_csv(
     # The last of repeated column names wins; None marks a column the header lacks.
     index = {name: i for i, name in enumerate(header)}
     picks = [(name, index.get(name), default) for name, default in columns.items()]
+    width = len(header)
 
     def by_row(records: list[list[str]], rows: list[int], seen: int):
         """Yield a chunk's rows one at a time; raise the first bad row's error."""
@@ -127,46 +159,96 @@ def _read_csv(
                 raise _CliError(f"row {row}: {exc}")
             yield [row], item
 
-    def chunks() -> Iterator[tuple[list[int], Any]]:
+    def by_csv(seen: int) -> Iterator[tuple[list[int], Any]]:
+        """The chunks from ``lines`` on, read by the csv module."""
+        import csv
+
+        reader = csv.reader(chain(lines, rest))
+        while True:
+            start = reader.line_num
+            records: list[list[str]] = []
+            rows: list[int] = []
+            error = None
+            try:
+                for fields in islice(reader, _CHUNK_ROWS):
+                    if fields:
+                        records.append(fields)
+                        rows.append(taken + reader.line_num)
+            except (UnicodeDecodeError, csv.Error) as exc:
+                # The records read before the error still count.
+                error = parse_error(exc, taken + reader.line_num)
+            items = None
+            if records and not 0 < cap < seen + len(records):
+                try:
+                    items = build(*(
+                        [default] * len(records) if i is None
+                        else list(map(float, map(itemgetter(i), records)))
+                        for _, i, default in picks
+                    ))
+                except (IndexError, ValueError, CalibrationError):
+                    pass  # read again row by row, for the defaults or the error
+            if items is not None:
+                yield rows, items
+            elif records:
+                yield from by_row(records, rows, seen)
+            seen += len(records)
+            if error is not None:
+                raise error
+            if reader.line_num == start:
+                return
+
+    def chunks() -> Iterator[tuple[Sequence[int], Any]]:
+        nonlocal taken
         seen = 0
         with handle:
             while True:
-                start = reader.line_num
-                records: list[list[str]] = []
-                rows: list[int] = []
-                error = None
-                try:
-                    for fields in islice(reader, _CHUNK_ROWS):
-                        if fields:
-                            records.append(fields)
-                            rows.append(reader.line_num)
-                except (UnicodeDecodeError, csv.Error) as exc:
-                    # The records read before the error still count.
-                    error = parse_error(exc)
-                items = None
-                if records and not 0 < cap < seen + len(records):
+                read(_CHUNK_ROWS)
+                n = len(lines)
+                if not n and rest is handle:
+                    return
+                text = "".join(lines)
+                if (rest is handle and text[-1] == "\n" and _unquoted(text)
+                        and not 0 < cap < seen + n
+                        # No Python call per line: str.count runs in map.
+                        and set(map(str.count, lines, repeat(","))) == {width - 1}
+                        and (len(text) <= _FIELD_LIMIT or max(map(len, lines)) <= _FIELD_LIMIT)
+                        and (width > 1 or "\n\n" not in text and text[0] != "\n")):
+                    flat = text[:-1].replace("\n", ",").split(",")
                     try:
                         items = build(*(
-                            [default] * len(records) if i is None
-                            else list(map(float, map(itemgetter(i), records)))
+                            [default] * n if i is None else list(map(float, flat[i::width]))
                             for _, i, default in picks
                         ))
-                    except (IndexError, ValueError, CalibrationError):
-                        pass  # read again row by row, for the defaults or the error
-                if items is not None:
-                    yield rows, items
-                elif records:
-                    yield from by_row(records, rows, seen)
-                seen += len(records)
-                if error is not None:
-                    raise error
-                if reader.line_num == start:
-                    return
+                    except (ValueError, CalibrationError):
+                        pass  # the csv module reads it, for the defaults or the error
+                    else:
+                        yield range(taken + 1, taken + n + 1), items
+                        taken += n
+                        seen += n
+                        lines.clear()
+                        continue
+                yield from by_csv(seen)
+                return
 
     return chunks()
 
 
-def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[list[int], Any]]:
+def _unquoted(text: str) -> bool:
+    """Whether ``text`` has no quote, carriage return or NUL.
+
+    The csv module splits such a line at its commas alone. A NUL is left to
+    it because Python 3.10's csv rejects one and 3.11's reads it.
+    """
+    return '"' not in text and "\r" not in text and "\0" not in text
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator whose first ``next`` raises ``exc``."""
+    raise exc
+    yield  # unreachable: it makes this function a generator
+
+
+def _training_csv(path: str, loss_tag: str) -> Iterator[tuple[Sequence[int], Any]]:
     """``_read_csv`` of training rows, each chunk its ``(scores, targets, weights)``.
 
     The columns pass ``Sample``'s rule and, for log loss, every target is a

@@ -1189,10 +1189,10 @@ def run_quietly(argv, env=None):
 
 
 def assert_reads_like_reference(directory, text, loss="square", env=None):
-    """``fit``, ``apply`` and ``stream`` on ``text`` match the reference reader's."""
+    """``fit``, ``apply`` and ``stream`` on ``text`` (str, or bytes as they are) match the reference reader's."""
     path = os.path.join(directory, "in.csv")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    with open(path, "wb") as handle:
+        handle.write(text if isinstance(text, bytes) else text.encode("utf-8"))
     model = os.path.join(directory, "model.json")
     with open(model, "w", encoding="utf-8") as handle:
         json.dump(GOLDEN_MODEL, handle)
@@ -1263,6 +1263,92 @@ class TestChunkedReader:
         # The 1,499 rows before the oversized field are written.
         assert results["apply"][1].count("\n") == 1500
         assert results["stream"][1].count("\n") == 1500
+
+    def test_oversized_unpicked_field_in_a_plain_chunk(self, tmp_path):
+        text = training_text(1600, header="score,target,note",
+                             row=lambda i: f"{i + 0.5!r},{i % 7},x").splitlines(keepends=True)
+        text[1500] = "1499.5,3," + "n" * 131_073 + "\n"
+        results = assert_reads_like_reference(str(tmp_path), "".join(text))
+        for command in ("fit", "apply", "stream"):
+            code, _, stderr = results[command]
+            assert code == 2 and "cannot parse CSV (read 1501 lines)" in stderr
+            assert "field larger than field limit (131072)" in stderr
+        assert results["stream"][1].count("\n") == 1500
+
+    def test_undecodable_byte_after_the_first_chunk(self, tmp_path):
+        # Notes of ten letters put the byte in a later 8 KiB decoding block
+        # than the first chunk's end.
+        text = training_text(1600, header="score,target,note",
+                             row=lambda i: f"{i + 0.5!r},{i % 7},{'x' * 10}").encode()
+        lines = text.splitlines(keepends=True)
+        lines[1500] = lines[1500].replace(b",x", b",\xe9")  # Latin-1 "e acute"
+        results = assert_reads_like_reference(str(tmp_path), b"".join(lines))
+        for command in ("fit", "apply", "stream"):
+            code, _, stderr = results[command]
+            assert code == 2 and "can't decode byte 0xe9" in stderr
+        # The rows before the failing block are written: the first chunk and
+        # part of the next.
+        written = results["stream"][1].count("\n") - 1
+        assert cli._CHUNK_ROWS < written < 1500
+        assert f"(read {written + 1} lines)" in results["stream"][2]
+
+    def test_quoted_header_over_plain_rows(self, tmp_path):
+        # R's write.csv quotes the names but not the numbers. This header also
+        # spans two lines, so every row number is one more than the record's.
+        text = training_text(2000, bad={1500}, header='"score","target","a\nnote"',
+                             row=lambda i: f"{i + 0.5!r},{i % 7},x")
+        results = assert_reads_like_reference(str(tmp_path), text)
+        message = "monocal: row 1502: column 'score' is not a number: 'nope'\n"
+        assert [results[command][2] for command in results] == [message] * 3
+        assert results["stream"][1].count("\n") == 1500
+        results = assert_reads_like_reference(str(tmp_path), text.replace("nope", "1499.5"))
+        assert [results[command][0] for command in results] == [0, 0, 0]
+
+    @pytest.mark.parametrize("line", [
+        # The quoted note holds a comma: csv reads four fields, no weight.
+        '1030.5,3,"5,6",2\n',
+        # A lone carriage return ends a record with an empty weight.
+        "1030.5,3,5,6,\r1031.5,4,5,6,2\n",
+        # Python 3.10's csv rejects the NUL, 3.11's reads it.
+        "1030.5,3,5\x006,6,2\n",
+        # csv ignores an extra field, and reads a short row's weight as 1.
+        "1030.5,3,5,6,2,9\n",
+        "1030.5,3,5\n",
+    ], ids=["quoted-comma", "lone-cr", "nul", "extra", "short"])
+    def test_a_line_that_csv_reads_otherwise_than_its_commas(self, tmp_path, line):
+        # Numbers in the unpicked columns too, so that a field read from the
+        # wrong column still parses.
+        text = training_text(2000, header="score,target,note,more,weight",
+                             row=lambda i: f"{i + 0.5!r},{i % 7},5,6,2").splitlines(keepends=True)
+        text[1031] = line
+        assert_reads_like_reference(str(tmp_path), "".join(text))
+
+    def test_no_final_newline_after_a_plain_chunk(self, tmp_path):
+        text = training_text(1100, row=lambda i: f"{i + 0.5!r},{i % 7}.25")
+        results = assert_reads_like_reference(str(tmp_path), text[:-1])
+        assert [results[command][0] for command in results] == [0, 0, 0]
+
+    def test_max_n_inside_a_plain_chunk(self, tmp_path):
+        results = assert_reads_like_reference(str(tmp_path), training_text(1100),
+                                              env={cli.MAX_N_ENV: "1030"})
+        assert [results[command][0] for command in results] == [2, 2, 2]
+        assert results["stream"][1].count("\n") == 1031
+
+    @pytest.mark.parametrize("blank", [0, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS])
+    def test_one_column_file_with_a_blank_line_at_the_chunk_boundary(self, tmp_path, blank):
+        scores = [f"{i * 0.01!r}" for i in range(1100)]
+        scores.insert(blank, "")
+        path = tmp_path / "in.csv"
+        results = assert_reads_like_reference(str(tmp_path), "score\n" + "\n".join(scores) + "\n")
+        assert results["apply"][0] == 0 and results["apply"][1].count("\n") == 1101
+        # A reader whose column the file lacks reads its default for each row,
+        # and a blank line is no row.
+
+        def rows(reader):
+            return [(row, x) for lines, (xs,) in reader(str(path), {"x": 7.0}, lambda *c: c)
+                    for row, x in zip(lines, xs)]
+
+        assert rows(cli._read_csv) == rows(reference_read_csv)
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         # Spreadsheets save "CSV UTF-8" with a byte-order mark before the header.
@@ -1508,8 +1594,11 @@ def test_anytime_round_cap_keeps_the_real_cause(tmp_path):
                    "-inf + inf in fsum\n")
 
 
-# Row defects that leave a row readable, and ones that make it an error.
-LAYOUT_DEFECTS = ("blank", "quoted", "multi-line", "short", "empty-weight")
+# Row defects that leave a row readable, and ones that make it an error. A
+# NUL is read by Python 3.11's csv and rejected by 3.10's; a lone carriage
+# return ends a record as a newline does.
+LAYOUT_DEFECTS = ("blank", "quoted", "multi-line", "short", "empty-weight", "nul", "lone-cr",
+                  "extra")
 ROW_ERRORS = ("bad-number", "nan", "inf", "zero-weight", "bad-label")
 HEADERS = ("score,target", "score,target,weight", "note,weight,target,score",
            "score,target,weight,note")
@@ -1517,21 +1606,30 @@ HEADERS = ("score,target", "score,target,weight", "note,weight,target,score",
 
 @st.composite
 def csv_texts(draw):
-    """CSV text of 0-3,000 rows with each defect enabled at its own rate."""
+    """CSV text of 0-3,000 rows with each defect enabled at its own rate.
+
+    The file may also end without a newline, or turn to CRLF line ends or to
+    quoted fields after its first chunk.
+    """
     n = draw(st.integers(0, 3000))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     loss = draw(st.sampled_from(["square", "logloss"]))
     header = draw(st.sampled_from(HEADERS))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    layout = {d: draw(st.sampled_from([0.0, 0.01, 0.2])) for d in LAYOUT_DEFECTS}
+    # A few defects each, so that some chunks are plain and some files have none.
+    enabled = draw(st.lists(st.sampled_from(LAYOUT_DEFECTS), unique=True))
+    layout = {d: draw(st.sampled_from([1e-4, 0.01, 0.2])) if d in enabled else 0.0
+              for d in LAYOUT_DEFECTS}
     error_rate = draw(st.sampled_from([0.0, 0.0, 1e-4, 1e-3]))
     errors = draw(st.lists(st.sampled_from(ROW_ERRORS), min_size=1, unique=True))
     in_order = draw(st.sampled_from([True, True, False]))
+    final_newline = draw(st.sampled_from([True, True, False]))
+    late = draw(st.sampled_from([None, None, "crlf", "quoted"]))
     names = header.split(",")
-    lines = [header]
+    lines = [header + newline]
     for i in range(n):
         if rng.random() < layout["blank"]:
-            lines.append("")
+            lines.append(newline)
         values = {
             "score": repr(i + rng.random()) if in_order else repr(round(rng.uniform(0, 50), 1)),
             "target": rng.choice(["0", "1", "0.0", "1.0"]) if loss == "logloss"
@@ -1543,6 +1641,8 @@ def csv_texts(draw):
             values["weight"] = ""
         if rng.random() < layout["multi-line"]:
             values["note"] = '"two\nlines"'
+        if rng.random() < layout["nul"]:
+            values["note"] = "a\0b"
         if rng.random() < error_rate:
             error = rng.choice(errors)
             column, value = {
@@ -1552,13 +1652,22 @@ def csv_texts(draw):
             }[error]
             values[column] = value
         fields = [values[name] for name in names]
-        if rng.random() < layout["quoted"]:
+        if (rng.random() < layout["quoted"]
+                or late == "quoted" and i >= cli._CHUNK_ROWS):
             fields = [f'"{f}"' if f and not f.startswith('"') else f for f in fields]
         if rng.random() < layout["short"] and names[-1] == "weight":
             fields.pop()
-        lines.append(",".join(fields))
+        if rng.random() < layout["extra"]:
+            fields.append("7")
+        end = "\r\n" if late == "crlf" and i >= cli._CHUNK_ROWS else newline
+        if rng.random() < layout["lone-cr"]:
+            end = "\r"
+        lines.append(",".join(fields) + end)
     cap = draw(st.sampled_from([None, None, "0", "700", str(cli._CHUNK_ROWS), "2500"]))
-    return newline.join(lines) + newline, loss, {} if cap is None else {cli.MAX_N_ENV: cap}
+    text = "".join(lines)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    return text, loss, {} if cap is None else {cli.MAX_N_ENV: cap}
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -29,14 +29,15 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# The monocal modules loaded, plus ``dataclasses``, ``inspect`` and ``json`` if
-# loaded: no import or command needs the first two (``dataclasses`` imports
-# ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``), and only the
-# commands that read or write a model need ``json``. The list is taken before
-# ``json`` is imported to print it, so the code before it must not import json.
+# The monocal modules loaded, plus ``csv``, ``dataclasses``, ``inspect`` and
+# ``json`` if loaded: only a CSV line that is not plain needs ``csv``, no import
+# or command needs the next two (``dataclasses`` imports ``inspect``, and with
+# it ``ast``, ``dis`` and ``tokenize``), and only the commands that read or
+# write a model need ``json``. The list is taken before ``json`` is imported to
+# print it, so the code before it must not import json.
 LOADED = (
     "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal'"
-    " or m in ('dataclasses', 'inspect', 'json')); import json; print(json.dumps(loaded))"
+    " or m in ('csv', 'dataclasses', 'inspect', 'json')); import json; print(json.dumps(loaded))"
 )
 
 
@@ -124,22 +125,10 @@ MODEL_LOADS = ["json", "monocal._model_commands", "monocal.staircase"]
 FIT_LOADS = [*MODEL_LOADS, "monocal.losses", "monocal.problem"]
 
 
-@pytest.mark.parametrize(
-    "argv, loads",
-    [
-        (["apply", "{model}", "{rows}"], MODEL_LOADS),
-        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
-        (["fit", "{rows}", "--solver", "direct", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
-        (["fit", "{rows}", "--solver", "anytime", "--quiet"], [*FIT_LOADS, "monocal.anytime"]),
-        # The online path only: no offline solver and no staircase transform.
-        (["stream", "{rows}"], ["monocal.losses", "monocal.online"]),
-        (["--help"], []),
-    ],
-    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help"],
-)
-def test_each_command_loads_only_its_solver(tmp_path, argv, loads):
+def command_loads(tmp_path, argv, rows_text="score,target\n1,10\n2,30\n3,20\n"):
+    """The modules ``LOADED`` lists after ``monocal <argv>`` ran in a fresh interpreter."""
     rows = tmp_path / "rows.csv"
-    rows.write_text("score,target\n1,10\n2,30\n3,20\n")
+    rows.write_text(rows_text)
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"version": 1, "family": "square", "breakpoints": [1.5],
                                  "values": [10.0, 25.0], "metadata": {}}))
@@ -155,7 +144,34 @@ def test_each_command_loads_only_its_solver(tmp_path, argv, loads):
         "assert code == 0, code\n"
         + LOADED
     )
-    assert fresh(code) == sorted(CLI_MODULES + loads)
+    return fresh(code)
+
+
+# On a plain CSV file no command loads the csv module.
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["apply", "{model}", "{rows}"], MODEL_LOADS),
+        (["fit", "{rows}", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "direct", "--quiet"], [*FIT_LOADS, "monocal.pav_offline"]),
+        (["fit", "{rows}", "--solver", "anytime", "--quiet"], [*FIT_LOADS, "monocal.anytime"]),
+        # The online path only: no offline solver and no staircase transform.
+        (["stream", "{rows}"], ["monocal.losses", "monocal.online"]),
+        (["--help"], []),
+    ],
+    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help"],
+)
+def test_each_command_loads_only_its_solver(tmp_path, argv, loads):
+    assert command_loads(tmp_path, argv) == sorted(CLI_MODULES + loads)
+
+
+@pytest.mark.parametrize("rows", ['score,target\n1,10\n"2",30\n3,20\n',
+                                  '"score","target"\n1,10\n2,30\n3,20\n'],
+                         ids=["quoted-row", "quoted-header"])
+@pytest.mark.parametrize("argv", [["fit", "{rows}", "--quiet"], ["apply", "{model}", "{rows}"],
+                                  ["stream", "{rows}"]], ids=["fit", "apply", "stream"])
+def test_a_quoted_line_loads_the_csv_module(tmp_path, argv, rows):
+    assert "csv" in command_loads(tmp_path, argv, rows)
 
 
 def test_every_public_name_is_its_home_modules_object():
