@@ -18,7 +18,7 @@ from typing import Any
 from .cli import (
     EXIT_OK, _CHUNK_ROWS, _FAMILIES, _CliError, _family, _read_csv, _training_columns,
 )
-from .errors import InvalidValue
+from .errors import InvalidValue, InvalidWeight
 from .staircase import Staircase, _partition_staircase, _steps_at
 
 __all__ = ["MODEL_VERSION", "model_to_dict", "model_from_dict", "load_model"]
@@ -154,7 +154,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         from .pav_offline import _fit_direct, _fit_stack
 
-        firsts, ys = (_fit_direct if args.solver == "direct" else _fit_stack)(problem)[:2]
+        try:
+            firsts, ys = (_fit_direct if args.solver == "direct" else _fit_stack)(problem)[:2]
+        except InvalidWeight as exc:
+            # A summed weight past the float range; the pool has no row of its
+            # own to report, so name the score of the group it pooled in.
+            raise _CliError(f"pool at score {problem.scores[exc.first]!r}: {exc}")
         extra = {}
     # The loss is taken first, so the target and weight columns are freed
     # before the staircase is built. The built-ins' loss raises nothing, so a

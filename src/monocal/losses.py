@@ -119,9 +119,15 @@ def weighted_square_merge(
     return (lam_i * y_i + lam_j * y_j) / lam, lam
 
 
-def _weight_overflow(lam_i: float, lam_j: float) -> InvalidWeight:
-    """The error for two positive group weights whose sum is not finite."""
-    return InvalidWeight(f"summed group weight is not finite: {lam_i!r} + {lam_j!r}")
+def _weight_overflow(lam_i: float, lam_j: float, first: int | None = None) -> InvalidWeight:
+    """The error for two positive group weights whose sum is not finite.
+
+    Its ``first`` is the first sample index of the group being pooled in,
+    where the caller knows it; ``monocal fit`` names that sample's score.
+    """
+    exc = InvalidWeight(f"summed group weight is not finite: {lam_i!r} + {lam_j!r}")
+    exc.first = first
+    return exc
 
 
 def _pool(
@@ -176,7 +182,7 @@ def _pool_means(
             lam = lams.pop()
             lam_sum = lam + top_lam
             if lam_sum == inf:
-                raise _weight_overflow(lam, top_lam)
+                raise _weight_overflow(lam, top_lam, top_first)
             top_y = (lam * ys.pop() + top_lam * top_y) / lam_sum
             top_lam = lam_sum
             top_first = firsts.pop()
@@ -191,7 +197,7 @@ def _pool_means(
             break
         lam_sum = top_lam + lam
         if lam_sum == inf:
-            raise _weight_overflow(top_lam, lam)
+            raise _weight_overflow(top_lam, lam, first)
         top_y = (top_lam * top_y + lam * y) / lam_sum
         top_lam = lam_sum
     firsts.append(top_first)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import _Frozen, _set
+from .errors import InvalidWeight
 from .losses import _pooler
 from .problem import Block, Problem, _partition_loss, _sample_groups, _stack_blocks
 
@@ -70,17 +71,25 @@ def _report(problem: Problem, firsts: list[int], ys: list[float], auxs: list[flo
 def _join_pass(
     groups: Iterable[tuple[int, float, float]], merge
 ) -> tuple[list[int], list[float], list[float]]:
-    """One simultaneous pass: fold every maximal run of violating pairs."""
+    """One simultaneous pass: fold every maximal run of violating pairs.
+
+    A merge's ``InvalidWeight`` gets the ``first`` index of the group it
+    merged in, as the stack kernel's does.
+    """
     firsts, ys, auxs = stack = [], [], []
     prev = None
-    for first, y, aux in groups:
-        if ys and prev >= y:
-            ys[-1], auxs[-1] = merge(ys[-1], auxs[-1], y, aux)
-        else:
-            firsts.append(first)
-            ys.append(y)
-            auxs.append(aux)
-        prev = y
+    try:
+        for first, y, aux in groups:
+            if ys and prev >= y:
+                ys[-1], auxs[-1] = merge(ys[-1], auxs[-1], y, aux)
+            else:
+                firsts.append(first)
+                ys.append(y)
+                auxs.append(aux)
+            prev = y
+    except InvalidWeight as exc:
+        exc.first = first
+        raise
     return stack
 
 

@@ -1572,8 +1572,10 @@ def test_pooled_weight_overflow_exits_2(tmp_path, command, loss, second_score):
     path = write_training_csv(tmp_path / "w.csv", [(0, 1, 1e308), (second_score, 0, 1e308)],
                               header="score,target,weight")
     code, out, err = run_quietly([command[0], path, "--loss", loss, *command[1:]])
-    # fit names the tied score; stream names the row it was pushing.
-    where = {"fit": "ties at score 0.0: " if second_score == 0 else "", "stream": "row 3: "}
+    # fit names the tied score or the score of the group it pooled in;
+    # stream names the row it was pushing.
+    where = {"fit": "ties at score 0.0: " if second_score == 0 else "pool at score 1.0: ",
+             "stream": "row 3: "}
     assert code == 2
     overflow = "summed group weight is not finite: 1e+308 + 1e+308"
     assert err == f"monocal: {where[command[0]]}{overflow}\n"

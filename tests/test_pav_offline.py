@@ -368,8 +368,10 @@ class TestWeightOverflow:
     @pytest.mark.parametrize("family", [WEIGHTED_SQUARE, LOG_LOSS], ids=["square", "logloss"])
     @pytest.mark.parametrize("solver", [fit_stack, fit_direct])
     def test_offline_solvers_raise(self, solver, family):
-        with pytest.raises(InvalidWeight, match="^" + OVERFLOW):
+        with pytest.raises(InvalidWeight, match="^" + OVERFLOW) as caught:
             solver(normalize(OVERFLOW_ROWS, family))
+        # The index of the group being pooled in, which fit names by its score.
+        assert caught.value.first == 1
 
     @pytest.mark.parametrize("family", [WEIGHTED_SQUARE, LOG_LOSS], ids=["square", "logloss"])
     @pytest.mark.parametrize("score", [1.0, 0.0], ids=["pool", "tie"])
@@ -393,6 +395,9 @@ class TestWeightOverflow:
         for pool in (_pool, _pool_means):
             for calls in ([groups], [groups[:1], groups[1:]]):
                 lists = ([], [], [])
-                with pytest.raises(InvalidWeight, match="^" + OVERFLOW):
+                with pytest.raises(InvalidWeight, match="^" + OVERFLOW) as caught:
                     for chunk in calls:
                         pool(*lists, chunk, weighted_square_merge)
+                if pool is _pool_means:
+                    # The kernel names the group it pooled in, for fit's message.
+                    assert caught.value.first == 1
