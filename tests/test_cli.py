@@ -1189,7 +1189,10 @@ def run_quietly(argv, env=None):
 
 
 def assert_reads_like_reference(directory, text, loss="square", env=None):
-    """``fit``, ``apply`` and ``stream`` on ``text`` (str, or bytes as they are) match the reference reader's."""
+    """``fit``, ``apply`` and ``stream`` on ``text`` match the reference reader's.
+
+    ``text`` is a str, written as UTF-8, or bytes, written as they are.
+    """
     path = os.path.join(directory, "in.csv")
     with open(path, "wb") as handle:
         handle.write(text if isinstance(text, bytes) else text.encode("utf-8"))
