@@ -38,7 +38,8 @@ if TYPE_CHECKING:
 # Records read from a CSV at a time, and model values encoded at a time; a
 # larger chunk saves little time and holds more rows in memory.
 _CHUNK_ROWS = 1024
-# The csv module's default field_size_limit: a longer line is left to csv, which rejects it.
+# The csv module's default field_size_limit: a longer line is left to csv, which
+# rejects a field past it.
 _FIELD_LIMIT = 131_072
 MAX_N_ENV = "MONOCAL_MAX_N"
 
