@@ -10,16 +10,19 @@ as its own attributes, loading this module on their first use.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .cli import (
     EXIT_OK, _CHUNK_ROWS, _FAMILIES, _CliError, _family, _read_csv, _training_columns,
 )
 from .errors import InvalidValue, InvalidWeight
 from .staircase import Staircase, _partition_staircase, _steps_at
+
+if TYPE_CHECKING:
+    import argparse
+    from types import SimpleNamespace
 
 __all__ = ["MODEL_VERSION", "model_to_dict", "model_from_dict", "load_model"]
 
@@ -125,7 +128,7 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace | SimpleNamespace) -> int:
     # The loss and problem modules load before anything else the fit
     # allocates: loaded after the --out check, the loss module left the fit's
     # peak RSS about 0.3 MB higher.
@@ -195,7 +198,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace | SimpleNamespace) -> int:
     staircase, _, _ = load_model(args.model)
     values = staircase.values
 

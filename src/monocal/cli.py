@@ -16,18 +16,20 @@ on their first use.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .core import Sample, _valid_rows
 from .errors import CalibrationError, OutOfOrder
 
 if TYPE_CHECKING:
+    import argparse
+
     from .losses import LossFamily
 
 # Each command imports what it runs: its solver module, `losses` (fit and
@@ -280,7 +282,7 @@ def _training_columns(path: str, loss_tag: str) -> list[list[float]]:
     return columns
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
+def _cmd_stream(args: argparse.Namespace | SimpleNamespace) -> int:
     from .online import OnlineState
 
     state = OnlineState(_family(args.loss))
@@ -332,43 +334,112 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 # apply and stream write no diagnostics, so their --quiet does nothing.
 _QUIET_NO_EFFECT = "no effect here; accepted so that scripts can pass --quiet to every command"
 
+# The CLI grammar: each command's help and its arguments in argparse's order, a
+# positional's name or an option's spelling with add_argument's keywords. Every
+# option names its default. _build_parser builds argparse's parser from it, and
+# _plain_args reads a plain argv by it.
+_GRAMMAR: dict[str, tuple[str, tuple[tuple[str, dict[str, Any]], ...]]] = {
+    "fit": ("fit a calibration model from a training CSV", (
+        ("input", {"help": "CSV with columns score,target[,weight]"}),
+        ("--loss", {"choices": _FAMILIES, "default": "square"}),
+        ("--solver", {"choices": ("direct", "stack", "anytime"), "default": "stack",
+                      "help": "direct is the reference solver, quadratic in the worst case"}),
+        # AnytimeConfig()'s defaults, copied so that building the parser loads no
+        # solver; tests/test_cli.py fails when the two drift.
+        ("--delta", {"type": float, "default": None,
+                     "help": "anytime bracket width target (default 1e-06)"}),
+        ("--max-iters", {"type": int, "default": None, "dest": "max_iters",
+                         "help": "anytime round cap (default 256)"}),
+        ("--out", {"default": None, "help": "write the model here instead of stdout"}),
+        ("--quiet", {"action": "store_true", "default": False, "help": "suppress diagnostics"}),
+    )),
+    "apply": ("calibrate scores with a fitted model", (
+        ("model", {"help": "model JSON written by 'fit'"}),
+        ("scores", {"help": "CSV with a 'score' column"}),
+        ("--quiet", {"action": "store_true", "default": False, "help": _QUIET_NO_EFFECT}),
+    )),
+    "stream": ("drive the online solver over ordered rows", (
+        ("input", {"help": "CSV with columns score,target[,weight], score-ordered"}),
+        ("--loss", {"choices": _FAMILIES, "default": "square"}),
+        ("--quiet", {"action": "store_true", "default": False, "help": _QUIET_NO_EFFECT}),
+    )),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="monocal",
         description="Fit and apply optimal monotone staircase calibrations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="fit a calibration model from a training CSV")
-    fit.add_argument("input", help="CSV with columns score,target[,weight]")
-    fit.add_argument("--loss", choices=_FAMILIES, default="square")
-    fit.add_argument("--solver", choices=("direct", "stack", "anytime"), default="stack",
-                     help="direct is the reference solver, quadratic in the worst case")
-    # AnytimeConfig()'s defaults, copied so that building the parser loads no
-    # solver; tests/test_cli.py fails when the two drift.
-    fit.add_argument("--delta", type=float, default=None,
-                     help="anytime bracket width target (default 1e-06)")
-    fit.add_argument("--max-iters", type=int, default=None, dest="max_iters",
-                     help="anytime round cap (default 256)")
-    fit.add_argument("--out", default=None, help="write the model here instead of stdout")
-    fit.add_argument("--quiet", action="store_true", help="suppress diagnostics")
-
-    apply_ = sub.add_parser("apply", help="calibrate scores with a fitted model")
-    apply_.add_argument("model", help="model JSON written by 'fit'")
-    apply_.add_argument("scores", help="CSV with a 'score' column")
-    apply_.add_argument("--quiet", action="store_true", help=_QUIET_NO_EFFECT)
-
-    stream = sub.add_parser("stream", help="drive the online solver over ordered rows")
-    stream.add_argument("input", help="CSV with columns score,target[,weight], score-ordered")
-    stream.add_argument("--loss", choices=_FAMILIES, default="square")
-    stream.add_argument("--quiet", action="store_true", help=_QUIET_NO_EFFECT)
+    for command, (help_text, arguments) in _GRAMMAR.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            command_parser.add_argument(name, **keywords)
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain ``argv``, or None if ``argv`` is not plain.
+
+    Plain: the first token names a command, and each other token is a
+    positional that does not start with ``-`` or one of the command's exact
+    option spellings: ``--quiet``, ``--opt value`` with a value that does not
+    start with ``-``, or ``--opt=value``. Each value passes its option's type
+    and choices, a repeated option keeps its last value, and the positional
+    count is the command's. Any other argv (help, an abbreviation, ``--``, a
+    token that starts with ``-``, a bad value) is left to argparse, the one
+    code that prints usage and errors.
+    """
+    grammar = _GRAMMAR.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    positionals = [name for name, _ in grammar[1] if name[0] != "-"]
+    options = {name: keywords for name, keywords in grammar[1] if name[0] == "-"}
+    values: dict[str, Any] = {"command": argv[0]}
+    for name, keywords in options.items():
+        values[keywords.get("dest", name[2:])] = keywords["default"]
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        name, equals, value = token.partition("=")
+        keywords = options.get(name)
+        if keywords is None:
+            return None
+        if "action" in keywords:  # store_true: takes no value
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                value = next(tokens, "-")
+                if value[:1] == "-":
+                    return None
+            convert = keywords.get("type")
+            try:
+                value = convert(value) if convert else value
+            except (TypeError, ValueError):
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[keywords.get("dest", name[2:])] = value
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         if args.command == "stream":
             return _cmd_stream(args)

@@ -1778,3 +1778,125 @@ def test_pipe_closed_before_the_first_write_exits_quietly(golden_csv, tmp_path, 
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+# Pieces of an argv: positionals, each command's exact option spellings with
+# values that pass, and other pieces: another command's options,
+# abbreviations, bad values and tokens that argparse reads in its own ways.
+POSITIONALS = ("in.csv", "model.json", "", "square", "fit")
+QUIET = (["--quiet"],)
+LOSS_OPTIONS = (["--loss", "square"], ["--loss", "logloss"], ["--loss=square"], ["--loss=logloss"])
+PLAIN_OPTIONS = {
+    "fit": QUIET + LOSS_OPTIONS + (
+        ["--solver", "anytime"], ["--solver", "direct"], ["--solver=stack"], ["--delta", "1e-3"],
+        ["--delta", "nan"], ["--delta", "1_0"], ["--delta", " 2 "], ["--delta=-1"],
+        ["--delta=nan"], ["--max-iters", "7"], ["--max-iters", "1_0"], ["--max-iters=3"],
+        ["--out", "m.json"], ["--out", ""], ["--out=-x"], ["--out="]),
+    "apply": QUIET,
+    "stream": QUIET + LOSS_OPTIONS,
+}
+OTHER_PIECES = (
+    ["-"], ["--"], ["-h"], ["--help"], ["--he"], ["-x y"], ["--bogus"], ["-1"],
+    ["--loss", "square"], ["--solver", "stack"], ["--out", "m.json"], ["--loss", "bad"],
+    ["--loss"], ["--lo", "square"], ["--loss=bad"], ["--loss="], ["--loss=square=x"],
+    ["--solver", "quick"], ["--sol", "stack"], ["--delta", "-1"], ["--delta", "0x10"],
+    ["--delta", ""], ["--del", "1"], ["--max-iters", "0x10"], ["--max-iters", "nan"],
+    ["--max-iters", "-1"], ["--max_iters", "3"], ["--max", "3"], ["--out", "-"],
+    ["--o", "m.json"], ["--out"], ["--quiet=1"], ["--quiet="], ["--q"], ["-q"],
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command (or not), then positionals, its options and none to two other pieces, in any order."""
+    command = draw(st.sampled_from(["fit", "apply", "stream"] * 3 + ["--help", "in.csv"]))
+    options = PLAIN_OPTIONS.get(command, PLAIN_OPTIONS["fit"])
+    pieces = [[draw(st.sampled_from(POSITIONALS))]
+              for _ in range(draw(st.sampled_from([0, 1, 1, 2, 2, 3])))]
+    pieces += [draw(st.sampled_from(options)) for _ in range(draw(st.integers(0, 4)))]
+    pieces += [draw(st.sampled_from(OTHER_PIECES))
+               for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])))]
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def argparse_values(argv):
+    """``vars()`` of argparse's namespace for ``argv``, or None where it exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def reprs(values):
+    # The repr of each value: NaN equals NaN, and 1 differs from 1.0 and "1".
+    return {name: repr(value) for name, value in values.items()}
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(argvs())
+def test_a_plain_argv_reads_as_argparse_reads_it(argv):
+    plain = cli._plain_args(argv)
+    want = argparse_values(argv)
+    if plain is not None:
+        assert want is not None and reprs(vars(plain)) == reprs(want), argv
+
+
+@pytest.mark.parametrize("plain", [["fit", "in.csv", "--loss", "square"],
+                                   ["apply", "model.json", "in.csv"], ["stream", "in.csv"]])
+def test_one_other_piece_in_a_plain_argv(plain):
+    # Each other piece after the command and at the end of a plain argv.
+    for piece in OTHER_PIECES:
+        for argv in ([plain[0], *piece, *plain[1:]], plain + piece):
+            got = cli._plain_args(argv)
+            if got is not None:
+                assert reprs(vars(got)) == reprs(argparse_values(argv)), argv
+
+
+GOLDEN_ARGV = [key.split(" ") for key in json.loads(
+    open(os.path.join(os.path.dirname(__file__), "golden.json"), encoding="utf-8").read())]
+# The benchmark children's argv (perfbench/run.py), for each loss.
+BENCHMARK_ARGV = [argv for loss in ("square", "logloss") for argv in (
+    ["fit", "fit.csv", "--loss", loss, "--out", "model.json", "--quiet"],
+    ["fit", "anytime.csv", "--loss", loss, "--solver", "anytime", "--out", "any.json", "--quiet"],
+    ["apply", "model.json", "apply.csv"],
+    ["stream", "stream0.csv", "--loss", loss],
+)]
+
+
+def test_the_golden_and_benchmark_argv_are_plain():
+    for argv in GOLDEN_ARGV + BENCHMARK_ARGV:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert reprs(vars(plain)) == reprs(argparse_values(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "in.csv", "--solver=anytime", "--delta=1e-3", "--max-iters=1_0", "--out=-x"],
+    ["fit", "--quiet", "in.csv", "--loss", "square", "--loss", "logloss", "--quiet"],
+    ["apply", "model.json", "--quiet", "scores.csv"],
+    ["stream", "", "--loss=logloss"],
+    ["fit", "in.csv", "--delta", "nan", "--out", ""],
+], ids=["equals-forms", "repeated", "interleaved", "empty-positional", "nan-and-empty-out"])
+def test_plain_argv_forms(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert reprs(vars(plain)) == reprs(argparse_values(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["fit", "--help"], ["fit", "in.csv", "-h"], ["fit", "in.csv", "--lo", "square"],
+    ["fit", "in.csv", "--bogus"], ["fit", "in.csv", "--loss=bad"], ["fit", "in.csv", "--loss", "bad"],
+    ["fit"], ["apply", "model.json"], ["apply", "a", "b", "c"], ["fit", "in.csv", "--delta", "-1"],
+    ["fit", "--", "in.csv"], ["fit", "in.csv", "--"], ["fit", "in.csv", "--out"],
+    ["fit", "in.csv", "--max-iters", "0x10"], ["stream", "in.csv", "--quiet=1"], ["stream", "-"],
+    ["apply", "model.json", "scores.csv", "--loss", "square"], ["bogus", "in.csv"],
+])
+def test_argv_that_only_argparse_judges_is_not_plain(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_main_reads_a_plain_argv_without_argparse(golden_csv, capsys):
+    with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("argparse ran")):
+        code, stdout, _ = run(capsys, "stream", golden_csv, "--loss=square")
+    assert code == 0 and stdout.startswith("n,steps,merges,values\n")

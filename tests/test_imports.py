@@ -29,15 +29,17 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# The monocal modules loaded, plus ``csv``, ``dataclasses``, ``inspect`` and
-# ``json`` if loaded: only a CSV line that is not plain needs ``csv``, no import
+# The monocal modules loaded, plus ``argparse``, ``csv``, ``dataclasses``,
+# ``inspect`` and ``json`` if loaded: only help and an argv that is not plain
+# need ``argparse``, only a CSV line that is not plain needs ``csv``, no import
 # or command needs the next two (``dataclasses`` imports ``inspect``, and with
 # it ``ast``, ``dis`` and ``tokenize``), and only the commands that read or
 # write a model need ``json``. The list is taken before ``json`` is imported to
 # print it, so the code before it must not import json.
 LOADED = (
     "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'monocal'"
-    " or m in ('csv', 'dataclasses', 'inspect', 'json')); import json; print(json.dumps(loaded))"
+    " or m in ('argparse', 'csv', 'dataclasses', 'inspect', 'json')); import json;"
+    " print(json.dumps(loaded))"
 )
 
 
@@ -147,7 +149,8 @@ def command_loads(tmp_path, argv, rows_text="score,target\n1,10\n2,30\n3,20\n"):
     return fresh(code)
 
 
-# On a plain CSV file no command loads the csv module.
+# On a plain CSV file no command loads the csv module, and on a plain argv
+# none loads argparse: help and an abbreviated option do.
 @pytest.mark.parametrize(
     "argv, loads",
     [
@@ -157,9 +160,11 @@ def command_loads(tmp_path, argv, rows_text="score,target\n1,10\n2,30\n3,20\n"):
         (["fit", "{rows}", "--solver", "anytime", "--quiet"], [*FIT_LOADS, "monocal.anytime"]),
         # The online path only: no offline solver and no staircase transform.
         (["stream", "{rows}"], ["monocal.losses", "monocal.online"]),
-        (["--help"], []),
+        (["--help"], ["argparse"]),
+        (["fit", "{rows}", "--lo", "square", "--quiet"],
+         [*FIT_LOADS, "monocal.pav_offline", "argparse"]),
     ],
-    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help"],
+    ids=["apply", "fit-stack", "fit-direct", "fit-anytime", "stream", "help", "fit-abbreviated"],
 )
 def test_each_command_loads_only_its_solver(tmp_path, argv, loads):
     assert command_loads(tmp_path, argv) == sorted(CLI_MODULES + loads)
