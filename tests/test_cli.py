@@ -1203,7 +1203,9 @@ def assert_reads_like_reference(directory, text, loss="square", env=None):
     for argv in (["fit", path, "--loss", loss], ["apply", model, path],
                  ["stream", path, "--loss", loss]):
         got = run_quietly(argv, env)
-        with mock.patch.object(cli, "_read_csv", reference_read_csv):
+        # apply calls the name that _model_commands imported from cli.
+        with mock.patch.object(cli, "_read_csv", reference_read_csv), \
+                mock.patch.object(_model_commands, "_read_csv", reference_read_csv):
             want = run_quietly(argv, env)
         assert got == want, argv[0]
         results[argv[0]] = got
@@ -1681,6 +1683,92 @@ def test_chunked_reader_matches_the_row_reader(case):
     text, loss, env = case
     with tempfile.TemporaryDirectory() as directory:
         assert_reads_like_reference(directory, text, loss, env)
+
+
+# One defect each that the plain path must leave to the csv module, and a
+# row out of score order, which a plain chunk reads and stream rejects. A
+# lone carriage return ends the defect's line after an empty field; an
+# undecodable byte is Latin-1.
+BOUNDARY_DEFECTS = ("quote", "lone-cr", "nul", "extra", "short", "blank", "oversized",
+                    "no-final-newline", "undecodable", "unordered")
+
+
+@st.composite
+def boundary_texts(draw, defect):
+    """A plain run of about one or two chunks of rows, then ``defect``, then a few plain rows.
+
+    The defect is on the row after the run, so it falls before, at or after a
+    chunk boundary. Its field is the note, or the score in a one-column file.
+    Notes are numbers, so that a field read from the wrong column still parses.
+    """
+    header = draw(st.sampled_from(["score,target,note", "score,target,weight,note",
+                                   "note,score,target", "score", "score"]))
+    run = draw(st.sampled_from([cli._CHUNK_ROWS, 2 * cli._CHUNK_ROWS])) + draw(st.integers(-2, 2))
+    after = 0 if defect == "no-final-newline" else draw(st.sampled_from([0, 1, 5, 40]))
+    loss = draw(st.sampled_from(["square", "logloss"]))
+    cap = draw(st.sampled_from([None, None, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS + 1,
+                                run, run + 1]))
+    names = header.split(",")
+
+    def row(i):
+        values = {"score": repr(i + 0.5), "target": str(i % 2), "weight": "1.5", "note": "5"}
+        return [values[name] for name in names]
+
+    lines = [header + "\n"] + [",".join(row(i)) + "\n" for i in range(run)]
+    fields = row(run)
+    field = names.index("note" if "note" in names else "score")
+    end = "\n"
+    if defect == "quote":
+        # A note over two lines, the second of which looks like a row.
+        fields[field] = f'"5\n{run + 0.75!r},1,5"' if "note" in names else f'"{fields[field]}"'
+    elif defect == "lone-cr":
+        fields[-1] = ""
+        end = "\r"
+    elif defect == "nul":
+        fields[field] += "\0"
+    elif defect == "extra":
+        fields.append("7")
+    elif defect == "short":
+        fields.pop()
+    elif defect == "blank":
+        lines.append("\n")
+    elif defect == "oversized":
+        fields[field] = "5" * (cli._FIELD_LIMIT + 1)
+    elif defect == "no-final-newline":
+        end = ""
+    elif defect == "undecodable":
+        fields[field] += "\ue000"
+    elif defect == "unordered":
+        fields[names.index("score")] = "0.25"
+    lines.append(",".join(fields) + end)
+    lines += [",".join(row(i)) + "\n" for i in range(run + 1, run + 1 + after)]
+    text = "".join(lines).encode("utf-8").replace("\ue000".encode("utf-8"), b"\xe9")
+    return text, loss, {} if cap is None else {cli.MAX_N_ENV: str(cap)}
+
+
+@pytest.mark.parametrize("defect", BOUNDARY_DEFECTS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_chunked_reader_matches_the_row_reader_at_a_defect(defect, data):
+    text, loss, env = data.draw(boundary_texts(defect))
+    with tempfile.TemporaryDirectory() as directory:
+        assert_reads_like_reference(directory, text, loss, env)
+        # No command reads only a column that the file lacks: each row's
+        # default, a blank line no row, then the error if there is one.
+        path = os.path.join(directory, "in.csv")
+        assert default_rows(cli._read_csv, path, env) == default_rows(reference_read_csv, path, env)
+
+
+def default_rows(reader, path, env):
+    """``reader``'s ``(row, 7.0)`` pairs for a column that the file lacks, then its error."""
+    rows = []
+    with mock.patch.dict(os.environ, env):
+        try:
+            for lines, (xs,) in reader(path, {"x": 7.0}, lambda *columns: columns):
+                rows += zip(lines, xs)
+        except cli._CliError as exc:
+            rows.append(str(exc))
+    return rows
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
