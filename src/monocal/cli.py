@@ -7,9 +7,11 @@ metadata; unknown fields are rejected on load. Exit codes: 0 success,
 2 input or usage error, 3 ordering violation in stream mode, 141 stdout
 closed by its reader (console script only).
 
-This module holds the parser, the CSV reader and ``stream``. ``fit``,
-``apply`` and the model file live in ``monocal._model_commands``, which
-``main`` imports only for those two commands. This module serves that
+This module holds the CLI grammar, the CSV reader and ``stream``. A plain
+argv (see ``_plain_args``) is read without argparse; ``argparse`` is imported
+only to build the parser, for help and for any argv that only it can judge.
+``fit``, ``apply`` and the model file live in ``monocal._model_commands``,
+which ``main`` imports only for those two commands. This module serves that
 module's public names (``_MODEL_FILE``) as its own attributes, loading it
 on their first use.
 """
@@ -34,7 +36,8 @@ if TYPE_CHECKING:
 
 # Each command imports what it runs: its solver module, `losses` (fit and
 # stream), `problem` (fit), and the model-file commands' module and `json`
-# (fit and apply).
+# (fit and apply). `argparse` is imported for help and for an argv that is
+# not plain, and `csv` for a CSV line that is not plain.
 # `monocal.cli` itself loads core and errors only.
 
 # Records read from a CSV at a time, and model values encoded at a time; a
@@ -387,11 +390,11 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     Plain: the first token names a command, and each other token is a
     positional that does not start with ``-`` or one of the command's exact
     option spellings: ``--quiet``, ``--opt value`` with a value that does not
-    start with ``-``, or ``--opt=value``. Each value passes its option's type
-    and choices, a repeated option keeps its last value, and the positional
-    count is the command's. Any other argv (help, an abbreviation, ``--``, a
-    token that starts with ``-``, a bad value) is left to argparse, the one
-    code that prints usage and errors.
+    start with ``-``, or ``--opt=value`` with a value other than ``--``. Each
+    value passes its option's type and choices, a repeated option keeps its
+    last value, and the positional count is the command's. Any other argv
+    (help, an abbreviation, ``--``, a token that starts with ``-``, a bad
+    value) is left to argparse, the one code that prints usage and errors.
     """
     grammar = _GRAMMAR.get(argv[0]) if argv else None
     if grammar is None:
@@ -420,6 +423,8 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
                 value = next(tokens, "-")
                 if value[:1] == "-":
                     return None
+            elif value == "--":
+                return None  # Python 3.11's argparse reads "--opt=--" as an empty list
             convert = keywords.get("type")
             try:
                 value = convert(value) if convert else value

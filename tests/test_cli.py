@@ -1890,7 +1890,8 @@ OTHER_PIECES = (
     ["--solver", "quick"], ["--sol", "stack"], ["--delta", "-1"], ["--delta", "0x10"],
     ["--delta", ""], ["--del", "1"], ["--max-iters", "0x10"], ["--max-iters", "nan"],
     ["--max-iters", "-1"], ["--max_iters", "3"], ["--max", "3"], ["--out", "-"],
-    ["--o", "m.json"], ["--out"], ["--quiet=1"], ["--quiet="], ["--q"], ["-q"],
+    ["--o", "m.json"], ["--out"], ["--out=--"], ["--loss=--"], ["--quiet=1"], ["--quiet="],
+    ["--q"], ["-q"],
 )
 
 
@@ -1978,6 +1979,7 @@ def test_plain_argv_forms(argv):
     ["fit"], ["apply", "model.json"], ["apply", "a", "b", "c"], ["fit", "in.csv", "--delta", "-1"],
     ["fit", "--", "in.csv"], ["fit", "in.csv", "--"], ["fit", "in.csv", "--out"],
     ["fit", "in.csv", "--max-iters", "0x10"], ["stream", "in.csv", "--quiet=1"], ["stream", "-"],
+    ["fit", "in.csv", "--out=--"],
     ["apply", "model.json", "scores.csv", "--loss", "square"], ["bogus", "in.csv"],
 ])
 def test_argv_that_only_argparse_judges_is_not_plain(argv):
