@@ -1942,8 +1942,6 @@ def test_one_other_piece_in_a_plain_argv(plain):
                 assert reprs(vars(got)) == reprs(argparse_values(argv)), argv
 
 
-GOLDEN_ARGV = [key.split(" ") for key in json.loads(
-    open(os.path.join(os.path.dirname(__file__), "golden.json"), encoding="utf-8").read())]
 # The benchmark children's argv (perfbench/run.py), for each loss.
 BENCHMARK_ARGV = [argv for loss in ("square", "logloss") for argv in (
     ["fit", "fit.csv", "--loss", loss, "--out", "model.json", "--quiet"],
@@ -1954,7 +1952,9 @@ BENCHMARK_ARGV = [argv for loss in ("square", "logloss") for argv in (
 
 
 def test_the_golden_and_benchmark_argv_are_plain():
-    for argv in GOLDEN_ARGV + BENCHMARK_ARGV:
+    with open(os.path.join(os.path.dirname(__file__), "golden.json"), encoding="utf-8") as handle:
+        golden = [key.split(" ") for key in json.load(handle)]
+    for argv in golden + BENCHMARK_ARGV:
         plain = cli._plain_args(argv)
         assert plain is not None, argv
         assert reprs(vars(plain)) == reprs(argparse_values(argv)), argv
