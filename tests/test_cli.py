@@ -1685,12 +1685,14 @@ def test_chunked_reader_matches_the_row_reader(case):
         assert_reads_like_reference(directory, text, loss, env)
 
 
-# One defect each that the plain path must leave to the csv module, and a
-# row out of score order, which a plain chunk reads and stream rejects. A
-# lone carriage return ends the defect's line after an empty field; an
-# undecodable byte is Latin-1.
+# One defect each that the plain path must leave to the csv module, a row
+# out of score order, which a plain chunk reads and stream rejects, and an
+# empty field: the weight's, which reads as its default, or else the
+# target's, an error (a blank line in a one-column file). A lone carriage
+# return ends the defect's line after an empty field; an undecodable byte is
+# Latin-1.
 BOUNDARY_DEFECTS = ("quote", "lone-cr", "nul", "extra", "short", "blank", "oversized",
-                    "no-final-newline", "undecodable", "unordered")
+                    "no-final-newline", "undecodable", "unordered", "empty-field")
 
 
 @st.composite
@@ -1740,6 +1742,9 @@ def boundary_texts(draw, defect):
         fields[field] += "\ue000"
     elif defect == "unordered":
         fields[names.index("score")] = "0.25"
+    elif defect == "empty-field":
+        empty = next(name for name in ("weight", "target", "score") if name in names)
+        fields[names.index(empty)] = ""
     lines.append(",".join(fields) + end)
     lines += [",".join(row(i)) + "\n" for i in range(run + 1, run + 1 + after)]
     text = "".join(lines).encode("utf-8").replace("\ue000".encode("utf-8"), b"\xe9")

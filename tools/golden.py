@@ -42,6 +42,13 @@ FIT_ROWS = 2_000
 STREAM_ROWS = 250
 SEED = 1
 
+
+def _row(i: int) -> str:
+    """Row ``i`` of ``empty-weight.csv``: 0/1 targets, more of them 1 as ``i`` grows."""
+    score = f'"{i + 0.5!r}"' if i == 2059 else repr(i + 0.5)
+    return f"{score},{int(i % 7 < i * 7 // 2100)},{'' if i == 99 else 1 + i % 4}\n"
+
+
 # The CI workflow's inline inputs, and one each for the failures it does not write.
 EDGE_INPUTS = {
     "rows.csv": "score,target\n1,10\n2,30\n3,20\n",
@@ -78,6 +85,9 @@ EDGE_INPUTS = {
     # A NUL in an unpicked column, after a bad row of the same chunk: the bad
     # row's error on every Python (3.10's csv rejects the NUL, 3.11's reads it).
     "nul.csv": "score,target,note\n1,10,a\n2,x,b\n3,20,c\0d\n",
+    # 2,100 score-ordered rows, three 1,024-row chunks: an empty weight
+    # (weight 1) in the first chunk and a quoted score in the third.
+    "empty-weight.csv": "score,target,weight\n" + "".join(map(_row, range(2100))),
 }
 APPLY_EDGES = "score\n-inf\n-1e308\n0\n1.5\n2.5\n1e308\ninf\n"
 # A one-column file with blank lines, the first before any score.
