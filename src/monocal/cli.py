@@ -86,15 +86,16 @@ def _read_csv(
     A plain chunk is split at newlines and commas in C: its lines hold no
     quote, carriage return or NUL, each ends in a newline, holds one comma
     fewer than the header has names and is within the csv module's field
-    limit, and no line of a one-column file is blank. The first chunk that is
-    not plain, or whose numbers or ``build`` fail, or that would pass the cap,
-    is read by the csv module with the rest of the file; so is a header that
-    is not one plain line. When anything in a csv chunk fails (a field that is
-    not a number or needs its default, a ``build`` error, the cap, a CSV
-    error), it is read again row by row: the rows before the failure are
-    yielded, and then its error is raised, a bad row's with a ``row N:``
-    prefix (N is the line the record ends on). Undecodable text and
-    csv-module errors (such as an oversized field) are usage errors.
+    limit, and no line of a one-column file is blank. The csv module reads a
+    header that is not one plain line, and the rest of the file from the
+    first chunk that is not plain. Any chunk whose numbers, defaults,
+    ``build`` or cap fail (a field that is not a number or needs its default,
+    a ``build`` error, rows past the cap) is read again row by row, plain or
+    not: the rows before a failure are yielded one at a time, and then
+    its error is raised, a bad row's with a ``row N:`` prefix (N is the line
+    the record ends on). A CSV error ends a csv chunk; its records before
+    the error are read first. Undecodable text and csv-module errors (such as
+    an oversized field) are usage errors.
     """
     raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
@@ -147,94 +148,85 @@ def _read_csv(
     picks = [(name, index.get(name), default) for name, default in columns.items()]
     width = len(header)
 
-    def by_row(records: list[list[str]], rows: list[int], seen: int):
-        """Yield a chunk's rows one at a time; raise the first bad row's error."""
-        for number, fields, row in zip(count(seen + 1), records, rows):
-            if 0 < cap < number:
-                raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
-            numbers = []
-            for name, i, default in picks:
-                text = fields[i] if i is not None and i < len(fields) else ""
-                try:
-                    numbers.append(float(text) if text or default is None else default)
-                except ValueError:
-                    raise _CliError(f"row {row}: column {name!r} is not a number: {text!r}")
-            try:
-                item = build(*([x] for x in numbers))
-            except CalibrationError as exc:
-                raise _CliError(f"row {row}: {exc}")
-            yield [row], item
-
-    def by_csv(seen: int) -> Iterator[tuple[list[int], Any]]:
-        """The chunks from ``lines`` on, read by the csv module."""
-        import csv
-
-        reader = csv.reader(chain(lines, rest))
-        while True:
-            start = reader.line_num
-            records: list[list[str]] = []
-            rows: list[int] = []
-            error = None
-            try:
-                for fields in islice(reader, _CHUNK_ROWS):
-                    if fields:
-                        records.append(fields)
-                        rows.append(taken + reader.line_num)
-            except (UnicodeDecodeError, csv.Error) as exc:
-                # The records read before the error still count.
-                error = parse_error(exc, taken + reader.line_num)
-            items = None
-            if records and not 0 < cap < seen + len(records):
-                try:
-                    items = build(*(
-                        [default] * len(records) if i is None
-                        else list(map(float, map(itemgetter(i), records)))
-                        for _, i, default in picks
-                    ))
-                except (IndexError, ValueError, CalibrationError):
-                    pass  # read again row by row, for the defaults or the error
-            if items is not None:
-                yield rows, items
-            elif records:
-                yield from by_row(records, rows, seen)
-            seen += len(records)
-            if error is not None:
-                raise error
-            if reader.line_num == start:
-                return
-
     def chunks() -> Iterator[tuple[Sequence[int], Any]]:
         nonlocal taken
         seen = 0
+        reader = None  # the csv module's, from the first chunk that is not plain
         with handle:
             while True:
-                read(_CHUNK_ROWS)
-                n = len(lines)
-                if not n and rest is handle:
-                    return
-                text = "".join(lines)
-                if (rest is handle and text[-1] == "\n" and _unquoted(text)
-                        and not 0 < cap < seen + n
-                        # No Python call per line: str.count runs in map.
-                        and set(map(str.count, lines, repeat(","))) == {width - 1}
-                        and (len(text) <= _FIELD_LIMIT or max(map(len, lines)) <= _FIELD_LIMIT)
-                        and (width > 1 or "\n\n" not in text and text[0] != "\n")):
-                    flat = text[:-1].replace("\n", ",").split(",")
+                error = None
+                if reader is None:
+                    read(_CHUNK_ROWS)
+                    n = len(lines)
+                    if not n and rest is handle:
+                        return
+                    text = "".join(lines)
+                    if (rest is handle and text[-1] == "\n" and _unquoted(text)
+                            # No Python call per line: str.count runs in map.
+                            and set(map(str.count, lines, repeat(","))) == {width - 1}
+                            and (len(text) <= _FIELD_LIMIT or max(map(len, lines)) <= _FIELD_LIMIT)
+                            and (width > 1 or "\n\n" not in text and text[0] != "\n")):
+                        flat = text[:-1].replace("\n", ",").split(",")
+                        rows: Sequence[int] = range(taken + 1, taken + n + 1)
+                    else:
+                        import csv
+
+                        reader = csv.reader(chain(lines, rest))
+                if reader is not None:
+                    start = reader.line_num
+                    records: list[list[str]] = []
+                    rows = []
+                    try:
+                        for fields in islice(reader, _CHUNK_ROWS):
+                            if fields:
+                                records.append(fields)
+                                rows.append(taken + reader.line_num)
+                    except (UnicodeDecodeError, csv.Error) as exc:
+                        # The records read before the error still count.
+                        error = parse_error(exc, taken + reader.line_num)
+                    n = len(records)
+                items = None
+                if n and not 0 < cap < seen + n:
                     try:
                         items = build(*(
-                            [default] * n if i is None else list(map(float, flat[i::width]))
+                            [default] * n if i is None
+                            else list(map(float, flat[i::width] if reader is None
+                                          else map(itemgetter(i), records)))
                             for _, i, default in picks
                         ))
-                    except (ValueError, CalibrationError):
-                        pass  # the csv module reads it, for the defaults or the error
-                    else:
-                        yield range(taken + 1, taken + n + 1), items
-                        taken += n
-                        seen += n
-                        lines.clear()
-                        continue
-                yield from by_csv(seen)
-                return
+                    except (IndexError, ValueError, CalibrationError):
+                        pass  # read again row by row, for the defaults or the error
+                if items is not None:
+                    yield rows, items
+                else:
+                    # The rows one at a time: those before the first bad one, then its error.
+                    if reader is None:
+                        records = [line[:-1].split(",") for line in lines]
+                    for number, fields, row in zip(count(seen + 1), records, rows):
+                        if 0 < cap < number:
+                            raise _CliError(f"{path}: more than {MAX_N_ENV}={cap} rows")
+                        numbers = []
+                        for name, i, default in picks:
+                            field = fields[i] if i is not None and i < len(fields) else ""
+                            try:
+                                numbers.append(
+                                    float(field) if field or default is None else default)
+                            except ValueError:
+                                raise _CliError(
+                                    f"row {row}: column {name!r} is not a number: {field!r}")
+                        try:
+                            item = build(*([x] for x in numbers))
+                        except CalibrationError as exc:
+                            raise _CliError(f"row {row}: {exc}")
+                        yield [row], item
+                seen += n
+                if error is not None:
+                    raise error
+                if reader is None:
+                    taken += n
+                    lines.clear()
+                elif reader.line_num == start:
+                    return
 
     return chunks()
 
