@@ -1232,6 +1232,19 @@ class TestChunkedReader:
         assert results["apply"][1].count("\n") == record
         assert results["stream"][1].count("\n") == record
 
+    @pytest.mark.parametrize("cap", [None, 2 * cli._CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("record", [cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+    def test_plain_chunks_after_an_empty_weight(self, tmp_path, record, cap):
+        # The chunk that holds the empty weight is read again row by row, and
+        # the chunks after it keep their row numbers and their count for the cap.
+        text = training_text(2200, header="score,target,weight",
+                             row=lambda i: f"{i + 0.5!r},{i % 7},{'' if i == record - 1 else 2}")
+        env = {} if cap is None else {cli.MAX_N_ENV: str(cap)}
+        results = assert_reads_like_reference(str(tmp_path), text, env=env)
+        assert [results[command][0] for command in results] == [0 if cap is None else 2] * 3
+        path = str(tmp_path / "in.csv")
+        assert default_rows(cli._read_csv, path, env) == default_rows(reference_read_csv, path, env)
+
     def test_blank_lines_and_a_multi_line_field_across_the_chunk_boundary(self, tmp_path):
         rows = [f"{i + 0.5!r},{i % 7},\"note {i}\"" for i in range(1100)]
         for k in (1015, 1021, 1022, 1026, 1029):
@@ -1706,7 +1719,8 @@ def boundary_texts(draw, defect):
     header = draw(st.sampled_from(["score,target,note", "score,target,weight,note",
                                    "note,score,target", "score", "score"]))
     run = draw(st.sampled_from([cli._CHUNK_ROWS, 2 * cli._CHUNK_ROWS])) + draw(st.integers(-2, 2))
-    after = 0 if defect == "no-final-newline" else draw(st.sampled_from([0, 1, 5, 40]))
+    after = 0 if defect == "no-final-newline" else draw(
+        st.sampled_from([0, 1, 5, 40, cli._CHUNK_ROWS]))
     loss = draw(st.sampled_from(["square", "logloss"]))
     cap = draw(st.sampled_from([None, None, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS + 1,
                                 run, run + 1]))
@@ -1758,19 +1772,24 @@ def test_chunked_reader_matches_the_row_reader_at_a_defect(defect, data):
     text, loss, env = data.draw(boundary_texts(defect))
     with tempfile.TemporaryDirectory() as directory:
         assert_reads_like_reference(directory, text, loss, env)
-        # No command reads only a column that the file lacks: each row's
-        # default, a blank line no row, then the error if there is one.
+        # No command reads only a column that the file lacks, nor shows each
+        # row's number: each row's default and weight, a blank line no row,
+        # then the error if there is one.
         path = os.path.join(directory, "in.csv")
         assert default_rows(cli._read_csv, path, env) == default_rows(reference_read_csv, path, env)
 
 
 def default_rows(reader, path, env):
-    """``reader``'s ``(row, 7.0)`` pairs for a column that the file lacks, then its error."""
+    """``reader``'s ``(row, 7.0, weight)`` for a column that the file lacks, then its error.
+
+    A missing or empty weight reads as 7.0 too.
+    """
     rows = []
     with mock.patch.dict(os.environ, env):
         try:
-            for lines, (xs,) in reader(path, {"x": 7.0}, lambda *columns: columns):
-                rows += zip(lines, xs)
+            for lines, (xs, weights) in reader(path, {"x": 7.0, "weight": 7.0},
+                                               lambda *columns: columns):
+                rows += zip(lines, xs, weights)
         except cli._CliError as exc:
             rows.append(str(exc))
     return rows
