@@ -436,7 +436,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # Python 3.11's argparse reads "--opt=--" as []
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         if args.command == "stream":
             return _cmd_stream(args)

@@ -2014,3 +2014,31 @@ def test_main_reads_a_plain_argv_without_argparse(golden_csv, capsys):
     with mock.patch.object(cli, "_build_parser", side_effect=AssertionError("argparse ran")):
         code, stdout, _ = run(capsys, "stream", golden_csv, "--loss=square")
     assert code == 0 and stdout.startswith("n,steps,merges,values\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "rows.csv", "--out=--"],
+    ["fit", "rows.csv", "--loss=--", "--out", "m.json"],
+    ["fit", "rows.csv", "--solver", "anytime", "--delta=--", "--out", "m.json"],
+    ["fit", "rows.csv", "--solver", "anytime", "--max-iters=--", "--out", "m.json"],
+    ["fit", "rows.csv", "--solver=--", "--out", "m.json"],
+    ["stream", "rows.csv", "--loss=--"],
+], ids=["out", "loss", "delta", "max-iters", "solver", "stream-loss"])
+def test_an_option_given_as_equals_dashes(tmp_path, monkeypatch, argv):
+    # Python 3.11's argparse stores [] for "--opt=--"; main rejects it as a
+    # missing value. Where argparse stores no list, main only must not raise.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text("score,target\n1,10\n2,30\n3,20\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    values = argparse_values(argv) or {}
+    if any(isinstance(value, list) for value in values.values()):
+        assert (code, out.getvalue()) == (cli.EXIT_USAGE, "")
+        assert err.getvalue().startswith("usage: monocal ")
+        assert err.getvalue().endswith(": expected one argument\n")
+        assert "Traceback" not in err.getvalue()
+        assert os.listdir(tmp_path) == ["rows.csv"]
