@@ -127,8 +127,11 @@ MODEL_LOADS = ["json", "monocal._model_commands", "monocal.staircase"]
 FIT_LOADS = [*MODEL_LOADS, "monocal.losses", "monocal.problem"]
 
 
-def command_loads(tmp_path, argv, rows_text="score,target\n1,10\n2,30\n3,20\n"):
-    """The modules ``LOADED`` lists after ``monocal <argv>`` ran in a fresh interpreter."""
+def command_loads(tmp_path, argv, rows_text="score,target\n1,10\n2,30\n3,20\n", exit_code=0):
+    """The modules ``LOADED`` lists after ``monocal <argv>`` ran in a fresh interpreter.
+
+    The command must exit with ``exit_code``.
+    """
     rows = tmp_path / "rows.csv"
     rows.write_text(rows_text)
     model = tmp_path / "model.json"
@@ -143,7 +146,7 @@ def command_loads(tmp_path, argv, rows_text="score,target\n1,10\n2,30\n3,20\n"):
         f"        code = cli.main({argv!r})\n"
         "    except SystemExit as exc:  # --help\n"
         "        code = exc.code\n"
-        "assert code == 0, code\n"
+        f"assert code == {exit_code}, code\n"
         + LOADED
     )
     return fresh(code)
@@ -170,13 +173,28 @@ def test_each_command_loads_only_its_solver(tmp_path, argv, loads):
     assert command_loads(tmp_path, argv) == sorted(CLI_MODULES + loads)
 
 
+# Each command that reads a CSV file.
+EACH_READER = pytest.mark.parametrize(
+    "argv", [["fit", "{rows}", "--quiet"], ["apply", "{model}", "{rows}"], ["stream", "{rows}"]],
+    ids=["fit", "apply", "stream"])
+
+
 @pytest.mark.parametrize("rows", ['score,target\n1,10\n"2",30\n3,20\n',
                                   '"score","target"\n1,10\n2,30\n3,20\n'],
                          ids=["quoted-row", "quoted-header"])
-@pytest.mark.parametrize("argv", [["fit", "{rows}", "--quiet"], ["apply", "{model}", "{rows}"],
-                                  ["stream", "{rows}"]], ids=["fit", "apply", "stream"])
+@EACH_READER
 def test_a_quoted_line_loads_the_csv_module(tmp_path, argv, rows):
     assert "csv" in command_loads(tmp_path, argv, rows)
+
+
+# A plain chunk with an empty weight (weight 1) or a bad number is read again
+# row by row, and the csv module is not loaded for it.
+@pytest.mark.parametrize("rows, exit_code", [("score,target,weight\n1,10,2\n2,30,\n3,20,1\n", 0),
+                                             ("score,target\n1,10\nx,30\n3,20\n", 2)],
+                         ids=["empty-weight", "bad-number"])
+@EACH_READER
+def test_a_plain_chunk_read_again_loads_no_csv_module(tmp_path, argv, rows, exit_code):
+    assert "csv" not in command_loads(tmp_path, argv, rows, exit_code)
 
 
 def test_every_public_name_is_its_home_modules_object():
