@@ -1772,9 +1772,9 @@ def test_chunked_reader_matches_the_row_reader_at_a_defect(defect, data):
     text, loss, env = data.draw(boundary_texts(defect))
     with tempfile.TemporaryDirectory() as directory:
         assert_reads_like_reference(directory, text, loss, env)
-        # No command reads only a column that the file lacks, nor shows each
-        # row's number: each row's default and weight, a blank line no row,
-        # then the error if there is one.
+        # No command reads only a column that the file lacks, and none shows
+        # row numbers: each row's number, default and weight, a blank line no
+        # row, then the error if there is one.
         path = os.path.join(directory, "in.csv")
         assert default_rows(cli._read_csv, path, env) == default_rows(reference_read_csv, path, env)
 
@@ -2026,7 +2026,7 @@ def test_main_reads_a_plain_argv_without_argparse(golden_csv, capsys):
 ], ids=["out", "loss", "delta", "max-iters", "solver", "stream-loss"])
 def test_an_option_given_as_equals_dashes(tmp_path, monkeypatch, argv):
     # Python 3.11's argparse stores [] for "--opt=--"; main rejects it as a
-    # missing value. Where argparse stores no list, main only must not raise.
+    # missing value. Where argparse stores no list, main need only not raise.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rows.csv").write_text("score,target\n1,10\n2,30\n3,20\n")
     out, err = io.StringIO(), io.StringIO()
