@@ -88,14 +88,15 @@ def _read_csv(
     fewer than the header has names and is within the csv module's field
     limit, and no line of a one-column file is blank. The csv module reads a
     header that is not one plain line, and the rest of the file from the
-    first chunk that is not plain. Any chunk whose numbers, defaults,
-    ``build`` or cap fail (a field that is not a number or needs its default,
-    a ``build`` error, rows past the cap) is read again row by row, plain or
-    not: the rows before a failure are yielded one at a time, and then
-    its error is raised, a bad row's with a ``row N:`` prefix (N is the line
-    the record ends on). A CSV error ends a csv chunk; its records before
-    the error are read first. Undecodable text and csv-module errors (such as
-    an oversized field) are usage errors.
+    first chunk that is not plain. A chunk whose numbers fail is built once
+    more with each column's default in its empty fields. Any chunk whose
+    numbers, defaults, ``build`` or cap still fail (a field that is not a
+    number, a short row, a ``build`` error, rows past the cap) is read again
+    row by row, plain or not: the rows before a failure are yielded one at a
+    time, and then its error is raised, a bad row's with a ``row N:`` prefix
+    (N is the line the record ends on). A CSV error ends a csv chunk; its
+    records before the error are read first. Undecodable text and csv-module
+    errors (such as an oversized field) are usage errors.
     """
     raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
@@ -194,8 +195,22 @@ def _read_csv(
                                           else map(itemgetter(i), records)))
                             for _, i, default in picks
                         ))
-                    except (IndexError, ValueError, CalibrationError):
-                        pass  # read again row by row, for the defaults or the error
+                    except ValueError:
+                        # A field that is not a number, or an empty field that needs its
+                        # default: build again with each column's default in its empty
+                        # fields, as the row-by-row re-read below reads them.
+                        try:
+                            items = build(*(
+                                [default] * n if i is None
+                                else [float(x) if x or default is None else default
+                                      for x in (flat[i::width] if reader is None
+                                                else map(itemgetter(i), records))]
+                                for _, i, default in picks
+                            ))
+                        except (IndexError, ValueError, CalibrationError):
+                            pass  # read again row by row, for the error
+                    except (IndexError, CalibrationError):
+                        pass  # read again row by row, for the short rows or the error
                 if items is not None:
                     yield rows, items
                 else:
@@ -440,7 +455,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, list):  # Python 3.11's argparse reads "--opt=--" as []
-                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+                # The option given bare fails in the command's own parser, with its usage.
+                parser.parse_args([args.command, f"--{name.replace('_', '-')}"])
     try:
         if args.command == "stream":
             return _cmd_stream(args)

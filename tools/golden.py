@@ -5,11 +5,11 @@ inputs and records its exit code and the sha256 of its stdout, its stderr
 and, for ``fit --out``, the model file. The inputs are small versions of the
 benchmark's three shapes (``random-weighted``, ``increasing`` and
 ``ties-logloss``: 2,000 rows to fit and apply, 250 score-ordered rows to
-stream) and the edge inputs of the CI workflow. Every input is fitted with
-each solver and loss, to stdout and to ``--out``; each stack and anytime
-model that a fit wrote is applied; every input but the 2,000-row ones is
-streamed with both losses. One model is also applied to a one-column file
-with blank lines.
+stream) and edge inputs of a few rows each. Every input is fitted with each
+solver and loss, to stdout and to ``--out``; each stack and anytime model
+that a fit wrote is applied; every input but the 2,000-row ones is streamed
+with both losses. One model is also applied to a one-column file with blank
+lines.
 
 ``tests/test_golden.py`` runs the same cases and compares them with
 ``tests/golden.json``. A change that alters an output on purpose rewrites
@@ -49,7 +49,7 @@ def _row(i: int) -> str:
     return f"{score},{int(i % 7 < i * 7 // 2100)},{'' if i == 99 else 1 + i % 4}\n"
 
 
-# The CI workflow's inline inputs, and one each for the failures it does not write.
+# The edge inputs: failures, CSV layouts and corner cases of the commands.
 EDGE_INPUTS = {
     "rows.csv": "score,target\n1,10\n2,30\n3,20\n",
     "ties.csv": "score,target\n0.1,0\n0.3,1\n0.1,1\n0.2,1\n0.1,0\n0.2,0\n0.3,1\n0.2,0\n"
