@@ -88,15 +88,15 @@ def _read_csv(
     fewer than the header has names and is within the csv module's field
     limit, and no line of a one-column file is blank. The csv module reads a
     header that is not one plain line, and the rest of the file from the
-    first chunk that is not plain. A chunk whose numbers fail is built once
-    more with each column's default in its empty fields. Any chunk whose
-    numbers, defaults, ``build`` or cap still fail (a field that is not a
-    number, a short row, a ``build`` error, rows past the cap) is read again
-    row by row, plain or not: the rows before a failure are yielded one at a
-    time, and then its error is raised, a bad row's with a ``row N:`` prefix
-    (N is the line the record ends on). A CSV error ends a csv chunk; its
-    records before the error are read first. Undecodable text and csv-module
-    errors (such as an oversized field) are usage errors.
+    first chunk that is not plain. Each column is converted by ``_floats``,
+    so an empty field with a default keeps its chunk. Any chunk whose
+    numbers, ``build`` or cap fail (a field that is not a number, a short
+    row, a ``build`` error, rows past the cap) is read again row by row,
+    plain or not: the rows before a failure are yielded one at a time, and
+    then its error is raised, a bad row's with a ``row N:`` prefix (N is the
+    line the record ends on). A CSV error ends a csv chunk; its records
+    before the error are read first. Undecodable text and csv-module errors
+    (such as an oversized field) are usage errors.
     """
     raw_cap = os.environ.get(MAX_N_ENV, "").strip()
     try:
@@ -191,25 +191,11 @@ def _read_csv(
                     try:
                         items = build(*(
                             [default] * n if i is None
-                            else list(map(float, flat[i::width] if reader is None
-                                          else map(itemgetter(i), records)))
+                            else _floats(flat[i::width] if reader is None
+                                         else list(map(itemgetter(i), records)), default)
                             for _, i, default in picks
                         ))
-                    except ValueError:
-                        # A field that is not a number, or an empty field that needs its
-                        # default: build again with each column's default in its empty
-                        # fields, as the row-by-row re-read below reads them.
-                        try:
-                            items = build(*(
-                                [default] * n if i is None
-                                else [float(x) if x or default is None else default
-                                      for x in (flat[i::width] if reader is None
-                                                else map(itemgetter(i), records))]
-                                for _, i, default in picks
-                            ))
-                        except (IndexError, ValueError, CalibrationError):
-                            pass  # read again row by row, for the error
-                    except (IndexError, CalibrationError):
+                    except (IndexError, ValueError, CalibrationError):
                         pass  # read again row by row, for the short rows or the error
                 if items is not None:
                     yield rows, items
@@ -244,6 +230,20 @@ def _read_csv(
                     return
 
     return chunks()
+
+
+def _floats(fields: list[str], default: float | None) -> list[float]:
+    """``fields`` as numbers, each empty field as ``default`` unless that is None.
+
+    Converted in C; only a column that fails and holds an empty field with a
+    default is converted again field by field.
+    """
+    try:
+        return list(map(float, fields))
+    except ValueError:
+        if default is None or "" not in fields:
+            raise
+        return [float(x) if x else default for x in fields]
 
 
 def _unquoted(text: str) -> bool:

@@ -1266,8 +1266,8 @@ class TestChunkedReader:
     @pytest.mark.parametrize("cap", [None, 2 * cli._CHUNK_ROWS + 1])
     @pytest.mark.parametrize("record", [cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
     def test_plain_chunks_after_an_empty_weight(self, tmp_path, record, cap):
-        # The chunk that holds the empty weight is built again with its default,
-        # and the chunks after it keep their row numbers and their count for the cap.
+        # The chunk that holds the empty weight reads it as its default, and
+        # the chunks after it keep their row numbers and their count for the cap.
         text = training_text(2200, header="score,target,weight",
                              row=lambda i: f"{i + 0.5!r},{i % 7},{'' if i == record - 1 else 2}")
         env = {} if cap is None else {cli.MAX_N_ENV: str(cap)}
@@ -1287,6 +1287,18 @@ class TestChunkedReader:
         assert [len(rows) for rows, _ in chunks] == [cli._CHUNK_ROWS, 2000 - cli._CHUNK_ROWS]
         weights = [w for _, (_, _, column) in chunks for w in column]
         assert weights == [1.0 if i % 97 == 96 else 2.0 for i in range(2000)]
+
+    def test_a_bad_weight_among_empty_ones(self, tmp_path):
+        # The chunk's weight column fails with and without its default, so the
+        # chunk is read row by row: the empty weights before the bad one read as 1.
+        text = training_text(2000, header="score,target,weight",
+                             row=lambda i: f"{i + 0.5!r},{i % 7},"
+                                           f"{'x' if i == 1499 else '' if i % 97 == 96 else 2}")
+        results = assert_reads_like_reference(str(tmp_path), text)
+        assert results["fit"] == (2, "", "monocal: row 1501: column 'weight' is not a number: 'x'\n")
+        assert results["stream"][1].count("\n") == 1 + 1499  # the header, then each row before
+        path = str(tmp_path / "in.csv")
+        assert default_rows(cli._read_csv, path, {}) == default_rows(reference_read_csv, path, {})
 
     def test_blank_lines_and_a_multi_line_field_across_the_chunk_boundary(self, tmp_path):
         rows = [f"{i + 0.5!r},{i % 7},\"note {i}\"" for i in range(1100)]

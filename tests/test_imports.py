@@ -187,7 +187,7 @@ def test_a_quoted_line_loads_the_csv_module(tmp_path, argv, rows):
     assert "csv" in command_loads(tmp_path, argv, rows)
 
 
-# A plain chunk with an empty weight (weight 1) is built again, one with a bad
+# A plain chunk with an empty weight (weight 1) keeps its chunk, one with a bad
 # number is read again row by row, and neither loads the csv module.
 @pytest.mark.parametrize("rows, exit_code", [("score,target,weight\n1,10,2\n2,30,\n3,20,1\n", 0),
                                              ("score,target\n1,10\nx,30\n3,20\n", 2)],

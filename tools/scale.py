@@ -9,9 +9,8 @@ Scale: peak RSS and wall time of ``fit`` on 1e5 increasing rows (one step per
 row), ``apply`` of that 1e5-step model to 1e5 scores, an anytime ``fit`` on
 1e4 increasing rows (with its rounds) and ``fit`` on 1e5 merge-heavy rows
 (with its summary line). Each command runs as the console script does, in a
-fresh interpreter, and its peak RSS is its own, read from ``os.wait4``. This
-process writes the inputs from child processes and holds none of them, so
-that the peak RSS it passes a child at exec stays small.
+fresh interpreter started by ``perfbench/spawner.py``, so its peak RSS is its
+own and not this process's.
 
 Run it with no arguments from an installed ``monocal`` or from a checkout::
 
@@ -26,12 +25,16 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
-import time
+from typing import Iterable
 
+SPAWNER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
+                       "spawner.py")
 # How the console script runs a command.
 ENTRY = "from monocal.cli import entry; entry()"
 # The import plus the command, timed inside the child, with stdout to
@@ -42,51 +45,53 @@ STARTUP = ("import os, sys, time; out = open(os.devnull, 'w'); t = time.perf_cou
            "try:\n    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
            "except SystemExit as exc:\n    code = exc.code\n"
            "out.flush(); print(time.perf_counter() - t, file=sys.stderr); sys.exit(code)")
-# Rising targets: one step per row, the largest model for the row count.
-INCREASING = "print('score,target'); [print(f'{i + 0.5!r},{i / 3!r}') for i in range(%d)]"
-# Scores that each reach their own step of the increasing model.
-SCORES = "print('score'); [print(f'{i + 0.25!r}') for i in range(100000)]"
-# Shuffled scores, U(0, 100) targets, weights in (0, 3]: a few steps, so
-# nearly every row is pooled by the built-in kernel.
-MERGES = """import random, sys
-rng = random.Random(1)
-rows = [(i + rng.random(), rng.uniform(0.0, 100.0), 3.0 * (1.0 - rng.random()))
-        for i in range(100000)]
-rng.shuffle(rows)
-sys.stdout.write("score,target,weight\\n")
-sys.stdout.writelines(f"{s!r},{t!r},{w!r}\\n" for s, t, w in rows)
-"""
 
 
-def write(path: str, code: str) -> str:
-    """Write what ``code`` prints, run in a child process, to ``path``; return ``path``."""
+def increasing(n: int) -> Iterable[str]:
+    """Rising targets: one step per row, the largest model for the row count."""
+    return (f"{i + 0.5!r},{i / 3!r}\n" for i in range(n))
+
+
+def merge_heavy() -> Iterable[str]:
+    """Shuffled scores, U(0, 100) targets, weights in (0, 3]: a few steps, so
+    nearly every row is pooled by the built-in kernel."""
+    rng = random.Random(1)
+    rows = [(i + rng.random(), rng.uniform(0.0, 100.0), 3.0 * (1.0 - rng.random()))
+            for i in range(100000)]
+    rng.shuffle(rows)
+    return (f"{s!r},{t!r},{w!r}\n" for s, t, w in rows)
+
+
+def write(path: str, header: str, rows: Iterable[str]) -> str:
+    """Write ``header`` and ``rows`` to ``path``; return ``path``."""
     with open(path, "w") as out:
-        subprocess.run([sys.executable, "-c", code], stdout=out, check=True)
+        out.write(header)
+        out.writelines(rows)
     return path
 
 
-def monocal(*argv: str, stdout: str = os.devnull) -> tuple[dict, str]:
+def monocal(spawner: subprocess.Popen[str], *argv: str,
+            stdout: str = os.devnull) -> tuple[dict, str]:
     """Run ``monocal argv``; return its wall time and own peak RSS, and its stderr."""
-    with open(stdout, "w") as out, tempfile.TemporaryFile("w+") as err:
-        start = time.perf_counter()
-        with subprocess.Popen([sys.executable, "-c", ENTRY, *argv], stdout=out, stderr=err) as proc:
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - start
-            proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
+    with tempfile.NamedTemporaryFile("r") as err:
+        request = {"argv": [sys.executable, "-c", ENTRY, *argv], "stdout": stdout,
+                   "stderr": err.name}
+        print(json.dumps(request), file=spawner.stdin, flush=True)
+        reply = json.loads(spawner.stdout.readline())
         stderr = err.read()
-    if proc.returncode:
+    if reply["exit_code"]:
         sys.stderr.write(stderr)
-        raise subprocess.CalledProcessError(proc.returncode, ["monocal", *argv])
+        raise subprocess.CalledProcessError(reply["exit_code"], ["monocal", *argv])
     # ru_maxrss is in KiB on Linux.
-    return {"peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "wall_s": round(wall, 3)}, stderr
+    return {"peak_rss_mb": round(reply["maxrss_kb"] / 1024, 1),
+            "wall_s": round(reply["wall_s"], 3)}, stderr
 
 
-def startup(work: str) -> dict[str, dict[str, float]]:
+def startup(spawner: subprocess.Popen[str], work: str) -> dict[str, dict[str, float]]:
     """The median start-up time in ms of each command, per bytecode mode."""
-    rows = write(f"{work}/rows.csv", "print('score,target\\n1,10\\n2,30\\n3,20')")
+    rows = write(f"{work}/rows.csv", "score,target\n", ["1,10\n", "2,30\n", "3,20\n"])
     model = f"{work}/model.json"
-    monocal("fit", rows, "--out", model, "--quiet")
+    monocal(spawner, "fit", rows, "--out", model, "--quiet")
     commands = {"import monocal.cli": [], "fit": ["fit", rows, "--quiet"],
                 "fit --solver anytime": ["fit", rows, "--solver", "anytime", "--quiet"],
                 "apply": ["apply", model, rows], "stream": ["stream", rows],
@@ -103,32 +108,36 @@ def startup(work: str) -> dict[str, dict[str, float]]:
             env["PYTHONDONTWRITEBYTECODE"] = "1"
         mode = medians["PYTHONDONTWRITEBYTECODE=1" if nobyte else "bytecode cached"] = {}
         for name, argv in commands.items():
-            runs = sorted(float(subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
-                                               check=True, capture_output=True, text=True).stderr)
-                          for _ in range(20))
+            runs = [float(subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
+                                         check=True, capture_output=True, text=True).stderr)
+                    for _ in range(20)]
             mode[f"{name} on 3 rows" if rows in argv else name] = round(
-                (runs[9] + runs[10]) / 2 * 1e3, 2)
+                statistics.median(runs) * 1e3, 2)
     return medians
 
 
 def main() -> int:
     report = {"python": ".".join(map(str, sys.version_info[:3])), "cores": os.cpu_count()}
-    with tempfile.TemporaryDirectory() as work:
-        report["startup_ms"] = startup(work)
-        increasing = write(f"{work}/increasing.csv", INCREASING % 100000)
+    with tempfile.TemporaryDirectory() as work, subprocess.Popen(
+            [sys.executable, SPAWNER], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True) as spawner:
+        report["startup_ms"] = startup(spawner, work)
+        model = f"{work}/model.json"
         report["fit on 1e5 increasing rows"], _ = monocal(
-            "fit", increasing, "--out", f"{work}/model.json", "--quiet")
+            spawner, "fit", write(f"{work}/increasing.csv", "score,target\n", increasing(100000)),
+            "--out", model, "--quiet")
+        scores = (f"{i + 0.25!r}\n" for i in range(100000))  # each reaches its own step
         report["apply of a 1e5-step model to 1e5 scores"], _ = monocal(
-            "apply", f"{work}/model.json", write(f"{work}/scores.csv", SCORES),
+            spawner, "apply", model, write(f"{work}/scores.csv", "score\n", scores),
             stdout=f"{work}/applied.csv")
-        merges = write(f"{work}/merges.csv", MERGES)
-        run, summary = monocal("fit", merges, "--out", f"{work}/model.json")
+        run, summary = monocal(
+            spawner, "fit", write(f"{work}/merges.csv", "score,target,weight\n", merge_heavy()),
+            "--out", model)
         report["fit on 1e5 merge-heavy rows"] = {**run, "summary": summary.strip()}
-        increasing = write(f"{work}/increasing.csv", INCREASING % 10000)
-        run, _ = monocal("fit", increasing, "--solver", "anytime", "--out", f"{work}/model.json",
-                         "--quiet")
-        # Loaded last: the model is the one input this process reads.
-        with open(f"{work}/model.json") as handle:
+        run, _ = monocal(
+            spawner, "fit", write(f"{work}/increasing.csv", "score,target\n", increasing(10000)),
+            "--solver", "anytime", "--out", model, "--quiet")
+        with open(model) as handle:
             run["rounds"] = json.load(handle)["metadata"]["rounds"]
         report["anytime fit on 1e4 increasing rows"] = run
     print(json.dumps(report))
